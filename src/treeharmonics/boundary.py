@@ -10,7 +10,10 @@ sectors share one node.
 
 The probability metric integrates d/(1+d) against the boundary measure; on
 level functions that integral is an exact finite weighted sum evaluated by a
-joint recursion over the two structures.
+joint recursion over the two structures.  These metrics serve single-level
+comparisons; the distances of a harmonic function at every level up to a
+horizon come from one forward sweep, harmonic.level_profile, which costs
+O(horizon x frontier width) instead of one recursion per level.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, InvariantError, ValidationError
-from .scalars import Scalar
+from .scalars import Mode, Scalar
 from .trees import Tree, VertexId
 from .values import TupleValue, Value, bounded_metric, tuple_metric
 
@@ -267,8 +270,13 @@ def mismatch_measure(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scal
     """
     if psi.dim != phi.dim:
         raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    one = Fraction(1) if tree.mode == "exact" else 1.0
-    return _weighted_integral(tree, psi.node, phi.node, lambda u, v: 0 if u == v else one)
+    return _weighted_integral(tree, psi.node, phi.node, mismatch_integrand(tree.mode))
+
+
+def mismatch_integrand(mode: Mode) -> Callable[[Value, Value], Scalar]:
+    """The integrand of mismatch_measure: 0 where the values agree, else 1."""
+    one = Fraction(1) if mode == "exact" else 1.0
+    return lambda u, v: 0 if u == v else one
 
 
 def mismatch_indicator(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:

@@ -185,6 +185,13 @@ def _report_skeleton(command: str, cfg: dict) -> dict:
     return {"schema": SCHEMA, "command": command, "config_hash": config_hash(hashed)}
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {what}: {exc}")
+
+
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text, encoding="utf-8")
@@ -361,8 +368,7 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:
-    doc = json.loads(Path(witness_path).read_text(encoding="utf-8"))
-    witness = witness_from_doc(doc)
+    witness = witness_from_doc(_read_json(witness_path, "witness"))
     horizon = cfg["horizon"] or witness.schedule.horizon
     warmup = witness.schedule.warmup if cfg["warmup"] is None else cfg["warmup"]
     hits = certify_hits(witness, horizon=horizon, warmup=warmup)
@@ -424,11 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = copy.deepcopy(DEFAULT_CONFIG)
         if args.config:
-            try:
-                file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"cannot read config: {exc}")
-            cfg = merge_config(cfg, file_cfg)
+            cfg = merge_config(cfg, _read_json(args.config, "config"))
         cfg = apply_flags(cfg, args)
         validate_config(cfg)
         out_dir = Path(cfg["out"])

@@ -231,24 +231,30 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def witness_from_doc(doc: dict) -> Witness:
-    if doc.get("schema") != "witness/1":
-        raise ValidationError(f"unsupported witness schema {doc.get('schema')!r}")
-    tree = tree_from_doc(doc["tree"])
-    dim = int(doc["dim"])
-    depth = int(doc["depth"])
-    comps = tuple(
-        HarmonicFunction(tree, depth, dim, func_node_from_doc(c, tree.mode))
-        for c in doc["components"]
-    )
-    function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
-    return Witness(
-        kind=str(doc["kind"]),
-        function=function,
-        schedule=schedule_from_doc(doc["schedule"]),
-        targets=tuple(target_from_doc(tree, t) for t in doc["targets"]),
-        target_components=tuple(int(c) for c in doc["target_components"]),
-        logs=tuple(block_log_from_doc(l, tree.mode) for l in doc["logs"]),
-    )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != "witness/1":
+        raise ValidationError(f"unsupported witness schema {schema!r}")
+    try:
+        tree = tree_from_doc(doc["tree"])
+        dim = int(doc["dim"])
+        depth = int(doc["depth"])
+        comps = tuple(
+            HarmonicFunction(tree, depth, dim, func_node_from_doc(c, tree.mode))
+            for c in doc["components"]
+        )
+        function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
+        return Witness(
+            kind=str(doc["kind"]),
+            function=function,
+            schedule=schedule_from_doc(doc["schedule"]),
+            targets=tuple(target_from_doc(tree, t) for t in doc["targets"]),
+            target_components=tuple(int(c) for c in doc["target_components"]),
+            logs=tuple(block_log_from_doc(l, tree.mode) for l in doc["logs"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"witness document lacks the key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed witness document: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,14 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
+# level_scale is unused here but stays importable from this module, as do the
+# other per-level primitives: perfbench/spans.py traces them under these names
 from .boundary import (
     LevelFunction,
     SectorNode,
     level_scale,
     mismatch_indicator,
+    mismatch_integrand,
     mismatch_measure,
     p_metric,
     refine,
@@ -52,6 +55,7 @@ from .harmonic import (
     enumerate_harmonics,
     func_leaf,
     func_split,
+    level_profile,
     linear_combination,
     pointwise_metric,
     restrict_to_level,
@@ -61,7 +65,7 @@ from .harmonic import (
 from .harmonic import _expand as _expand_func
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import Value, centered_grid
+from .values import Value, bounded_metric, centered_grid
 
 UPPER_DENSITY_THRESHOLD = Fraction(3, 4)
 LOWER_DENSITY_FLOOR = Fraction(1, 20)
@@ -428,11 +432,17 @@ def refine_mismatch(
             f"depth exhausted: level {start + steps} exceeds tree depth {tree.depth}"
         )
     g = _rebuild(f, target, start, start + steps)
-    log = [
-        (lvl, mismatch_measure(tree, restrict_to_level(g, lvl), refine(tree, target, lvl)))
-        for lvl in range(start, start + steps + 1)
-    ]
-    return g, log
+    return g, _mismatch_log(g, target, start, start + steps)
+
+
+def _mismatch_log(f: HarmonicFunction, target: LevelFunction, start: int, end: int) -> list[tuple[int, Scalar]]:
+    """Measured mismatch of f against target at each level start..end."""
+    measures = level_profile(f, target, mismatch_integrand(f.tree.mode), end)
+    if start == 0:
+        measures.insert(0, mismatch_measure(f.tree, restrict_to_level(f, 0), target))
+    else:
+        del measures[: start - 1]
+    return list(zip(range(start, end + 1), measures))
 
 
 # ----------------------------------------------------------------------
@@ -478,21 +488,13 @@ def _run_schedule(
         for block in schedule.component_blocks(comp):
             target = targets[block.target_index - 1]
             f = _rebuild(f, target.level_function, block.start - 1, block.end)
-            mismatches = []
-            prev = None
-            for lvl in range(block.start, block.end + 1):
-                m = mismatch_measure(
-                    tree, restrict_to_level(f, lvl), refine(tree, target.level_function, lvl)
-                )
-                if prev is not None and m > prev:
+            mismatches = _mismatch_log(f, target.level_function, block.start, block.end)
+            for (_, prev), (lvl, m) in zip(mismatches, mismatches[1:]):
+                if m > prev:
                     raise InvariantError(
                         f"mismatch grew from {prev} to {m} at level {lvl} inside a block"
                     )
-                mismatches.append((lvl, m))
-                prev = m
-            terminal = p_metric(
-                tree, restrict_to_level(f, block.end), target.level_function
-            )
+            terminal = level_profile(f, target.level_function, bounded_metric, block.end)[-1]
             if not terminal < target.epsilon:
                 raise InvariantError(
                     f"block ending at {block.end} left distance {terminal}, "
@@ -583,11 +585,8 @@ def hit_set(tree: Tree, f: HarmonicFunction, target: Target, horizon: int) -> li
     """Exact hit levels: {n : p_metric(level-n restriction, target) < epsilon}."""
     if horizon > f.depth:
         raise ValidationError(f"horizon {horizon} exceeds function depth {f.depth}")
-    hits = []
-    for n in range(1, horizon + 1):
-        if p_metric(tree, restrict_to_level(f, n), target.level_function) < target.epsilon:
-            hits.append(n)
-    return hits
+    distances = level_profile(f, target.level_function, bounded_metric, horizon)
+    return [n for n, d in enumerate(distances, 1) if d < target.epsilon]
 
 
 @dataclass(frozen=True)
@@ -698,20 +697,18 @@ def span_inclusion_check(
     b = [a if a != 0 else Fraction(1) for a in coeffs]
     combo = linear_combination(coeffs, components)
     zero_lf = LevelFunction.constant(0, Value.zero(dim, tree.mode))
+    centers = [zero_lf] * (s - 1) + [psi]
+    scaled = [
+        level_profile(f, center, lambda u, v, a=a: bounded_metric(u.scale(a), v), horizon)
+        for f, center, a in zip(components, centers, b)
+    ]
+    combo_distances = level_profile(combo, psi, bounded_metric, horizon)
     hat_hits: list[int] = []
     combo_hits: list[int] = []
     violations: list[int] = []
     for n in range(1, horizon + 1):
-        ok = True
-        for i in range(s - 1):
-            scaled = level_scale(b[i], restrict_to_level(components[i], n))
-            if not p_metric(tree, scaled, zero_lf) < delta:
-                ok = False
-                break
-        if ok:
-            scaled = level_scale(b[s - 1], restrict_to_level(components[s - 1], n))
-            ok = p_metric(tree, scaled, psi) < delta
-        in_combo = p_metric(tree, restrict_to_level(combo, n), psi) < epsilon
+        ok = all(d[n - 1] < delta for d in scaled)
+        in_combo = combo_distances[n - 1] < epsilon
         if ok:
             hat_hits.append(n)
             if not in_combo:
@@ -822,6 +819,7 @@ COEFF_LATTICE = (
     Fraction(1),
     Fraction(2),
 )
+ZERO_SAMPLE_REDRAWS = 16
 
 
 def _family_ufm_schedule(
@@ -988,17 +986,24 @@ def double_genericity_check(
             )
         )
 
+    zero_node = zero_function(tree, dim).node
+
+    def nonzero_sample(components: Sequence[HarmonicFunction]) -> HarmonicFunction:
+        # the burst components can sum to zero, so equal coefficients may
+        # cancel; such a draw says nothing about distinctness and is redrawn
+        for _ in range(ZERO_SAMPLE_REDRAWS):
+            g = linear_combination(tuple(rng.choice(COEFF_LATTICE) for _ in components), components)
+            if g.node is not zero_node:
+                return g
+        raise InvariantError(
+            f"sampled a zero combination from nonzero coefficients {ZERO_SAMPLE_REDRAWS} times in a row"
+        )
+
     steady_samples = []
     burst_samples = []
     for _ in range(max(2, combo_samples // 2)):
-        cs = tuple(rng.choice(COEFF_LATTICE) for _ in steady_components)
-        steady_samples.append(linear_combination(cs, steady_components))
-        cb = tuple(rng.choice(COEFF_LATTICE) for _ in burst_witness.function.components)
-        burst_samples.append(linear_combination(cb, burst_witness.function.components))
-    zero_node = zero_function(tree, dim).node
-    for g in steady_samples + burst_samples:
-        if g.node is zero_node:
-            raise InvariantError("sampled a zero combination from nonzero coefficients")
+        steady_samples.append(nonzero_sample(steady_components))
+        burst_samples.append(nonzero_sample(burst_witness.function.components))
     distinct = all(a.node is not b.node for a in steady_samples for b in burst_samples)
 
     return DoubleGenericityReport(

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from treeharmonics.cli import main
 from treeharmonics.serialize import witness_from_doc
@@ -84,6 +87,49 @@ def test_certify_roundtrip(tmp_path):
     assert original == again
 
 
+def test_certify_missing_witness_exits_one(tmp_path, capsys):
+    code = main(["certify", "--witness", str(tmp_path / "absent.json"), "--out", str(tmp_path / "c")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"]
+
+
+def test_certify_witness_without_schedule_exits_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["witness-ufm", "--depth", "30", "--block-length", "5", "--out", str(out)]) == 0
+    doc = json.loads(read(out / "witness.json"))
+    del doc["schedule"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == ["witness document lacks the key 'schedule'"]
+
+
+# sha256 of outputs recorded from the per-level restrict-and-integrate route;
+# any change to a distance, its type or its formatting changes a digest
+GOLDEN = [
+    (
+        ["witness-ufm", "--depth", "30", "--block-length", "5"],
+        {
+            "report.json": "83b6ce391cc738938dde46b332cde67d16d19241e30011435235fa5256d3c4d3",
+            "witness.json": "8f00b79562968fe7cd8042a5403d7608d6b376fbc6bd4a1b40e1e7f7ed447690",
+        },
+    ),
+    (
+        ["span-check", "--depth", "30", "--cases", "4"],
+        {"report.json": "c48144cbee1d91b4063808e48d79f1da0d46efb65fd0465e42f6787f88050987"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN, ids=[argv[0] for argv, _ in GOLDEN])
+def test_outputs_match_recorded_digests(tmp_path, argv, digests):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_span_check_cli(tmp_path):
     out = tmp_path / "o"
     code = main(
@@ -111,6 +157,14 @@ def test_double_genericity_cli(tmp_path):
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
     assert report["reference"]["non_dense"] is True
+
+
+def test_double_genericity_redraws_zero_combinations(tmp_path):
+    # the burst components sum to zero, so seed 11 draws equal coefficients
+    out = tmp_path / "o"
+    code = main(["double-genericity", "--depth", "60", "--seed", "11", "--out", str(out)])
+    assert code == 0
+    assert json.loads(read(out / "report.json"))["all_pass"] is True
 
 
 def test_reports_are_byte_identical(tmp_path):

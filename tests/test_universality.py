@@ -12,6 +12,7 @@ from treeharmonics import (
     Value,
     ValidationError,
     VertexId,
+    aggregate_upward,
     build_tree,
     build_ufm_witness,
     build_x_witness,
@@ -26,6 +27,7 @@ from treeharmonics import (
     level_values,
     linear_combination,
     min_child_probability,
+    mismatch_measure,
     one_level_approximation,
     p_metric,
     refine,
@@ -242,6 +244,19 @@ def test_refine_mismatch_random_trees():
         for k, (lvl, m) in enumerate(log):
             assert m <= Fraction(1, 2**k) * m0
         assert check_harmonic(g).passed
+
+
+def test_refine_mismatch_log_matches_per_level_measures(binary6):
+    # start 0 logs the root level too, which the level sweep does not cover
+    rng = random.Random(2)
+    f = aggregate_upward(binary6, [random_value(rng, 1) for _ in range(binary6.level_size(6))])
+    target = LevelFunction.constant(0, Value.of(1))
+    for start in (0, 1, 2):
+        g, log = refine_mismatch(f, target, start, 6 - start)
+        assert [lvl for lvl, _ in log] == list(range(start, 7))
+        for lvl, m in log:
+            want = mismatch_measure(binary6, restrict_to_level(g, lvl), target)
+            assert m == want and type(m) is type(want)
 
 
 def test_refine_mismatch_depth_exhaustion(binary4):
