@@ -49,7 +49,7 @@ from .harmonic import (
     truncate_and_extend,
     zero_function,
 )
-from .scalars import Mode, Scalar
+from .scalars import Scalar
 from .trees import (
     ExplicitTree,
     Tree,

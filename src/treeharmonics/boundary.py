@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, InvariantError, ValidationError
-from .scalars import Mode, Scalar
+from .scalars import Scalar
 from .trees import Tree, VertexId
 from .values import TupleValue, Value, bounded_metric, tuple_metric
 
@@ -42,22 +42,15 @@ class SectorNode:
         return self.children is None
 
 
-def value_key(value: Value) -> tuple:
-    """Interning key separating exact and float coordinates: Fraction(0) and
-    0.0 compare equal, but exact computations must never receive float nodes."""
-    return (tuple(isinstance(c, float) for c in value.coords), value)
-
-
-_SECTOR_LEAVES: dict[tuple, SectorNode] = {}
+_SECTOR_LEAVES: dict[Value, SectorNode] = {}
 _SECTOR_SPLITS: dict[tuple[int, ...], SectorNode] = {}
 
 
 def sector_leaf(value: Value) -> SectorNode:
-    key = value_key(value)
-    node = _SECTOR_LEAVES.get(key)
+    node = _SECTOR_LEAVES.get(value)
     if node is None:
         node = SectorNode(value, None)
-        _SECTOR_LEAVES[key] = node
+        _SECTOR_LEAVES[value] = node
     return node
 
 
@@ -87,8 +80,10 @@ def node_depth(node: SectorNode) -> int:
     return rec(node)
 
 
-def _expand(node: SectorNode, arity: int) -> tuple[SectorNode, ...]:
-    if node.is_leaf:
+def _expand(node, arity: int) -> tuple:
+    """The children of a sector or function node; a node without children
+    stands for itself on every child."""
+    if node.children is None:
         return (node,) * arity
     if len(node.children) != arity:
         raise InvariantError(
@@ -270,13 +265,15 @@ def mismatch_measure(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scal
     """
     if psi.dim != phi.dim:
         raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return _weighted_integral(tree, psi.node, phi.node, mismatch_integrand(tree.mode))
+    return _weighted_integral(tree, psi.node, phi.node, mismatch_integrand)
 
 
-def mismatch_integrand(mode: Mode) -> Callable[[Value, Value], Scalar]:
+_ONE = Fraction(1)
+
+
+def mismatch_integrand(u: Value, v: Value) -> Scalar:
     """The integrand of mismatch_measure: 0 where the values agree, else 1."""
-    one = Fraction(1) if mode == "exact" else 1.0
-    return lambda u, v: 0 if u == v else one
+    return 0 if u == v else _ONE
 
 
 def mismatch_indicator(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:

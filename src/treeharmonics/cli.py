@@ -5,7 +5,7 @@ either schedule kind, check span inclusions, emit the dense family, run the
 double-genericity contrast, or re-certify a saved witness.  Reports are JSON
 plus per-target density CSVs; identical config and seed produce byte-identical
 files.  Exit codes: 0 success, 1 validation failure, 2 infeasible schedule,
-3 internal invariant violation.
+3 internal invariant violation or a tree too deep for the recursion limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from random import Random
 
 from .boundary import LevelFunction
 from .errors import InfeasibleScheduleError, InvariantError, ValidationError
-from .scalars import MODES, format_scalar
+from .scalars import format_scalar
 from .values import Value
 from .serialize import (
     canonical_json,
@@ -51,7 +51,7 @@ SCHEMA = "report/1"
 
 DEFAULT_CONFIG = {
     "schema": "runconfig/1",
-    "mode": "exact",
+    "mode": "exact",  # the only mode; kept because config_hash covers it
     "seed": 0,
     "dim": 1,
     "width": None,
@@ -82,30 +82,37 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
+# (flag, config path): a flag that is given overrides the config entry at its path
+FLAG_PATHS = (
+    ("depth", ("tree", "depth")),
+    ("seed", ("seed",)),
+    ("dim", ("dim",)),
+    ("width", ("width",)),
+    ("horizon", ("horizon",)),
+    ("warmup", ("warmup",)),
+    ("growth", ("growth",)),
+    ("out", ("out",)),
+    ("block_length", ("block_length",)),
+    ("count", ("count",)),
+    ("cases", ("cases",)),
+    ("targets", ("targets", "count")),
+    ("resolution", ("targets", "resolution")),
+    ("bound", ("targets", "bound")),
+    ("epsilon", ("targets", "epsilon")),
+)
+
+
 def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(cfg)
-    if args.depth is not None:
-        cfg["tree"]["depth"] = args.depth
     if args.arity is not None:
         cfg["tree"]["branching"] = {"kind": "uniform", "arity": args.arity}
-    for name in ("mode", "seed", "dim", "width", "horizon", "warmup", "growth", "out"):
-        val = getattr(args, name, None)
+    for flag, (*parents, key) in FLAG_PATHS:
+        val = getattr(args, flag, None)
         if val is not None:
-            cfg[name] = val
-    if getattr(args, "block_length", None) is not None:
-        cfg["block_length"] = args.block_length
-    if getattr(args, "count", None) is not None:
-        cfg["count"] = args.count
-    if getattr(args, "cases", None) is not None:
-        cfg["cases"] = args.cases
-    if getattr(args, "targets", None) is not None:
-        cfg["targets"]["count"] = args.targets
-    if getattr(args, "resolution", None) is not None:
-        cfg["targets"]["resolution"] = args.resolution
-    if getattr(args, "bound", None) is not None:
-        cfg["targets"]["bound"] = args.bound
-    if getattr(args, "epsilon", None) is not None:
-        cfg["targets"]["epsilon"] = args.epsilon
+            node = cfg
+            for name in parents:
+                node = node[name]
+            node[key] = val
     return cfg
 
 
@@ -113,8 +120,8 @@ def validate_config(cfg: dict) -> None:
     issues = []
     if cfg.get("schema") != "runconfig/1":
         issues.append(f"unsupported config schema {cfg.get('schema')!r}")
-    if cfg.get("mode") not in MODES:
-        issues.append(f"mode must be one of {MODES}")
+    if cfg.get("mode") != "exact":
+        issues.append(f"unsupported arithmetic mode {cfg.get('mode')!r}; the only mode is 'exact'")
     tree = cfg.get("tree", {})
     if not isinstance(tree.get("depth"), int) or tree["depth"] < 1:
         issues.append("tree.depth must be a positive integer")
@@ -151,7 +158,6 @@ def _tree_from_cfg(cfg: dict) -> Tree:
         q_rule=t.get("q_rule", {"kind": "uniform"}),
         w_rule=t.get("w_rule", {"kind": "uniform"}),
         seed=cfg["seed"],
-        mode=cfg["mode"],
     )
     return build_tree(spec)
 
@@ -173,7 +179,7 @@ def _tree_summary(tree: Tree) -> dict:
     shown = min(tree.depth, 64)
     return {
         "depth": tree.depth,
-        "mode": tree.mode,
+        "mode": "exact",
         "kind": type(tree).__name__,
         "level_sizes": [str(tree.level_size(n)) for n in range(shown + 1)],
     }
@@ -188,7 +194,7 @@ def _report_skeleton(command: str, cfg: dict) -> dict:
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read {what}: {exc}")
 
 
@@ -261,7 +267,7 @@ def cmd_span_check(cfg: dict, out_dir: Path) -> None:
     rng = Random(cfg["seed"])
     cases = []
     any_violation = False
-    zero_lf = LevelFunction.constant(0, Value.zero(cfg["dim"], tree.mode))
+    zero_lf = LevelFunction.constant(0, Value.zero(cfg["dim"]))
     for case_idx in range(cfg["cases"]):
         s = rng.randint(1, min(3, len(components)))
         coeffs = tuple(rng.choice(COEFF_LATTICE) for _ in range(s))
@@ -400,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--horizon", type=int)
     common.add_argument("--warmup", type=int)
-    common.add_argument("--mode", choices=list(MODES))
     common.add_argument("--growth", type=int)
     common.add_argument("--block-length", dest="block_length", type=int)
     common.add_argument("--targets", type=int, help="number of enumerated targets")
@@ -447,6 +452,12 @@ def main(argv=None) -> int:
         return 2
     except InvariantError as exc:
         print(json.dumps({"errors": [str(exc)]}, sort_keys=True), file=sys.stderr)
+        return 3
+    except RecursionError:
+        # the DAG walks recurse about once per tree level
+        tree = "the witness tree" if args.command == "certify" else f"a tree of depth {cfg['tree']['depth']}"
+        message = f"recursion limit exceeded on {tree}; the DAG walks cannot go this deep"
+        print(json.dumps({"errors": [message]}, sort_keys=True), file=sys.stderr)
         return 3
 
 

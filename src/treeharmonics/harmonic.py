@@ -5,8 +5,8 @@ value equals the w-weighted sum of its children's values.  Functions are
 stored as interned nodes mirroring the boundary module: a leaf node means
 "this value continues constantly below" (constants are harmonic because every
 weight row sums to one), a split node lists explicit children.  All
-constructors here emit exactly harmonic functions in exact mode; the checker
-re-derives that from scratch rather than trusting them.
+constructors here emit exactly harmonic functions; the checker re-derives
+that from scratch rather than trusting them.
 
 level_profile gives the boundary distance of every level restriction up to a
 horizon in one forward sweep: it pushes q-mass down the function and target
@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boundary import (
     LevelFunction,
     SectorNode,
     TupleLevelFunction,
-    _expand as _expand_sector,
+    _expand,
     sector_leaf,
     sector_split,
-    value_key,
 )
-from .errors import DimensionMismatchError, InvariantError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar
 from .trees import Tree, VertexId
 from .values import Value, bounded_metric, centered_grid
@@ -50,16 +49,15 @@ class FuncNode:
         return self.children is None
 
 
-_FUNC_LEAVES: dict[tuple, FuncNode] = {}
+_FUNC_LEAVES: dict[Value, FuncNode] = {}
 _FUNC_SPLITS: dict[tuple, FuncNode] = {}
 
 
 def func_leaf(value: Value) -> FuncNode:
-    key = value_key(value)
-    node = _FUNC_LEAVES.get(key)
+    node = _FUNC_LEAVES.get(value)
     if node is None:
         node = FuncNode(value, None)
-        _FUNC_LEAVES[key] = node
+        _FUNC_LEAVES[value] = node
     return node
 
 
@@ -67,22 +65,12 @@ def func_split(value: Value, children: tuple[FuncNode, ...]) -> FuncNode:
     first = children[0]
     if first.is_constant and first.value == value and all(c is first for c in children):
         return first
-    key = (value_key(value), tuple(id(c) for c in children))
+    key = (value, tuple(id(c) for c in children))
     node = _FUNC_SPLITS.get(key)
     if node is None:
         node = FuncNode(value, children)
         _FUNC_SPLITS[key] = node
     return node
-
-
-def _expand(node: FuncNode, arity: int) -> tuple[FuncNode, ...]:
-    if node.children is None:
-        return (node,) * arity
-    if len(node.children) != arity:
-        raise InvariantError(
-            f"function structure has {len(node.children)} children where the tree has {arity}"
-        )
-    return node.children
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,7 @@ class HarmonicTuple:
 
 
 def zero_function(tree: Tree, dim: int) -> HarmonicFunction:
-    return HarmonicFunction(tree, tree.depth, dim, func_leaf(Value.zero(dim, tree.mode)))
+    return HarmonicFunction(tree, tree.depth, dim, func_leaf(Value.zero(dim)))
 
 
 def constant_function(tree: Tree, value: Value) -> HarmonicFunction:
@@ -148,14 +136,10 @@ class HarmonicityReport:
     samples: tuple[tuple[int, Scalar], ...]  # (level, residual size), first few offenders
 
 
-def check_harmonic(
-    f: HarmonicFunction | HarmonicTuple,
-    tolerance: Scalar | None = None,
-) -> HarmonicityReport:
-    """Recompute every weighted-average residual; pass iff all are zero (exact)
-    or within tolerance (float mode)."""
+def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
+    """Recompute every weighted-average residual; pass iff all are zero."""
     if isinstance(f, HarmonicTuple):
-        reports = [check_harmonic(c, tolerance) for c in f.components]
+        reports = [check_harmonic(c) for c in f.components]
         return HarmonicityReport(
             passed=all(r.passed for r in reports),
             checked=sum(r.checked for r in reports),
@@ -164,7 +148,6 @@ def check_harmonic(
             samples=tuple(s for r in reports for s in r.samples)[:8],
         )
     tree = f.tree
-    tol: Scalar = (Fraction(0) if tree.mode == "exact" else 1e-9) if tolerance is None else tolerance
     seen: set = set()
     checked = 0
     violations = 0
@@ -186,7 +169,7 @@ def check_harmonic(
             acc = acc + c.value.scale(w)
         residual = sum(abs(a - b) for a, b in zip(node.value.coords, acc.coords))
         checked += 1
-        if residual > tol:
+        if residual:
             violations += 1
             if len(samples) < 8:
                 samples.append((x.level, residual))
@@ -324,7 +307,7 @@ def level_profile(
             return integrand(value, tnode.value)
         qs = tree.q_row(x)
         r: Scalar = 0
-        for i, c in enumerate(_expand_sector(tnode, tree.arity(x))):
+        for i, c in enumerate(_expand(tnode, tree.arity(x))):
             part = against(value, c, tree.child(x, i))
             if part:
                 r = r + qs[i] * part
@@ -354,7 +337,7 @@ def level_profile(
         for fnode, tnode, x, mass in frontier.values():
             k = tree.arity(x)
             fkids = _expand(fnode, k)
-            tkids = _expand_sector(tnode, k)
+            tkids = _expand(tnode, k)
             qs = tree.q_row(x)
             for i in range(k):
                 push(below, fkids[i], tkids[i], tree.child(x, i), mass * qs[i])
@@ -414,13 +397,11 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
 
 
 def add_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:
-    one = Fraction(1) if f.tree.mode == "exact" else 1.0
-    return linear_combination((one, one), (f, g))
+    return linear_combination((Fraction(1), Fraction(1)), (f, g))
 
 
 def subtract_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:
-    one = Fraction(1) if f.tree.mode == "exact" else 1.0
-    return linear_combination((one, -one), (f, g))
+    return linear_combination((Fraction(1), Fraction(-1)), (f, g))
 
 
 def truncate_and_extend(p: HarmonicFunction, h: HarmonicFunction, cut: int) -> HarmonicFunction:
@@ -506,14 +487,11 @@ def pointwise_metric(f: HarmonicFunction, g: HarmonicFunction, max_terms: int = 
 # Dense enumeration
 
 
-def harmonic_from_assignment(
-    tree: Tree,
-    level: int,
-    assignment_index: int,
-    grid: Sequence[Value],
-) -> HarmonicFunction:
-    """Harmonic function determined by the assignment_index-th grid labeling of
-    a level (big-endian digits over the grid, offset order), constant below."""
+def level_function_from_assignment(
+    tree: Tree, level: int, assignment_index: int, grid: Sequence[Value]
+) -> LevelFunction:
+    """The assignment_index-th grid labeling of a level: big-endian digits
+    over the grid, one per vertex in offset order."""
     size = tree.level_size(level)
     g = len(grid)
     if not 1 <= assignment_index <= g**size:
@@ -524,36 +502,41 @@ def harmonic_from_assignment(
         digits.append(t % g)
         t //= g
     digits.reverse()
-    psi = LevelFunction.from_values(tree, level, [grid[d] for d in digits])
-    return aggregate_from_level(tree, psi)
+    return LevelFunction.from_values(tree, level, [grid[d] for d in digits])
+
+
+def harmonic_from_assignment(
+    tree: Tree,
+    level: int,
+    assignment_index: int,
+    grid: Sequence[Value],
+) -> HarmonicFunction:
+    """Harmonic function equal to the assignment_index-th grid labeling of a
+    level, constant below."""
+    return aggregate_from_level(tree, level_function_from_assignment(tree, level, assignment_index, grid))
+
+
+def _diagonal(tree: Tree, grid_size: int, max_level_size: int) -> Iterator[tuple[int, int]]:
+    """Every (level, assignment) pair within the level-size guard, ordered by
+    level + assignment and then by level."""
+    eligible = [k for k in range(tree.depth + 1) if tree.level_size(k) <= max_level_size]
+    if not eligible:
+        raise ValidationError("no level fits the enumeration size guard")
+    last_d = max(k + grid_size ** tree.level_size(k) for k in eligible)
+    for d in range(1, last_d + 1):
+        for k in range(min(d, tree.depth + 1)):
+            sk = tree.level_size(k)
+            if sk <= max_level_size and d - k <= grid_size**sk:
+                yield k, d - k
 
 
 def diagonal_pair(tree: Tree, index: int, grid_size: int, max_level_size: int = 4096) -> tuple[int, int]:
     """The (level, assignment) pair at `index` of the diagonal enumeration."""
     if index < 1:
         raise ValidationError("enumeration index starts at 1")
-    eligible = [
-        k for k in range(tree.depth + 1) if tree.level_size(k) <= max_level_size
-    ]
-    if not eligible:
-        raise ValidationError("no level fits the enumeration size guard")
-    last_d = max(k + grid_size ** tree.level_size(k) for k in eligible)
-    remaining = index
-    d = 1
-    while d <= last_d:
-        for k in range(0, d):
-            j = d - k
-            if k > tree.depth:
-                continue
-            sk = tree.level_size(k)
-            if sk > max_level_size:
-                continue
-            if j > grid_size**sk:
-                continue
-            remaining -= 1
-            if remaining == 0:
-                return k, j
-        d += 1
+    for i, pair in enumerate(_diagonal(tree, grid_size, max_level_size), 1):
+        if i == index:
+            return pair
     raise ValidationError(f"enumeration exhausted before index {index}")
 
 
@@ -571,6 +554,6 @@ def enumerate_harmonics(
     guard appears at exactly one index.  Assignments aggregate upward, so each
     emitted function is harmonic with exactly-zero residuals.
     """
-    grid = centered_grid(dim, resolution, bound, tree.mode)
+    grid = centered_grid(dim, resolution, bound)
     k, j = diagonal_pair(tree, index, len(grid), max_level_size)
     return harmonic_from_assignment(tree, k, j, grid)

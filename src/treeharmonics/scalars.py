@@ -1,57 +1,40 @@
-"""Scalar arithmetic modes.
+"""Exact scalars.
 
-Scalars are either exact rationals (`fractions.Fraction`, the default and the
-only mode used by the certification suite) or IEEE doubles.  All operations in
-the package are written generically over the two types; the mode only decides
-how scalars are constructed, parsed and serialized.
+Every scalar is an exact rational (`fractions.Fraction`), so each certified
+quantity is exact.  A sum that only ever skipped zero terms stays the int 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Union
 
 from .errors import ValidationError
 
-Mode = Literal["exact", "float"]
-Scalar = Union[Fraction, float]
-
-MODES = ("exact", "float")
+Scalar = Union[Fraction, int]
 
 
-def check_mode(mode: str) -> Mode:
-    if mode not in MODES:
-        raise ValidationError(f"unknown arithmetic mode {mode!r}, expected one of {MODES}")
-    return mode  # type: ignore[return-value]
-
-
-def make_scalar(x: int | Fraction | str | float, mode: Mode = "exact") -> Scalar:
-    """Build a scalar of the requested mode from a number or a 'p/q' string."""
-    if mode == "exact":
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
-        return Fraction(x)
-    return float(Fraction(x)) if isinstance(x, str) else float(x)
-
-
-def zero(mode: Mode = "exact") -> Scalar:
-    return Fraction(0) if mode == "exact" else 0.0
+def make_scalar(x: int | Fraction | str | float) -> Fraction:
+    """An exact scalar from a number or a 'p/q' string; a float input becomes
+    the nearest fraction whose denominator is at most 10^12."""
+    if isinstance(x, float):
+        return Fraction(x).limit_denominator(10**12)
+    return Fraction(x)
 
 
 def format_scalar(x: Scalar) -> str:
-    """Serialize a scalar: exact values as 'p/q' (or 'p'), floats as repr."""
+    """Serialize a scalar as 'p/q' (or 'p').
+
+    The int 0 of an all-zero distance prints as "0.0".  Every recorded output
+    digest depends on that rendering, so it stays.
+    """
     if isinstance(x, Fraction):
         return str(x)
     return repr(float(x))
 
 
-def parse_scalar(s: str, mode: Mode = "exact") -> Scalar:
+def parse_scalar(s: str) -> Fraction:
     try:
-        value = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse scalar {s!r}") from exc
-    return value if mode == "exact" else float(value)
-
-
-def scalar_mode(x: Scalar) -> Mode:
-    return "exact" if isinstance(x, (Fraction, int)) else "float"

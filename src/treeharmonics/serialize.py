@@ -17,7 +17,7 @@ from .boundary import LevelFunction, SectorNode, level_values, sector_leaf, sect
 from .density import DensityProfile, csv_rows
 from .errors import ValidationError
 from .harmonic import FuncNode, HarmonicFunction, HarmonicTuple, func_leaf, func_split
-from .scalars import Mode, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .trees import Tree, tree_from_doc, tree_to_doc
 from .universality import (
     BlockLog,
@@ -46,19 +46,21 @@ def value_to_doc(v: Value) -> list[str]:
     return [format_scalar(c) for c in v.coords]
 
 
-def value_from_doc(doc: Sequence[str], mode: Mode) -> Value:
-    return Value(tuple(parse_scalar(s, mode) for s in doc))
+def value_from_doc(doc: Sequence[str]) -> Value:
+    return Value(tuple(parse_scalar(s) for s in doc))
 
 
 # ----------------------------------------------------------------------
 # Structure DAGs
 
 
-def sector_node_to_doc(node: SectorNode) -> dict:
+def dag_to_doc(node: SectorNode | FuncNode) -> dict:
+    """Postorder node list of a sector or function DAG; a sector split has no
+    value and writes "v": null."""
     order: list[dict] = []
     index: dict[int, int] = {}
 
-    def rec(n: SectorNode) -> int:
+    def rec(n) -> int:
         if id(n) in index:
             return index[id(n)]
         kids = None if n.children is None else [rec(c) for c in n.children]
@@ -71,37 +73,20 @@ def sector_node_to_doc(node: SectorNode) -> dict:
     return {"nodes": order, "root": root}
 
 
-def sector_node_from_doc(doc: dict, mode: Mode) -> SectorNode:
+def sector_node_from_doc(doc: dict) -> SectorNode:
     nodes: list[SectorNode] = []
     for nd in doc["nodes"]:
         if nd["c"] is None:
-            nodes.append(sector_leaf(value_from_doc(nd["v"], mode)))
+            nodes.append(sector_leaf(value_from_doc(nd["v"])))
         else:
             nodes.append(sector_split(tuple(nodes[i] for i in nd["c"])))
     return nodes[doc["root"]]
 
 
-def func_node_to_doc(node: FuncNode) -> dict:
-    order: list[dict] = []
-    index: dict[int, int] = {}
-
-    def rec(n: FuncNode) -> int:
-        if id(n) in index:
-            return index[id(n)]
-        kids = None if n.children is None else [rec(c) for c in n.children]
-        i = len(order)
-        order.append({"v": value_to_doc(n.value), "c": kids})
-        index[id(n)] = i
-        return i
-
-    root = rec(node)
-    return {"nodes": order, "root": root}
-
-
-def func_node_from_doc(doc: dict, mode: Mode) -> FuncNode:
+def func_node_from_doc(doc: dict) -> FuncNode:
     nodes: list[FuncNode] = []
     for nd in doc["nodes"]:
-        v = value_from_doc(nd["v"], mode)
+        v = value_from_doc(nd["v"])
         if nd["c"] is None:
             nodes.append(func_leaf(v))
         else:
@@ -118,16 +103,16 @@ def level_function_to_doc(tree: Tree, lf: LevelFunction) -> dict:
     if tree.level_size(lf.level) <= DENSE_LEVEL_LIMIT:
         doc["values"] = [value_to_doc(v) for v in level_values(tree, lf)]
     else:
-        doc["dag"] = sector_node_to_doc(lf.node)
+        doc["dag"] = dag_to_doc(lf.node)
     return doc
 
 
 def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
     level = int(doc["level"])
     if "values" in doc:
-        vals = [value_from_doc(v, tree.mode) for v in doc["values"]]
+        vals = [value_from_doc(v) for v in doc["values"]]
         return LevelFunction.from_values(tree, level, vals)
-    return LevelFunction(level, int(doc["dim"]), sector_node_from_doc(doc["dag"], tree.mode))
+    return LevelFunction(level, int(doc["dim"]), sector_node_from_doc(doc["dag"]))
 
 
 def target_to_doc(tree: Tree, t: Target) -> dict:
@@ -188,14 +173,14 @@ def block_log_to_doc(log: BlockLog) -> dict:
     }
 
 
-def block_log_from_doc(doc: dict, mode: Mode) -> BlockLog:
+def block_log_from_doc(doc: dict) -> BlockLog:
     return BlockLog(
         component=int(doc["component"]),
         target_index=int(doc["target"]),
         start=int(doc["start"]),
         end=int(doc["end"]),
-        mismatch=tuple((int(lvl), parse_scalar(m, mode)) for lvl, m in doc["mismatch"]),
-        terminal_p=parse_scalar(doc["terminal_p"], mode),
+        mismatch=tuple((int(lvl), parse_scalar(m)) for lvl, m in doc["mismatch"]),
+        terminal_p=parse_scalar(doc["terminal_p"]),
     )
 
 
@@ -205,28 +190,20 @@ def block_log_from_doc(doc: dict, mode: Mode) -> BlockLog:
 
 def witness_to_doc(w: Witness) -> dict:
     tree = w.tree
-    if isinstance(w.function, HarmonicTuple):
-        components = [func_node_to_doc(c.node) for c in w.function.components]
-        dim = w.function.dim
-        depth = w.function.depth
-        is_tuple = True
-    else:
-        components = [func_node_to_doc(w.function.node)]
-        dim = w.function.dim
-        depth = w.function.depth
-        is_tuple = False
+    is_tuple = isinstance(w.function, HarmonicTuple)
+    components = w.function.components if is_tuple else (w.function,)
     return {
         "schema": "witness/1",
         "kind": w.kind,
         "tuple": is_tuple,
-        "dim": dim,
-        "depth": depth,
+        "dim": w.function.dim,
+        "depth": w.function.depth,
         "tree": tree_to_doc(tree),
         "targets": [target_to_doc(tree, t) for t in w.targets],
         "target_components": list(w.target_components),
         "schedule": schedule_to_doc(w.schedule),
         "logs": [block_log_to_doc(log) for log in w.logs],
-        "components": components,
+        "components": [dag_to_doc(c.node) for c in components],
     }
 
 
@@ -239,7 +216,7 @@ def witness_from_doc(doc: dict) -> Witness:
         dim = int(doc["dim"])
         depth = int(doc["depth"])
         comps = tuple(
-            HarmonicFunction(tree, depth, dim, func_node_from_doc(c, tree.mode))
+            HarmonicFunction(tree, depth, dim, func_node_from_doc(c))
             for c in doc["components"]
         )
         function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
@@ -249,7 +226,7 @@ def witness_from_doc(doc: dict) -> Witness:
             schedule=schedule_from_doc(doc["schedule"]),
             targets=tuple(target_from_doc(tree, t) for t in doc["targets"]),
             target_components=tuple(int(c) for c in doc["target_components"]),
-            logs=tuple(block_log_from_doc(l, tree.mode) for l in doc["logs"]),
+            logs=tuple(block_log_from_doc(l) for l in doc["logs"]),
         )
     except KeyError as exc:
         raise ValidationError(f"witness document lacks the key {exc}") from exc

@@ -25,10 +25,9 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
-from .scalars import Mode, Scalar, check_mode, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar
 
 MAX_EXPLICIT_VERTICES = 4_000_000
-FLOAT_ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -44,7 +43,6 @@ class Tree:
     """Shared interface of the two backings."""
 
     depth: int
-    mode: Mode
 
     # --- structure ----------------------------------------------------
     def level_size(self, n: int) -> int:
@@ -128,7 +126,7 @@ class Tree:
 
     def sector_measure(self, x: VertexId) -> Scalar:
         self.require_vertex(x)
-        m: Scalar = Fraction(1) if self.mode == "exact" else 1.0
+        m: Scalar = Fraction(1)
         v = self.root
         for i in self.path_indices(x):
             m = m * self.q(v, i)
@@ -144,9 +142,7 @@ class UniformTree(Tree):
         arities: Sequence[int],
         q_rows: Sequence[Sequence[Scalar]],
         w_rows: Sequence[Sequence[Scalar]],
-        mode: Mode = "exact",
     ):
-        self.mode = check_mode(mode)
         self.depth = len(arities)
         if self.depth < 1:
             raise ValidationError("tree depth must be at least 1")
@@ -160,8 +156,9 @@ class UniformTree(Tree):
                 raise ValidationError(f"level {lvl}: arity {a} below two")
             if len(qr) != a or len(wr) != a:
                 raise ValidationError(f"level {lvl}: row length does not match arity")
-            _validate_q_row(qr, self.mode, f"level {lvl}")
-            _validate_w_row(wr, self.mode, f"level {lvl}")
+            # raises unless q is positive, w nonzero and each sums to one
+            _row_to_ints(qr, "q", f"level {lvl}")
+            _row_to_ints(wr, "w", f"level {lvl}")
         sizes = [1]
         for a in self.arities:
             sizes.append(sizes[-1] * a)
@@ -217,24 +214,19 @@ class UniformTree(Tree):
 
     def sector_measure(self, x: VertexId) -> Scalar:
         self.require_vertex(x)
-        if self.mode == "exact":
-            num, den = 1, 1
-            for lvl, i in enumerate(self.path_indices(x)):
-                f = self.q_rows[lvl][i]
-                num *= f.numerator
-                den *= f.denominator
-            return Fraction(num, den)
-        m = 1.0
+        num, den = 1, 1
         for lvl, i in enumerate(self.path_indices(x)):
-            m *= self.q_rows[lvl][i]
-        return m
+            f = self.q_rows[lvl][i]
+            num *= f.numerator
+            den *= f.denominator
+        return Fraction(num, den)
 
 
 class ExplicitTree(Tree):
     """Tree with per-vertex rows held in flat per-level arrays.
 
-    Exact mode keeps integer numerators per edge and one denominator per
-    parent row, so measure bookkeeping stays in integer arithmetic.
+    It keeps integer numerators per edge and one denominator per parent row,
+    so measure bookkeeping stays in integer arithmetic.
     """
 
     def __init__(
@@ -245,14 +237,12 @@ class ExplicitTree(Tree):
         q_den: list,
         w_edge: list,
         w_den: list,
-        mode: Mode,
     ):
-        self.mode = check_mode(mode)
         self.depth = len(child_counts)
         self._counts = child_counts          # per level 0..depth-1, per vertex
         self._parents = parents              # per level 1..depth (index l-1)
         self._q_edge = q_edge                # per level 1..depth, per child vertex
-        self._q_den = q_den                  # per level 0..depth-1, per parent (exact only)
+        self._q_den = q_den                  # per level 0..depth-1, per parent
         self._w_edge = w_edge
         self._w_den = w_den
         starts: list[array] = []
@@ -294,19 +284,15 @@ class ExplicitTree(Tree):
         st = self._starts[x.level][x.offset]
         k = self._counts[x.level][x.offset]
         edge = self._q_edge[x.level + 1]
-        if self.mode == "exact":
-            den = self._q_den[x.level][x.offset]
-            return tuple(Fraction(edge[st + i], den) for i in range(k))
-        return tuple(edge[st + i] for i in range(k))
+        den = self._q_den[x.level][x.offset]
+        return tuple(Fraction(edge[st + i], den) for i in range(k))
 
     def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
         st = self._starts[x.level][x.offset]
         k = self._counts[x.level][x.offset]
         edge = self._w_edge[x.level + 1]
-        if self.mode == "exact":
-            den = self._w_den[x.level][x.offset]
-            return tuple(Fraction(edge[st + i], den) for i in range(k))
-        return tuple(edge[st + i] for i in range(k))
+        den = self._w_den[x.level][x.offset]
+        return tuple(Fraction(edge[st + i], den) for i in range(k))
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         if self.is_leaf(x):
@@ -322,18 +308,10 @@ class ExplicitTree(Tree):
 
     def sector_measure(self, x: VertexId) -> Scalar:
         self.require_vertex(x)
-        if self.mode == "exact":
-            num, den = self.measure_pair(x)
-            return Fraction(num, den)
-        m = 1.0
-        v = x
-        while v.level > 0:
-            m *= self._q_edge[v.level][v.offset]
-            v = self.parent(v)
-        return m
+        return Fraction(*self.measure_pair(x))
 
     def measure_pair(self, x: VertexId) -> tuple[int, int]:
-        """Unreduced (numerator, denominator) of the sector measure (exact mode)."""
+        """Unreduced (numerator, denominator) of the sector measure."""
         num, den = 1, 1
         v = x
         while v.level > 0:
@@ -344,7 +322,7 @@ class ExplicitTree(Tree):
         return num, den
 
     def measure_arrays(self, n: int) -> tuple[list[int], list[int]]:
-        """Unreduced (numerators, denominators) for all of level n (exact mode)."""
+        """Unreduced (numerators, denominators) for all of level n."""
         nums, dens = [1], [1]
         for lvl in range(n):
             counts = self._counts[lvl]
@@ -361,28 +339,6 @@ class ExplicitTree(Tree):
                     ci += 1
             nums, dens = nxt_n, nxt_d
         return nums, dens
-
-
-def _validate_q_row(row: Sequence[Scalar], mode: Mode, where: str) -> None:
-    if any(not q > 0 for q in row):
-        raise ValidationError(f"{where}: transition probabilities must be positive")
-    total = sum(row)
-    if mode == "exact":
-        if total != 1:
-            raise ValidationError(f"{where}: q row sums to {total}, not 1")
-    elif abs(total - 1.0) > FLOAT_ROW_TOL:
-        raise ValidationError(f"{where}: q row sums to {total}, not 1")
-
-
-def _validate_w_row(row: Sequence[Scalar], mode: Mode, where: str) -> None:
-    if any(w == 0 for w in row):
-        raise ValidationError(f"{where}: harmonic weights must be nonzero")
-    total = sum(row)
-    if mode == "exact":
-        if total != 1:
-            raise ValidationError(f"{where}: w row sums to {total}, not 1")
-    elif abs(total - 1.0) > FLOAT_ROW_TOL:
-        raise ValidationError(f"{where}: w row sums to {total}, not 1")
 
 
 # ----------------------------------------------------------------------
@@ -409,31 +365,6 @@ class TreeSpec:
     q_rule: dict = field(default_factory=lambda: {"kind": "uniform"})
     w_rule: dict = field(default_factory=lambda: {"kind": "uniform"})
     seed: int = 0
-    mode: str = "exact"
-
-    def to_doc(self) -> dict:
-        return {
-            "depth": self.depth,
-            "branching": self.branching,
-            "q_rule": self.q_rule,
-            "w_rule": self.w_rule,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-
-    @staticmethod
-    def from_doc(doc: dict) -> "TreeSpec":
-        try:
-            return TreeSpec(
-                depth=int(doc["depth"]),
-                branching=dict(doc["branching"]),
-                q_rule=dict(doc.get("q_rule", {"kind": "uniform"})),
-                w_rule=dict(doc.get("w_rule", {"kind": "uniform"})),
-                seed=int(doc.get("seed", 0)),
-                mode=str(doc.get("mode", "exact")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed tree spec: {exc}") from exc
 
 
 def _is_level_rule(rule: dict) -> bool:
@@ -442,7 +373,6 @@ def _is_level_rule(rule: dict) -> bool:
 
 def build_tree(spec: TreeSpec) -> Tree:
     """Construct a tree satisfying every invariant, or raise ValidationError."""
-    mode = check_mode(spec.mode)
     if spec.depth < 1:
         raise ValidationError("tree depth must be at least 1")
     bkind = spec.branching.get("kind")
@@ -454,8 +384,8 @@ def build_tree(spec: TreeSpec) -> Tree:
 
     uniform_backing = bkind in ("uniform", "per_level") and _is_level_rule(spec.q_rule) and _is_level_rule(spec.w_rule)
     if uniform_backing:
-        return _build_uniform(spec, mode)
-    return _build_explicit(spec, mode)
+        return _build_uniform(spec)
+    return _build_explicit(spec)
 
 
 def _level_arities(spec: TreeSpec) -> list[int]:
@@ -468,9 +398,9 @@ def _level_arities(spec: TreeSpec) -> list[int]:
     return arities
 
 
-def _parse_level_rows(rule: dict, arities: list[int], mode: Mode, what: str) -> list[tuple[Scalar, ...]]:
+def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[Scalar, ...]]:
     if rule["kind"] == "uniform":
-        return [tuple(Fraction(1, a) if mode == "exact" else 1.0 / a for _ in range(a)) for a in arities]
+        return [(Fraction(1, a),) * a for a in arities]
     rows = rule.get("rows")
     if rows is None or len(rows) != len(arities):
         raise ValidationError(f"per_level {what} rule must list one row per level")
@@ -478,15 +408,15 @@ def _parse_level_rows(rule: dict, arities: list[int], mode: Mode, what: str) -> 
     for lvl, (row, a) in enumerate(zip(rows, arities)):
         if len(row) != a:
             raise ValidationError(f"{what} row at level {lvl} has {len(row)} entries, expected {a}")
-        out.append(tuple(parse_scalar(str(s), mode) for s in row))
+        out.append(tuple(parse_scalar(str(s)) for s in row))
     return out
 
 
-def _build_uniform(spec: TreeSpec, mode: Mode) -> UniformTree:
+def _build_uniform(spec: TreeSpec) -> UniformTree:
     arities = _level_arities(spec)
-    q_rows = _parse_level_rows(spec.q_rule, arities, mode, "q")
-    w_rows = _parse_level_rows(spec.w_rule, arities, mode, "w")
-    return UniformTree(arities, q_rows, w_rows, mode)
+    q_rows = _parse_level_rows(spec.q_rule, arities, "q")
+    w_rows = _parse_level_rows(spec.w_rule, arities, "w")
+    return UniformTree(arities, q_rows, w_rows)
 
 
 def _random_q_ints(rng: Random, k: int, max_weight: int) -> tuple[list[int], int]:
@@ -520,7 +450,7 @@ def _row_to_ints(row: Sequence[Scalar], what: str, where: str) -> tuple[list[int
     return nums, den
 
 
-def _build_explicit(spec: TreeSpec, mode: Mode) -> ExplicitTree:
+def _build_explicit(spec: TreeSpec) -> ExplicitTree:
     rng = Random(spec.seed)
     b = spec.branching
 
@@ -558,7 +488,7 @@ def _build_explicit(spec: TreeSpec, mode: Mode) -> ExplicitTree:
         dens: list = []
         for lvl in range(spec.depth):
             row_counts = counts[lvl]
-            e = array("q") if mode == "exact" else array("d")
+            e = array("q")
             d = array("q")
             for o, k in enumerate(row_counts):
                 where = f"level {lvl} vertex {o}"
@@ -580,12 +510,8 @@ def _build_explicit(spec: TreeSpec, mode: Mode) -> ExplicitTree:
                 else:
                     mw = int(rule.get("max_weight", 30 if what == "q" else 9))
                     nums, den = (_random_q_ints if what == "q" else _random_w_ints)(rng, k, mw)
-                if mode == "exact":
-                    e.extend(nums)
-                    d.append(den)
-                else:
-                    e.extend(n / den for n in nums)
-                    d.append(1)
+                e.extend(nums)
+                d.append(den)
             edge.append(e)
             dens.append(d)
         return edge, dens
@@ -601,14 +527,7 @@ def _build_explicit(spec: TreeSpec, mode: Mode) -> ExplicitTree:
             p.extend([o] * k)
         parents.append(p)
 
-    tree = ExplicitTree(count_arrays, parents, q_edge, q_den, w_edge, w_den, mode)
-    if mode == "float":
-        for lvl in range(tree.depth):
-            for o in range(tree.level_size(lvl)):
-                x = VertexId(lvl, o)
-                _validate_q_row(tree.q_row(x), mode, f"level {lvl} vertex {o}")
-                _validate_w_row(tree.w_row(x), mode, f"level {lvl} vertex {o}")
-    return tree
+    return ExplicitTree(count_arrays, parents, q_edge, q_den, w_edge, w_den)
 
 
 # ----------------------------------------------------------------------
@@ -621,12 +540,12 @@ def sector_measure(tree: Tree, x: VertexId) -> Scalar:
 
 
 def level_measures(tree: Tree, n: int, max_size: int = 1 << 20) -> list[Scalar]:
-    """Sector measures of every vertex at level n; sums to 1 exactly in exact mode."""
+    """Sector measures of every vertex at level n; they sum to 1 exactly."""
     if not 0 <= n <= tree.depth:
         raise ValidationError(f"level {n} outside 0..{tree.depth}")
     if tree.level_size(n) > max_size:
         raise ValidationError(f"level {n} has {tree.level_size(n)} vertices; too large to materialize")
-    if isinstance(tree, ExplicitTree) and tree.mode == "exact":
+    if isinstance(tree, ExplicitTree):
         nums, dens = tree.measure_arrays(n)
         return [Fraction(a, b) for a, b in zip(nums, dens)]
     return [tree.sector_measure(x) for x in tree.vertices(n)]
@@ -646,11 +565,12 @@ def min_child_probability(tree: Tree, x: VertexId) -> tuple[VertexId, Scalar]:
 
 
 def tree_to_doc(tree: Tree) -> dict:
+    """The tree/1 document; its "mode" is always "exact", the only arithmetic."""
     if isinstance(tree, UniformTree):
         return {
             "schema": "tree/1",
             "kind": "uniform",
-            "mode": tree.mode,
+            "mode": "exact",
             "depth": tree.depth,
             "arities": list(tree.arities),
             "q_rows": [[format_scalar(v) for v in row] for row in tree.q_rows],
@@ -669,7 +589,7 @@ def tree_to_doc(tree: Tree) -> dict:
     return {
         "schema": "tree/1",
         "kind": "explicit",
-        "mode": tree.mode,
+        "mode": "exact",
         "depth": tree.depth,
         "child_counts": counts,
         "q_rows": q_rows,
@@ -680,7 +600,8 @@ def tree_to_doc(tree: Tree) -> dict:
 def tree_from_doc(doc: dict) -> Tree:
     if doc.get("schema") != "tree/1":
         raise ValidationError(f"unsupported tree schema {doc.get('schema')!r}")
-    mode = doc.get("mode", "exact")
+    if doc.get("mode", "exact") != "exact":
+        raise ValidationError(f"unsupported arithmetic mode {doc.get('mode')!r}; the only mode is 'exact'")
     depth = int(doc["depth"])
     if doc.get("kind") == "uniform":
         spec = TreeSpec(
@@ -688,7 +609,6 @@ def tree_from_doc(doc: dict) -> Tree:
             branching={"kind": "per_level", "arities": doc["arities"]},
             q_rule={"kind": "per_level", "rows": doc["q_rows"]},
             w_rule={"kind": "per_level", "rows": doc["w_rows"]},
-            mode=mode,
         )
     else:
         spec = TreeSpec(
@@ -696,6 +616,5 @@ def tree_from_doc(doc: dict) -> Tree:
             branching={"kind": "explicit", "counts": doc["child_counts"]},
             q_rule={"kind": "explicit", "rows": doc["q_rows"]},
             w_rule={"kind": "explicit", "rows": doc["w_rows"]},
-            mode=mode,
         )
     return build_tree(spec)

@@ -31,6 +31,7 @@ from typing import Sequence
 from .boundary import (
     LevelFunction,
     SectorNode,
+    _expand,
     level_scale,
     mismatch_indicator,
     mismatch_integrand,
@@ -50,11 +51,13 @@ from .harmonic import (
     HarmonicFunction,
     HarmonicTuple,
     RhoResult,
+    _diagonal,
     add_functions,
     check_harmonic,
     enumerate_harmonics,
     func_leaf,
     func_split,
+    level_function_from_assignment,
     level_profile,
     linear_combination,
     pointwise_metric,
@@ -62,7 +65,6 @@ from .harmonic import (
     truncate_and_extend,
     zero_function,
 )
-from .harmonic import _expand as _expand_func
 from .scalars import Scalar
 from .trees import Tree, VertexId
 from .values import Value, bounded_metric, centered_grid
@@ -93,22 +95,6 @@ class Target:
         return self.level_function.level
 
 
-def level_function_from_assignment(
-    tree: Tree, level: int, assignment_index: int, grid: Sequence[Value]
-) -> LevelFunction:
-    size = tree.level_size(level)
-    g = len(grid)
-    if not 1 <= assignment_index <= g**size:
-        raise ValidationError(f"assignment index {assignment_index} outside 1..{g}^{size}")
-    t = assignment_index - 1
-    digits = []
-    for _ in range(size):
-        digits.append(t % g)
-        t //= g
-    digits.reverse()
-    return LevelFunction.from_values(tree, level, [grid[d] for d in digits])
-
-
 def enumerate_targets(
     tree: Tree,
     count: int,
@@ -127,41 +113,20 @@ def enumerate_targets(
     """
     if count < 1:
         raise ValidationError("target count must be at least 1")
-    grid = centered_grid(dim, resolution, bound, tree.mode)
-    if not grid:
-        raise ValidationError("empty grid")
-    eligible = [k for k in range(tree.depth + 1) if tree.level_size(k) <= max_level_size]
-    if not eligible:
-        raise ValidationError("no level fits the enumeration size guard")
-    last_d = max(k + len(grid) ** tree.level_size(k) for k in eligible)
+    grid = centered_grid(dim, resolution, bound)
     targets: list[Target] = []
     seen: set[int] = set()
-    d = 1
-    while len(targets) < count:
-        if d > last_d:
-            raise ValidationError(
-                f"only {len(targets)} distinct targets exist within the size guard"
-            )
-        for k in range(0, d):
-            j = d - k
-            if k > tree.depth:
-                continue
-            sk = tree.level_size(k)
-            if sk > max_level_size:
-                continue
-            if j > len(grid) ** sk:
-                continue
-            lf = level_function_from_assignment(tree, k, j, grid)
-            if id(lf.node) in seen:
-                continue
-            seen.add(id(lf.node))
-            pos = len(targets) + 1
-            eps = epsilon if epsilon is not None else Fraction(1, 2**pos)
-            targets.append(Target(index=pos, level_function=lf, epsilon=Fraction(eps)))
-            if len(targets) == count:
-                break
-        d += 1
-    return targets
+    for k, j in _diagonal(tree, len(grid), max_level_size):
+        lf = level_function_from_assignment(tree, k, j, grid)
+        if id(lf.node) in seen:
+            continue
+        seen.add(id(lf.node))
+        pos = len(targets) + 1
+        eps = epsilon if epsilon is not None else Fraction(1, 2**pos)
+        targets.append(Target(index=pos, level_function=lf, epsilon=Fraction(eps)))
+        if len(targets) == count:
+            return targets
+    raise ValidationError(f"only {len(targets)} distinct targets exist within the size guard")
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +342,7 @@ def _rebuild(
         if hit is not None:
             return hit
         k = tree.arity(x)
-        fc = _expand_func(fn, k)
-        tc = tn.children if tn.children is not None else (tn,) * k
+        fc, tc = _expand(fn, k), _expand(tn, k)
         kids = tuple(desc(fc[i], tc[i], tree.child(x, i)) for i in range(k))
         node = func_split(fn.value, kids)
         desc_memo[key] = node
@@ -437,7 +401,7 @@ def refine_mismatch(
 
 def _mismatch_log(f: HarmonicFunction, target: LevelFunction, start: int, end: int) -> list[tuple[int, Scalar]]:
     """Measured mismatch of f against target at each level start..end."""
-    measures = level_profile(f, target, mismatch_integrand(f.tree.mode), end)
+    measures = level_profile(f, target, mismatch_integrand, end)
     if start == 0:
         measures.insert(0, mismatch_measure(f.tree, restrict_to_level(f, 0), target))
     else:
@@ -696,7 +660,7 @@ def span_inclusion_check(
     delta = epsilon / s
     b = [a if a != 0 else Fraction(1) for a in coeffs]
     combo = linear_combination(coeffs, components)
-    zero_lf = LevelFunction.constant(0, Value.zero(dim, tree.mode))
+    zero_lf = LevelFunction.constant(0, Value.zero(dim))
     centers = [zero_lf] * (s - 1) + [psi]
     scaled = [
         level_profile(f, center, lambda u, v, a=a: bounded_metric(u.scale(a), v), horizon)
@@ -920,11 +884,11 @@ def double_genericity_check(
     and must be pairwise distinct."""
     horizon = tree.depth if horizon is None else horizon
     eps0 = Fraction(reference_epsilon)
-    psi0 = LevelFunction.constant(0, Value.zero(dim, tree.mode))
+    psi0 = LevelFunction.constant(0, Value.zero(dim))
     reference = Target(index=0, level_function=psi0, epsilon=eps0)
 
     # the reference ball is non-dense: a constant function sits outside its closure
-    far = LevelFunction.constant(0, Value.of(*([3] * dim), mode=tree.mode))
+    far = LevelFunction.constant(0, Value.of(*([3] * dim)))
     far_distance = Fraction(p_metric(tree, psi0, far))
     if not far_distance > eps0:
         raise ValidationError(f"reference epsilon {eps0} too large to be non-dense here")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ValidationError
-from .scalars import Mode, Scalar, make_scalar
+from .scalars import Scalar, make_scalar
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,12 @@ class Value:
         return len(self.coords)
 
     @staticmethod
-    def of(*coords: int | Fraction | float | str, mode: Mode = "exact") -> "Value":
-        return Value(tuple(make_scalar(c, mode) for c in coords))
+    def of(*coords: int | Fraction | float | str) -> "Value":
+        return Value(tuple(make_scalar(c) for c in coords))
 
     @staticmethod
-    def zero(dim: int, mode: Mode = "exact") -> "Value":
-        z = make_scalar(0, mode)
-        return Value((z,) * dim)
+    def zero(dim: int) -> "Value":
+        return Value((Fraction(0),) * dim)
 
     def __add__(self, other: "Value") -> "Value":
         _check_dims(self, other)
@@ -104,7 +103,7 @@ def tuple_metric(u: TupleValue, v: TupleValue) -> Scalar:
     return total
 
 
-def dense_grid(dim: int, resolution: int, bound: int, mode: Mode = "exact") -> list[Value]:
+def dense_grid(dim: int, resolution: int, bound: int) -> list[Value]:
     """All vectors with coordinates k/2^resolution, |k| <= bound * 2^resolution.
 
     Lexicographic order over coordinate tuples; deterministic.
@@ -114,16 +113,16 @@ def dense_grid(dim: int, resolution: int, bound: int, mode: Mode = "exact") -> l
     if dim < 1:
         raise ValidationError("dense_grid requires dim >= 1")
     step = bound * (1 << resolution)
-    axis = [make_scalar(Fraction(k, 1 << resolution), mode) for k in range(-step, step + 1)]
+    axis = [Fraction(k, 1 << resolution) for k in range(-step, step + 1)]
     return [Value(coords) for coords in itertools.product(axis, repeat=dim)]
 
 
-def centered_grid(dim: int, resolution: int, bound: int, mode: Mode = "exact") -> list[Value]:
+def centered_grid(dim: int, resolution: int, bound: int) -> list[Value]:
     """The dense grid reordered so the zero vector comes first.
 
     Used by the enumerations that must start at the zero assignment; the
     remaining points keep their lexicographic order.
     """
-    points = dense_grid(dim, resolution, bound, mode)
-    z = Value.zero(dim, mode)
+    points = dense_grid(dim, resolution, bound)
+    z = Value.zero(dim)
     return [z] + [p for p in points if p != z]

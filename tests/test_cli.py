@@ -46,6 +46,24 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert doc["errors"]
 
 
+def test_float_mode_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "float", "tree": {"depth": 4}}))
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert any("'float'" in e for e in errors)
+    assert not (tmp_path / "o").exists()
+
+
+def test_too_deeply_nested_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"]
+
+
 def test_bad_flag_value_exits_one(tmp_path, capsys):
     code = main(["witness-x", "--depth", "0", "--out", str(tmp_path / "o")])
     assert code == 1
@@ -74,6 +92,17 @@ def test_witness_x_end_to_end(tmp_path):
     rerun = certify_hits(witness)
     for entry, doc_entry in zip(rerun.entries, report["hits"]["entries"]):
         assert list(entry.hits) == doc_entry["hits"]
+
+
+def test_witness_roundtrip_writes_exact_mode(tmp_path):
+    out = tmp_path / "o"
+    assert main(["witness-ufm", "--depth", "30", "--block-length", "5", "--out", str(out)]) == 0
+    doc = json.loads(read(out / "witness.json"))
+    assert doc["tree"]["mode"] == "exact"
+    assert json.loads(read(out / "report.json"))["tree"]["mode"] == "exact"
+    out2 = tmp_path / "c"
+    assert main(["certify", "--witness", str(out / "witness.json"), "--out", str(out2)]) == 0
+    assert json.loads(read(out2 / "report.json"))["tree"]["mode"] == "exact"
 
 
 def test_certify_roundtrip(tmp_path):
@@ -176,14 +205,6 @@ def test_reports_are_byte_identical(tmp_path):
         assert read(a / name) == read(b / name)
 
 
-def test_float_mode_smoke(tmp_path):
-    out = tmp_path / "o"
-    code = main(["witness-x", "--depth", "40", "--horizon", "40", "--mode", "float", "--out", str(out)])
-    assert code == 0
-    report = json.loads(read(out / "report.json"))
-    assert report["hits"]["all_pass"] is True
-
-
 def test_invariant_error_exits_three(tmp_path, capsys, monkeypatch):
     from treeharmonics import cli
     from treeharmonics.errors import InvariantError
@@ -195,3 +216,16 @@ def test_invariant_error_exits_three(tmp_path, capsys, monkeypatch):
     code = main(["build", "--depth", "3", "--out", str(tmp_path / "o")])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["errors"] == ["forced failure"]
+
+
+def test_recursion_error_exits_three(tmp_path, capsys, monkeypatch):
+    from treeharmonics import cli
+
+    def too_deep(cfg, out_dir):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli.COMMANDS, "witness-ufm", too_deep)
+    code = main(["witness-ufm", "--depth", "1100", "--out", str(tmp_path / "o")])
+    assert code == 3
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert len(errors) == 1 and "depth 1100" in errors[0]

@@ -272,14 +272,3 @@ def test_enumeration_emits_harmonic(deep_binary):
         f = enumerate_harmonics(deep_binary, idx)
         assert check_harmonic(f).passed
 
-
-def test_mode_separation_in_interning():
-    # Fraction(0) == 0.0, but exact functions must never pick up float nodes
-    # interned by an earlier float-mode computation (and vice versa)
-    exact_tree = build_tree(TreeSpec(depth=2, branching={"kind": "uniform", "arity": 2}))
-    float_tree = build_tree(TreeSpec(depth=2, branching={"kind": "uniform", "arity": 2}, mode="float"))
-    zf = zero_function(float_tree, 1)
-    ze = zero_function(exact_tree, 1)
-    assert zf.node is not ze.node
-    assert isinstance(zf.node.value.coords[0], float)
-    assert isinstance(ze.node.value.coords[0], Fraction)

@@ -43,7 +43,7 @@ def same(got, want):
 def assert_profiles_match(f, target, horizon):
     tree = f.tree
     metric = level_profile(f, target, bounded_metric, horizon)
-    mismatch = level_profile(f, target, mismatch_integrand(tree.mode), horizon)
+    mismatch = level_profile(f, target, mismatch_integrand, horizon)
     assert len(metric) == len(mismatch) == horizon
     for n in range(1, horizon + 1):
         r = restrict_to_level(f, n)

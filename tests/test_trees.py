@@ -242,7 +242,9 @@ def test_negative_weights_allowed():
     assert tree.w_row(VertexId(0, 0)) == (Fraction(-1), Fraction(2))
 
 
-def test_float_mode_tree():
-    tree = build_tree(TreeSpec(depth=3, branching={"kind": "uniform", "arity": 2}, mode="float"))
-    assert tree.mode == "float"
-    assert abs(sector_measure(tree, VertexId(2, 0)) - 0.25) < 1e-12
+def test_tree_doc_with_float_mode_rejected(binary4):
+    doc = tree_to_doc(binary4)
+    assert doc["mode"] == "exact"
+    doc["mode"] = "float"
+    with pytest.raises(ValidationError):
+        tree_from_doc(doc)
