@@ -27,6 +27,8 @@ from .scalars import Scalar
 from .trees import Tree, VertexId
 from .values import TupleValue, Value, bounded_metric, tuple_metric
 
+MAX_LEVEL_VALUES = 1 << 16  # vertices of a level materialized one value each
+
 
 class SectorNode:
     """Interned description of a boundary function below one vertex."""
@@ -64,20 +66,6 @@ def sector_split(children: tuple[SectorNode, ...]) -> SectorNode:
         node = SectorNode(None, children)
         _SECTOR_SPLITS[key] = node
     return node
-
-
-def node_depth(node: SectorNode) -> int:
-    memo: dict[int, int] = {}
-
-    def rec(n: SectorNode) -> int:
-        if n.is_leaf:
-            return 0
-        k = id(n)
-        if k not in memo:
-            memo[k] = 1 + max(rec(c) for c in n.children)
-        return memo[k]
-
-    return rec(node)
 
 
 def _expand(node, arity: int) -> tuple:
@@ -136,10 +124,10 @@ def refine(tree: Tree, psi: LevelFunction, n: int) -> LevelFunction:
     return LevelFunction(n, psi.dim, psi.node)
 
 
-def level_values(tree: Tree, psi: LevelFunction, max_size: int = 1 << 16) -> list[Value]:
+def level_values(tree: Tree, psi: LevelFunction) -> list[Value]:
     """Materialize one value per vertex of psi's level (small trees only)."""
     size = tree.level_size(psi.level)
-    if size > max_size:
+    if size > MAX_LEVEL_VALUES:
         raise ValidationError(f"level {psi.level} has {size} vertices; too large to materialize")
     out: list[Value] = []
 
@@ -154,25 +142,6 @@ def level_values(tree: Tree, psi: LevelFunction, max_size: int = 1 << 16) -> lis
 
     rec(psi.node, tree.root)
     return out
-
-
-def sector_map(psi: LevelFunction, fn: Callable[[Value], Value], dim: int | None = None) -> LevelFunction:
-    """Apply fn to every value of psi (structure preserved, then re-canonicalized)."""
-    memo: dict[int, SectorNode] = {}
-
-    def rec(node: SectorNode) -> SectorNode:
-        k = id(node)
-        if k in memo:
-            return memo[k]
-        if node.is_leaf:
-            r = sector_leaf(fn(node.value))
-        else:
-            r = sector_split(tuple(rec(c) for c in node.children))
-        memo[k] = r
-        return r
-
-    out = rec(psi.node)
-    return LevelFunction(psi.level, dim if dim is not None else psi.dim, out)
 
 
 def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Value], Value]) -> LevelFunction:
@@ -211,7 +180,7 @@ def level_sub(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
 
 
 def level_scale(a: Scalar, psi: LevelFunction) -> LevelFunction:
-    return sector_map(psi, lambda v: v.scale(a))
+    return sector_zip(psi, psi, lambda v, _: v.scale(a))
 
 
 def _weighted_integral(

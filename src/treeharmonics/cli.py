@@ -37,6 +37,8 @@ from .serialize import (
 from .trees import Tree, TreeSpec, build_tree
 from .universality import (
     COEFF_LATTICE,
+    X_WARMUP,
+    HitReport,
     Witness,
     build_ufm_witness,
     build_x_witness,
@@ -72,14 +74,16 @@ DEFAULT_CONFIG = {
 }
 
 
-def merge_config(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+def merge_config(cfg: dict, override: dict) -> dict:
+    """Merge override into cfg in place: objects merge key by key, any other
+    value replaces.  Only cfg's own nesting is walked, so an unknown key is
+    taken over whole, however deep it is."""
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_config(out[key], val)
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            merge_config(cfg[key], val)
         else:
-            out[key] = copy.deepcopy(val)
-    return out
+            cfg[key] = val
+    return cfg
 
 
 # (flag, config path): a flag that is given overrides the config entry at its path
@@ -103,15 +107,16 @@ FLAG_PATHS = (
 
 
 def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(cfg)
+    """Write every given flag into cfg in place.  A flag whose section is not
+    an object is dropped; validate_config reports that section."""
+    given = [(path, getattr(args, flag, None)) for flag, path in FLAG_PATHS]
     if args.arity is not None:
-        cfg["tree"]["branching"] = {"kind": "uniform", "arity": args.arity}
-    for flag, (*parents, key) in FLAG_PATHS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            node = cfg
-            for name in parents:
-                node = node[name]
+        given.append((("tree", "branching"), {"kind": "uniform", "arity": args.arity}))
+    for (*parents, key), val in given:
+        node = cfg
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if val is not None and isinstance(node, dict):
             node[key] = val
     return cfg
 
@@ -122,10 +127,17 @@ def validate_config(cfg: dict) -> None:
         issues.append(f"unsupported config schema {cfg.get('schema')!r}")
     if cfg.get("mode") != "exact":
         issues.append(f"unsupported arithmetic mode {cfg.get('mode')!r}; the only mode is 'exact'")
-    tree = cfg.get("tree", {})
+    tree, targets = cfg.get("tree"), cfg.get("targets")
+    for name, section in (("tree", tree), ("targets", targets)):
+        if not isinstance(section, dict):
+            issues.append(f"{name} must be an object")
+    tree = tree if isinstance(tree, dict) else {}
+    targets = targets if isinstance(targets, dict) else {}
+    for name in ("branching", "q_rule", "w_rule"):
+        if name in tree and not isinstance(tree[name], dict):
+            issues.append(f"tree.{name} must be an object")
     if not isinstance(tree.get("depth"), int) or tree["depth"] < 1:
         issues.append("tree.depth must be a positive integer")
-    targets = cfg.get("targets", {})
     if not isinstance(targets.get("count"), int) or targets["count"] < 1:
         issues.append("targets.count must be a positive integer")
     if targets.get("epsilon") is not None:
@@ -203,17 +215,35 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
+def _write_hits(out_dir: Path, report: dict, tree: Tree, hits: HitReport) -> None:
+    """Write report.json with the tree summary and the hit report, and one
+    density CSV per target."""
+    report["tree"] = _tree_summary(tree)
+    report["hits"] = hit_report_to_doc(hits)
+    _write(out_dir, "report.json", canonical_json(report))
+    for entry in hits.entries:
+        _write(out_dir, f"density_t{entry.target_index}.csv", density_csv(entry.profile))
+
+
 def _emit_witness_outputs(out_dir: Path, witness: Witness, report: dict) -> None:
-    hits = certify_hits(witness)
-    report["tree"] = _tree_summary(witness.tree)
     report["schedule"] = schedule_to_doc(witness.schedule)
     report["targets"] = [target_to_doc(witness.tree, t) for t in witness.targets]
     report["logs"] = [block_log_to_doc(log) for log in witness.logs]
-    report["hits"] = hit_report_to_doc(hits)
-    _write(out_dir, "report.json", canonical_json(report))
+    _write_hits(out_dir, report, witness.tree, certify_hits(witness))
     _write(out_dir, "witness.json", canonical_json(witness_to_doc(witness)))
-    for entry in hits.entries:
-        _write(out_dir, f"density_t{entry.target_index}.csv", density_csv(entry.profile))
+
+
+def _x_witness(cfg: dict) -> Witness:
+    """The x-kind witness over the configured tree and targets."""
+    tree = _tree_from_cfg(cfg)
+    return build_x_witness(
+        tree,
+        _targets_from_cfg(tree, cfg),
+        growth=cfg["growth"],
+        width=cfg["width"],
+        horizon=cfg["horizon"],
+        warmup=X_WARMUP if cfg["warmup"] is None else cfg["warmup"],
+    )
 
 
 def cmd_build(cfg: dict, out_dir: Path) -> None:
@@ -225,17 +255,7 @@ def cmd_build(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_witness_x(cfg: dict, out_dir: Path) -> None:
-    tree = _tree_from_cfg(cfg)
-    targets = _targets_from_cfg(tree, cfg)
-    witness = build_x_witness(
-        tree,
-        targets,
-        growth=cfg["growth"],
-        width=cfg["width"],
-        horizon=cfg["horizon"],
-        warmup=5 if cfg["warmup"] is None else cfg["warmup"],
-    )
-    _emit_witness_outputs(out_dir, witness, _report_skeleton("witness-x", cfg))
+    _emit_witness_outputs(out_dir, _x_witness(cfg), _report_skeleton("witness-x", cfg))
 
 
 def cmd_witness_ufm(cfg: dict, out_dir: Path) -> None:
@@ -252,16 +272,8 @@ def cmd_witness_ufm(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_span_check(cfg: dict, out_dir: Path) -> None:
-    tree = _tree_from_cfg(cfg)
-    targets = _targets_from_cfg(tree, cfg)
-    witness = build_x_witness(
-        tree,
-        targets,
-        growth=cfg["growth"],
-        width=cfg["width"],
-        horizon=cfg["horizon"],
-        warmup=5 if cfg["warmup"] is None else cfg["warmup"],
-    )
+    witness = _x_witness(cfg)
+    targets = witness.targets
     components = list(witness.function.components[: len(targets)])
     horizon = witness.schedule.horizon
     rng = Random(cfg["seed"])
@@ -292,7 +304,7 @@ def cmd_span_check(cfg: dict, out_dir: Path) -> None:
             }
         )
     report = _report_skeleton("span-check", cfg)
-    report["tree"] = _tree_summary(tree)
+    report["tree"] = _tree_summary(witness.tree)
     report["cases"] = cases
     report["all_ok"] = not any_violation
     _write(out_dir, "report.json", canonical_json(report))
@@ -378,12 +390,7 @@ def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:
     horizon = cfg["horizon"] or witness.schedule.horizon
     warmup = witness.schedule.warmup if cfg["warmup"] is None else cfg["warmup"]
     hits = certify_hits(witness, horizon=horizon, warmup=warmup)
-    report = _report_skeleton("certify", cfg)
-    report["tree"] = _tree_summary(witness.tree)
-    report["hits"] = hit_report_to_doc(hits)
-    _write(out_dir, "report.json", canonical_json(report))
-    for entry in hits.entries:
-        _write(out_dir, f"density_t{entry.target_index}.csv", density_csv(entry.profile))
+    _write_hits(out_dir, _report_skeleton("certify", cfg), witness.tree, hits)
 
 
 COMMANDS = {
@@ -396,8 +403,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 1 with JSON like any other bad input."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", type=str, help="JSON config file (runconfig/1)")
     common.add_argument("--depth", type=int)
     common.add_argument("--arity", type=int)
@@ -414,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--epsilon", type=str)
     common.add_argument("--out", type=str)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeharmonics",
         description="Construct weighted trees, synthesize harmonic witnesses, certify hit densities.",
     )
@@ -431,12 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = copy.deepcopy(DEFAULT_CONFIG)
         if args.config:
-            cfg = merge_config(cfg, _read_json(args.config, "config"))
-        cfg = apply_flags(cfg, args)
+            override = _read_json(args.config, "config")
+            if not isinstance(override, dict):
+                raise ValidationError("the config must be a JSON object")
+            merge_config(cfg, override)
+        apply_flags(cfg, args)
         validate_config(cfg)
         out_dir = Path(cfg["out"])
         if args.command == "certify":

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .boundary import (
+    MAX_LEVEL_VALUES,
     LevelFunction,
     SectorNode,
     TupleLevelFunction,
@@ -33,6 +34,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar
 from .trees import Tree, VertexId
 from .values import Value, bounded_metric, centered_grid
+
+ENUMERATION_LEVEL_LIMIT = 4096  # largest level the diagonal enumerations assign
 
 
 class FuncNode:
@@ -214,10 +217,10 @@ def function_from_level_values(tree: Tree, values_per_level: Sequence[Sequence[V
 # Constructors
 
 
-def aggregate_upward(tree: Tree, leaf_values: Sequence[Value], max_size: int = 1 << 16) -> HarmonicFunction:
+def aggregate_upward(tree: Tree, leaf_values: Sequence[Value]) -> HarmonicFunction:
     """The unique harmonic function with the given deepest-level values."""
     size = tree.level_size(tree.depth)
-    if size > max_size:
+    if size > MAX_LEVEL_VALUES:
         raise ValidationError(f"deepest level has {size} vertices; aggregate from a level function instead")
     if len(leaf_values) != size:
         raise ValidationError(f"expected {size} leaf values, got {len(leaf_values)}")
@@ -516,25 +519,25 @@ def harmonic_from_assignment(
     return aggregate_from_level(tree, level_function_from_assignment(tree, level, assignment_index, grid))
 
 
-def _diagonal(tree: Tree, grid_size: int, max_level_size: int) -> Iterator[tuple[int, int]]:
+def _diagonal(tree: Tree, grid_size: int) -> Iterator[tuple[int, int]]:
     """Every (level, assignment) pair within the level-size guard, ordered by
     level + assignment and then by level."""
-    eligible = [k for k in range(tree.depth + 1) if tree.level_size(k) <= max_level_size]
+    eligible = [k for k in range(tree.depth + 1) if tree.level_size(k) <= ENUMERATION_LEVEL_LIMIT]
     if not eligible:
         raise ValidationError("no level fits the enumeration size guard")
     last_d = max(k + grid_size ** tree.level_size(k) for k in eligible)
     for d in range(1, last_d + 1):
         for k in range(min(d, tree.depth + 1)):
             sk = tree.level_size(k)
-            if sk <= max_level_size and d - k <= grid_size**sk:
+            if sk <= ENUMERATION_LEVEL_LIMIT and d - k <= grid_size**sk:
                 yield k, d - k
 
 
-def diagonal_pair(tree: Tree, index: int, grid_size: int, max_level_size: int = 4096) -> tuple[int, int]:
+def diagonal_pair(tree: Tree, index: int, grid_size: int) -> tuple[int, int]:
     """The (level, assignment) pair at `index` of the diagonal enumeration."""
     if index < 1:
         raise ValidationError("enumeration index starts at 1")
-    for i, pair in enumerate(_diagonal(tree, grid_size, max_level_size), 1):
+    for i, pair in enumerate(_diagonal(tree, grid_size), 1):
         if i == index:
             return pair
     raise ValidationError(f"enumeration exhausted before index {index}")
@@ -546,7 +549,6 @@ def enumerate_harmonics(
     dim: int = 1,
     resolution: int = 0,
     bound: int = 1,
-    max_level_size: int = 4096,
 ) -> HarmonicFunction:
     """Deterministic enumeration whose first element is the zero function.
 
@@ -555,5 +557,5 @@ def enumerate_harmonics(
     emitted function is harmonic with exactly-zero residuals.
     """
     grid = centered_grid(dim, resolution, bound)
-    k, j = diagonal_pair(tree, index, len(grid), max_level_size)
+    k, j = diagonal_pair(tree, index, len(grid))
     return harmonic_from_assignment(tree, k, j, grid)

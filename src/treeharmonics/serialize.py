@@ -73,24 +73,15 @@ def dag_to_doc(node: SectorNode | FuncNode) -> dict:
     return {"nodes": order, "root": root}
 
 
-def sector_node_from_doc(doc: dict) -> SectorNode:
-    nodes: list[SectorNode] = []
+def dag_from_doc(doc: dict, leaf, split):
+    """Inverse of dag_to_doc: leaf(value) builds a leaf, split(node doc,
+    children) a split node."""
+    nodes: list = []
     for nd in doc["nodes"]:
         if nd["c"] is None:
-            nodes.append(sector_leaf(value_from_doc(nd["v"])))
+            nodes.append(leaf(value_from_doc(nd["v"])))
         else:
-            nodes.append(sector_split(tuple(nodes[i] for i in nd["c"])))
-    return nodes[doc["root"]]
-
-
-def func_node_from_doc(doc: dict) -> FuncNode:
-    nodes: list[FuncNode] = []
-    for nd in doc["nodes"]:
-        v = value_from_doc(nd["v"])
-        if nd["c"] is None:
-            nodes.append(func_leaf(v))
-        else:
-            nodes.append(func_split(v, tuple(nodes[i] for i in nd["c"])))
+            nodes.append(split(nd, tuple(nodes[i] for i in nd["c"])))
     return nodes[doc["root"]]
 
 
@@ -112,7 +103,8 @@ def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
     if "values" in doc:
         vals = [value_from_doc(v) for v in doc["values"]]
         return LevelFunction.from_values(tree, level, vals)
-    return LevelFunction(level, int(doc["dim"]), sector_node_from_doc(doc["dag"]))
+    node = dag_from_doc(doc["dag"], sector_leaf, lambda nd, kids: sector_split(kids))
+    return LevelFunction(level, int(doc["dim"]), node)
 
 
 def target_to_doc(tree: Tree, t: Target) -> dict:
@@ -215,8 +207,12 @@ def witness_from_doc(doc: dict) -> Witness:
         tree = tree_from_doc(doc["tree"])
         dim = int(doc["dim"])
         depth = int(doc["depth"])
+
+        def split(nd: dict, kids: tuple) -> FuncNode:
+            return func_split(value_from_doc(nd["v"]), kids)
+
         comps = tuple(
-            HarmonicFunction(tree, depth, dim, func_node_from_doc(c))
+            HarmonicFunction(tree, depth, dim, dag_from_doc(c, func_leaf, split))
             for c in doc["components"]
         )
         function = HarmonicTuple(comps) if doc["tuple"] else comps[0]

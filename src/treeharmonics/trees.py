@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .scalars import Scalar, format_scalar, parse_scalar
 
 MAX_EXPLICIT_VERTICES = 4_000_000
+MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
 
 
 @dataclass(frozen=True, order=True)
@@ -101,12 +102,6 @@ class Tree:
         out.reverse()
         return out
 
-    def q(self, x: VertexId, i: int) -> Scalar:
-        return self.q_row(x)[i]
-
-    def w(self, x: VertexId, i: int) -> Scalar:
-        return self.w_row(x)[i]
-
     def vertices(self, n: int) -> Iterator[VertexId]:
         for o in range(self.level_size(n)):
             yield VertexId(n, o)
@@ -125,11 +120,12 @@ class Tree:
         return sum(self.level_size(k) for k in range(n + 1))
 
     def sector_measure(self, x: VertexId) -> Scalar:
+        """Boundary measure of the sector below x: product of q along the root path."""
         self.require_vertex(x)
         m: Scalar = Fraction(1)
         v = self.root
         for i in self.path_indices(x):
-            m = m * self.q(v, i)
+            m = m * self.q_row(v)[i]
             v = self.child(v, i)
         return m
 
@@ -203,30 +199,12 @@ class UniformTree(Tree):
     def pos_key(self, x: VertexId) -> int:
         return x.level
 
-    def path_indices(self, x: VertexId) -> list[int]:
-        out: list[int] = []
-        o = x.offset
-        for lvl in range(x.level - 1, -1, -1):
-            out.append(o % self.arities[lvl])
-            o //= self.arities[lvl]
-        out.reverse()
-        return out
-
-    def sector_measure(self, x: VertexId) -> Scalar:
-        self.require_vertex(x)
-        num, den = 1, 1
-        for lvl, i in enumerate(self.path_indices(x)):
-            f = self.q_rows[lvl][i]
-            num *= f.numerator
-            den *= f.denominator
-        return Fraction(num, den)
-
 
 class ExplicitTree(Tree):
     """Tree with per-vertex rows held in flat per-level arrays.
 
     It keeps integer numerators per edge and one denominator per parent row,
-    so measure bookkeeping stays in integer arithmetic.
+    so a row is rebuilt as fractions only when it is read.
     """
 
     def __init__(
@@ -305,40 +283,6 @@ class ExplicitTree(Tree):
 
     def pos_key(self, x: VertexId) -> VertexId:
         return x
-
-    def sector_measure(self, x: VertexId) -> Scalar:
-        self.require_vertex(x)
-        return Fraction(*self.measure_pair(x))
-
-    def measure_pair(self, x: VertexId) -> tuple[int, int]:
-        """Unreduced (numerator, denominator) of the sector measure."""
-        num, den = 1, 1
-        v = x
-        while v.level > 0:
-            p = self.parent(v)
-            num *= self._q_edge[v.level][v.offset]
-            den *= self._q_den[p.level][p.offset]
-            v = p
-        return num, den
-
-    def measure_arrays(self, n: int) -> tuple[list[int], list[int]]:
-        """Unreduced (numerators, denominators) for all of level n."""
-        nums, dens = [1], [1]
-        for lvl in range(n):
-            counts = self._counts[lvl]
-            qden = self._q_den[lvl]
-            edge = self._q_edge[lvl + 1]
-            nxt_n: list[int] = []
-            nxt_d: list[int] = []
-            ci = 0
-            for o in range(len(counts)):
-                pn, pd = nums[o], dens[o] * qden[o]
-                for _ in range(counts[o]):
-                    nxt_n.append(pn * edge[ci])
-                    nxt_d.append(pd)
-                    ci += 1
-            nums, dens = nxt_n, nxt_d
-        return nums, dens
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +382,10 @@ def _random_w_ints(rng: Random, k: int, max_weight: int) -> tuple[list[int], int
 
 
 def _row_to_ints(row: Sequence[Scalar], what: str, where: str) -> tuple[list[int], int]:
-    fracs = [Fraction(v) for v in row]
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    nums = [int(f * den) for f in fracs]
+    """Integer numerators over the row's common denominator; raises unless
+    the row is a valid q (positive) or w (nonzero) row summing to one."""
+    den = lcm(*(v.denominator for v in row)) if row else 1
+    nums = [v.numerator * (den // v.denominator) for v in row]
     if what == "q" and any(n <= 0 for n in nums):
         raise ValidationError(f"{where}: transition probabilities must be positive")
     if what == "w" and any(n == 0 for n in nums):
@@ -453,16 +398,15 @@ def _row_to_ints(row: Sequence[Scalar], what: str, where: str) -> tuple[list[int
 def _build_explicit(spec: TreeSpec) -> ExplicitTree:
     rng = Random(spec.seed)
     b = spec.branching
+    level_arities = _level_arities(spec) if b["kind"] in ("uniform", "per_level") else None
 
     # child counts per level
     counts: list[list[int]] = []
     size = 1
     total = 1
     for lvl in range(spec.depth):
-        if b["kind"] == "uniform":
-            row = [int(b["arity"])] * size
-        elif b["kind"] == "per_level":
-            row = [int(b["arities"][lvl])] * size
+        if level_arities is not None:
+            row = [level_arities[lvl]] * size
         elif b["kind"] == "explicit":
             table = b.get("counts")
             if table is None or len(table) != spec.depth or len(table[lvl]) != size:
@@ -484,6 +428,13 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             )
 
     def gather(rule: dict, what: str):
+        level_rows = None
+        if rule["kind"] == "per_level":
+            # each level's row is parsed once; every vertex of the level must fit it
+            level_rows = [
+                _row_to_ints(row, what, f"level {lvl}")
+                for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
+            ]
         edge: list = [None]  # level 0 has no incoming edges
         dens: list = []
         for lvl in range(spec.depth):
@@ -494,11 +445,10 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 where = f"level {lvl} vertex {o}"
                 if rule["kind"] == "uniform":
                     nums, den = [1] * k, k
-                elif rule["kind"] == "per_level":
-                    rows = rule.get("rows")
-                    if rows is None or len(rows) != spec.depth or len(rows[lvl]) != k:
-                        raise ValidationError(f"{where}: per_level {what} row missing or wrong length")
-                    nums, den = _row_to_ints([parse_scalar(str(s)) for s in rows[lvl]], what, where)
+                elif level_rows is not None:
+                    nums, den = level_rows[lvl]
+                    if len(nums) != k:
+                        raise ValidationError(f"{where}: {what} row has {len(nums)} entries, expected {k}")
                 elif rule["kind"] == "explicit":
                     table = rule.get("rows")
                     if table is None or len(table) != spec.depth or len(table[lvl]) != len(row_counts):
@@ -539,16 +489,16 @@ def sector_measure(tree: Tree, x: VertexId) -> Scalar:
     return tree.sector_measure(x)
 
 
-def level_measures(tree: Tree, n: int, max_size: int = 1 << 20) -> list[Scalar]:
+def level_measures(tree: Tree, n: int) -> list[Scalar]:
     """Sector measures of every vertex at level n; they sum to 1 exactly."""
     if not 0 <= n <= tree.depth:
         raise ValidationError(f"level {n} outside 0..{tree.depth}")
-    if tree.level_size(n) > max_size:
+    if tree.level_size(n) > MAX_LEVEL_MEASURES:
         raise ValidationError(f"level {n} has {tree.level_size(n)} vertices; too large to materialize")
-    if isinstance(tree, ExplicitTree):
-        nums, dens = tree.measure_arrays(n)
-        return [Fraction(a, b) for a, b in zip(nums, dens)]
-    return [tree.sector_measure(x) for x in tree.vertices(n)]
+    measures: list[Scalar] = [Fraction(1)]
+    for lvl in range(n):
+        measures = [m * q for x, m in zip(tree.vertices(lvl), measures) for q in tree.q_row(x)]
+    return measures
 
 
 def min_child_probability(tree: Tree, x: VertexId) -> tuple[VertexId, Scalar]:

@@ -72,6 +72,7 @@ from .values import Value, bounded_metric, centered_grid
 UPPER_DENSITY_THRESHOLD = Fraction(3, 4)
 LOWER_DENSITY_FLOOR = Fraction(1, 20)
 FOREIGN_DIP_CEILING = Fraction(3, 10)
+X_WARMUP = 5  # levels an x-kind witness skips before its densities count
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +103,6 @@ def enumerate_targets(
     resolution: int = 0,
     bound: int = 1,
     epsilon: Fraction | None = None,
-    max_level_size: int = 4096,
 ) -> list[Target]:
     """Deterministic diagonal enumeration over (level, grid assignment).
 
@@ -116,7 +116,7 @@ def enumerate_targets(
     grid = centered_grid(dim, resolution, bound)
     targets: list[Target] = []
     seen: set[int] = set()
-    for k, j in _diagonal(tree, len(grid), max_level_size):
+    for k, j in _diagonal(tree, len(grid)):
         lf = level_function_from_assignment(tree, k, j, grid)
         if id(lf.node) in seen:
             continue
@@ -161,14 +161,10 @@ def refinement_levels(epsilon: Fraction) -> int:
     return j
 
 
-def setup_levels(epsilon: Fraction) -> int:
-    """Approximation level plus the mismatch-refinement levels a block spends
-    before hits are guaranteed."""
-    return 1 + refinement_levels(epsilon)
-
-
 def min_block_length(epsilon: Fraction) -> int:
-    return setup_levels(epsilon) + 1
+    """The approximation level and the mismatch-refinement levels a block
+    spends before hits are guaranteed, plus one level that hits."""
+    return refinement_levels(epsilon) + 2
 
 
 def _validate_schedule(schedule: Schedule, tree: Tree, targets: Sequence[Target]) -> None:
@@ -205,7 +201,7 @@ def x_schedule(
     growth: int,
     width: int,
     horizon: int,
-    warmup: int = 5,
+    warmup: int = X_WARMUP,
 ) -> Schedule:
     """Geometric block boundaries anchored at the horizon, targets cycling per
     component so that component i's final block is assigned target i."""
@@ -442,9 +438,27 @@ class Witness:
         return self.function
 
 
-def _run_schedule(
-    tree: Tree, schedule: Schedule, targets: Sequence[Target], dim: int
-) -> tuple[list[HarmonicFunction], list[BlockLog]]:
+def _checked_targets(targets: Sequence[Target]) -> tuple[Target, ...]:
+    targets = tuple(targets)
+    if not targets:
+        raise ValidationError("at least one target required")
+    dim = targets[0].level_function.dim
+    if any(t.level_function.dim != dim for t in targets):
+        raise DimensionMismatchError("targets must share a dimension")
+    return targets
+
+
+def _synthesize(
+    tree: Tree,
+    schedule: Schedule,
+    targets: Sequence[Target],
+    target_components: tuple[int, ...],
+    as_tuple: bool,
+) -> Witness:
+    """Run the schedule's blocks on zero components, log each block's
+    mismatches and terminal distance, re-check harmonicity and wrap the
+    result: a HarmonicTuple when as_tuple, else the single component."""
+    dim = targets[0].level_function.dim
     components = [zero_function(tree, dim) for _ in range(schedule.width)]
     logs: list[BlockLog] = []
     for comp in range(1, schedule.width + 1):
@@ -475,7 +489,17 @@ def _run_schedule(
                 )
             )
         components[comp - 1] = f
-    return components, logs
+    function = HarmonicTuple(tuple(components)) if as_tuple else components[0]
+    if not check_harmonic(function).passed:
+        raise InvariantError(f"synthesized {schedule.kind}-kind witness failed the harmonicity check")
+    return Witness(
+        kind=schedule.kind,
+        function=function,
+        schedule=schedule,
+        targets=tuple(targets),
+        target_components=target_components,
+        logs=tuple(logs),
+    )
 
 
 def build_x_witness(
@@ -484,31 +508,15 @@ def build_x_witness(
     growth: int = 5,
     width: int | None = None,
     horizon: int | None = None,
-    warmup: int = 5,
+    warmup: int = X_WARMUP,
 ) -> Witness:
     """Tuple witness on geometric blocks; one component per target, extra
     components stay identically zero so tuple-metric tails vanish."""
-    targets = tuple(targets)
-    if not targets:
-        raise ValidationError("at least one target required")
-    dim = targets[0].level_function.dim
-    if any(t.level_function.dim != dim for t in targets):
-        raise DimensionMismatchError("targets must share a dimension")
+    targets = _checked_targets(targets)
     horizon = tree.depth if horizon is None else horizon
     width = len(targets) if width is None else width
     schedule = x_schedule(tree, targets, growth, width, horizon, warmup)
-    components, logs = _run_schedule(tree, schedule, targets, dim)
-    function = HarmonicTuple(tuple(components))
-    if not check_harmonic(function).passed:
-        raise InvariantError("synthesized tuple failed the harmonicity check")
-    return Witness(
-        kind="x",
-        function=function,
-        schedule=schedule,
-        targets=targets,
-        target_components=tuple(range(1, len(targets) + 1)),
-        logs=tuple(logs),
-    )
+    return _synthesize(tree, schedule, targets, tuple(range(1, len(targets) + 1)), as_tuple=True)
 
 
 def build_ufm_witness(
@@ -519,26 +527,10 @@ def build_ufm_witness(
     warmup: int | None = None,
 ) -> Witness:
     """Single-function witness on fixed-length blocks cycling the targets."""
-    targets = tuple(targets)
-    if not targets:
-        raise ValidationError("at least one target required")
-    dim = targets[0].level_function.dim
-    if any(t.level_function.dim != dim for t in targets):
-        raise DimensionMismatchError("targets must share a dimension")
+    targets = _checked_targets(targets)
     horizon = tree.depth if horizon is None else horizon
     schedule = ufm_schedule(tree, targets, block_length, horizon, warmup)
-    components, logs = _run_schedule(tree, schedule, targets, dim)
-    function = components[0]
-    if not check_harmonic(function).passed:
-        raise InvariantError("synthesized function failed the harmonicity check")
-    return Witness(
-        kind="ufm",
-        function=function,
-        schedule=schedule,
-        targets=targets,
-        target_components=(1,) * len(targets),
-        logs=tuple(logs),
-    )
+    return _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=False)
 
 
 # ----------------------------------------------------------------------
@@ -726,8 +718,6 @@ def dense_family(
     growth: int = 5,
     horizon: int | None = None,
     width: int | None = None,
-    x_targets: Sequence[Target] | None = None,
-    warmup: int = 5,
 ) -> DenseFamilyResult:
     """Members n = 1..count: take the n-th enumerated harmonic function p_n,
     the n-th tuple component h_n of a geometric-block witness, cut the
@@ -738,9 +728,8 @@ def dense_family(
     width = count if width is None else width
     if width < count:
         raise ValidationError(f"tuple width {width} below requested family size {count}")
-    if x_targets is None:
-        x_targets = enumerate_targets(tree, count=3, dim=dim, resolution=resolution, bound=bound, epsilon=Fraction(1, 8))
-    witness = build_x_witness(tree, x_targets, growth=growth, width=width, horizon=horizon, warmup=warmup)
+    x_targets = enumerate_targets(tree, count=3, dim=dim, resolution=resolution, bound=bound, epsilon=Fraction(1, 8))
+    witness = build_x_witness(tree, x_targets, growth=growth, width=width, horizon=horizon)
     members = []
     for n in range(1, count + 1):
         p_n = enumerate_harmonics(tree, n, dim=dim, resolution=resolution, bound=bound)
@@ -784,6 +773,8 @@ COEFF_LATTICE = (
     Fraction(2),
 )
 ZERO_SAMPLE_REDRAWS = 16
+COMBO_SAMPLES = 6  # steady-span combinations checked for a density floor
+REFERENCE_EPSILON = Fraction(1, 4)  # radius of the non-dense ball around zero
 
 
 def _family_ufm_schedule(
@@ -873,8 +864,6 @@ def double_genericity_check(
     dim: int = 1,
     block_length: int = 10,
     growth: int = 5,
-    combo_samples: int = 6,
-    reference_epsilon: Fraction = Fraction(1, 4),
 ) -> DoubleGenericityReport:
     """Contrast the two spans against one fixed non-dense reference ball
     around zero: every sampled combination from the cyclic-schedule span keeps
@@ -883,31 +872,23 @@ def double_genericity_check(
     Sampled span elements from the two families are also compared vertex-wise
     and must be pairwise distinct."""
     horizon = tree.depth if horizon is None else horizon
-    eps0 = Fraction(reference_epsilon)
     psi0 = LevelFunction.constant(0, Value.zero(dim))
-    reference = Target(index=0, level_function=psi0, epsilon=eps0)
+    reference = Target(index=0, level_function=psi0, epsilon=REFERENCE_EPSILON)
 
     # the reference ball is non-dense: a constant function sits outside its closure
     far = LevelFunction.constant(0, Value.of(*([3] * dim)))
     far_distance = Fraction(p_metric(tree, psi0, far))
-    if not far_distance > eps0:
-        raise ValidationError(f"reference epsilon {eps0} too large to be non-dense here")
+    if not far_distance > REFERENCE_EPSILON:
+        raise ValidationError(f"reference epsilon {REFERENCE_EPSILON} too large to be non-dense here")
 
     steady_targets = enumerate_targets(
         tree, count=4, dim=dim, resolution=1, bound=1, epsilon=Fraction(1, 8)
     )
     steady_schedule = _family_ufm_schedule(tree, steady_targets, block_length, width=3, horizon=horizon)
-    steady_components, steady_logs = _run_schedule(tree, steady_schedule, steady_targets, dim)
-    steady_witness = Witness(
-        kind="ufm",
-        function=HarmonicTuple(tuple(steady_components)),
-        schedule=steady_schedule,
-        targets=tuple(steady_targets),
-        target_components=(1,) * len(steady_targets),
-        logs=tuple(steady_logs),
+    steady_witness = _synthesize(
+        tree, steady_schedule, steady_targets, (1,) * len(steady_targets), as_tuple=True
     )
-    if not check_harmonic(steady_witness.function).passed:
-        raise InvariantError("cyclic-schedule tuple failed the harmonicity check")
+    steady_components = steady_witness.function.components
 
     burst_targets = enumerate_targets(tree, count=3, dim=dim, resolution=0, bound=1, epsilon=Fraction(1, 8))
     burst_witness = build_x_witness(tree, burst_targets, growth=growth, width=len(burst_targets), horizon=horizon)
@@ -916,7 +897,7 @@ def double_genericity_check(
     warm_steady = steady_schedule.warmup
 
     combos: list[ComboEntry] = []
-    for _ in range(combo_samples):
+    for _ in range(COMBO_SAMPLES):
         coeffs = tuple(rng.choice(COEFF_LATTICE) for _ in steady_components)
         combo = linear_combination(coeffs, steady_components)
         hits = hit_set(tree, combo, reference, horizon)
@@ -965,13 +946,13 @@ def double_genericity_check(
 
     steady_samples = []
     burst_samples = []
-    for _ in range(max(2, combo_samples // 2)):
+    for _ in range(max(2, COMBO_SAMPLES // 2)):
         steady_samples.append(nonzero_sample(steady_components))
         burst_samples.append(nonzero_sample(burst_witness.function.components))
     distinct = all(a.node is not b.node for a in steady_samples for b in burst_samples)
 
     return DoubleGenericityReport(
-        reference_epsilon=eps0,
+        reference_epsilon=REFERENCE_EPSILON,
         far_distance=far_distance,
         steady_witness=steady_witness,
         burst_witness=burst_witness,

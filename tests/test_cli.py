@@ -64,6 +64,51 @@ def test_too_deeply_nested_config_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["errors"]
 
 
+@pytest.mark.parametrize(
+    "config,issue",
+    [
+        ({"tree": 5}, "tree must be an object"),
+        ({"targets": []}, "targets must be an object"),
+        ({"tree": {"depth": 3, "q_rule": 5}}, "tree.q_rule must be an object"),
+        ({"tree": {"depth": 3, "branching": "x"}}, "tree.branching must be an object"),
+        ([1], "the config must be a JSON object"),
+    ],
+    ids=["tree", "targets", "q_rule", "branching", "not-an-object"],
+)
+def test_malformed_config_section_exits_one(tmp_path, capsys, config, issue):
+    # --depth must not write into a section that is not an object
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["build", "--config", str(cfg), "--depth", "3", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert issue in json.loads(capsys.readouterr().err)["errors"]
+
+
+def test_deeply_nested_unknown_key_is_ignored(tmp_path):
+    nested: dict = {}
+    for _ in range(600):
+        nested = {"a": nested}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"unknown": nested}))
+    out = tmp_path / "o"
+    assert main(["build", "--config", str(cfg), "--depth", "3", "--out", str(out)]) == 0
+    assert json.loads(read(out / "tree.json"))["depth"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--depth", "abc"], ["certify"]],
+    ids=["bad-int", "missing-witness-flag"],
+)
+def test_command_line_error_exits_one(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["errors"]
+    assert "usage" not in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_flag_value_exits_one(tmp_path, capsys):
     code = main(["witness-x", "--depth", "0", "--out", str(tmp_path / "o")])
     assert code == 1

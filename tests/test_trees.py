@@ -248,3 +248,36 @@ def test_tree_doc_with_float_mode_rejected(binary4):
     doc["mode"] = "float"
     with pytest.raises(ValidationError):
         tree_from_doc(doc)
+
+
+def test_uniform_tree_accepts_int_rows():
+    tree = UniformTree([2], [(Fraction(1, 2), Fraction(1, 2))], [(2, -1)])
+    assert tree.w_row(tree.root) == (2, -1)
+    with pytest.raises(ValidationError, match="positive"):
+        UniformTree([2], [(1, 0)], [(2, -1)])
+
+
+def test_per_level_rows_on_explicit_backing():
+    # a random w rule forces the explicit backing; the per_level q rows are
+    # read once per level and must fit every vertex of that level
+    spec = TreeSpec(
+        depth=2,
+        branching={"kind": "per_level", "arities": [2, 3]},
+        q_rule={"kind": "per_level", "rows": [["1/3", "2/3"], ["1/2", "1/4", "1/4"]]},
+        w_rule={"kind": "random", "max_weight": 5},
+        seed=3,
+    )
+    tree = build_tree(spec)
+    assert type(tree).__name__ == "ExplicitTree"
+    assert tree.q_row(VertexId(1, 1)) == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    assert level_measures(tree, 2) == [
+        sector_measure(tree, VertexId(2, o)) for o in range(tree.level_size(2))
+    ]
+    assert level_measures(tree, 2)[3] == Fraction(2, 3) * Fraction(1, 2)
+    uneven = TreeSpec(
+        depth=2,
+        branching={"kind": "explicit", "counts": [[2], [2, 3]]},
+        q_rule={"kind": "per_level", "rows": [["1/2", "1/2"], ["1/2", "1/2"]]},
+    )
+    with pytest.raises(ValidationError, match="level 1 vertex 1: q row has 2 entries, expected 3"):
+        build_tree(uneven)
