@@ -5,8 +5,10 @@ value equals the w-weighted sum of its children's values.  Functions are
 stored as interned nodes mirroring the boundary module: a leaf node means
 "this value continues constantly below" (constants are harmonic because every
 weight row sums to one), a split node lists explicit children.  All
-constructors here emit exactly harmonic functions; the checker re-derives
-that from scratch rather than trusting them.
+constructors here emit exactly harmonic functions; the checker does not trust
+them.  It recomputes the residual at every position of a split node exactly
+and certifies a constant node in one step, since the tree invariant that each
+w row sums to one makes a constant harmonic at every vertex below it.
 
 level_profile gives the boundary distance of every level restriction up to a
 horizon in one forward sweep: it pushes q-mass down the function and target
@@ -133,14 +135,16 @@ def constant_function(tree: Tree, value: Value) -> HarmonicFunction:
 @dataclass(frozen=True)
 class HarmonicityReport:
     passed: bool
-    checked: int
+    checked: int  # DAG positions certified: distinct (node, pos_key) pairs above f.depth
     violations: int
     max_residual: Scalar
     samples: tuple[tuple[int, Scalar], ...]  # (level, residual size), first few offenders
 
 
 def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
-    """Recompute every weighted-average residual; pass iff all are zero."""
+    """Recompute every weighted-average residual of a split node; pass iff all
+    are zero.  A constant node is certified where it is reached: each w row
+    sums to one, so its residual is zero there and at every vertex below."""
     if isinstance(f, HarmonicTuple):
         reports = [check_harmonic(c) for c in f.components]
         return HarmonicityReport(
@@ -165,13 +169,15 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
         if key in seen:
             return
         seen.add(key)
+        checked += 1
+        if node.children is None:
+            return
         kids = _expand(node, tree.arity(x))
         ws = tree.w_row(x)
         acc = kids[0].value.scale(ws[0])
         for w, c in zip(ws[1:], kids[1:]):
             acc = acc + c.value.scale(w)
         residual = sum(abs(a - b) for a, b in zip(node.value.coords, acc.coords))
-        checked += 1
         if residual:
             violations += 1
             if len(samples) < 8:

@@ -17,10 +17,11 @@ Two backings share one interface:
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Iterator, Sequence
 
@@ -153,8 +154,8 @@ class UniformTree(Tree):
             if len(qr) != a or len(wr) != a:
                 raise ValidationError(f"level {lvl}: row length does not match arity")
             # raises unless q is positive, w nonzero and each sums to one
-            _row_to_ints(qr, "q", f"level {lvl}")
-            _row_to_ints(wr, "w", f"level {lvl}")
+            _row_to_ints(_pairs(qr), "q", f"level {lvl}")
+            _row_to_ints(_pairs(wr), "w", f"level {lvl}")
         sizes = [1]
         for a in self.arities:
             sizes.append(sizes[-1] * a)
@@ -204,7 +205,10 @@ class ExplicitTree(Tree):
     """Tree with per-vertex rows held in flat per-level arrays.
 
     It keeps integer numerators per edge and one denominator per parent row,
-    so a row is rebuilt as fractions only when it is read.
+    so a row is rebuilt as fractions only when it is read.  The rows are not
+    re-checked here: build_tree, the only caller, makes every q row positive,
+    every w row nonzero and each sum to one, and check_harmonic relies on the
+    w rows summing to one.
     """
 
     def __init__(
@@ -311,6 +315,10 @@ class TreeSpec:
     seed: int = 0
 
 
+# the key each branching kind cannot do without
+BRANCHING_KEYS = {"uniform": "arity", "per_level": "arities", "explicit": "counts", "random": "max_arity"}
+
+
 def _is_level_rule(rule: dict) -> bool:
     return rule.get("kind") in ("uniform", "per_level")
 
@@ -320,8 +328,10 @@ def build_tree(spec: TreeSpec) -> Tree:
     if spec.depth < 1:
         raise ValidationError("tree depth must be at least 1")
     bkind = spec.branching.get("kind")
-    if bkind not in ("uniform", "per_level", "explicit", "random"):
+    if bkind not in BRANCHING_KEYS:
         raise ValidationError(f"unknown branching kind {bkind!r}")
+    if BRANCHING_KEYS[bkind] not in spec.branching:
+        raise ValidationError(f"{bkind} branching lacks the key {BRANCHING_KEYS[bkind]!r}")
     for name, rule in (("q_rule", spec.q_rule), ("w_rule", spec.w_rule)):
         if rule.get("kind") not in ("uniform", "per_level", "explicit", "random"):
             raise ValidationError(f"unknown {name} kind {rule.get('kind')!r}")
@@ -342,6 +352,27 @@ def _level_arities(spec: TreeSpec) -> list[int]:
     return arities
 
 
+# a row entry as tree_to_doc writes it: optional sign, digits, optional /digits
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_entry(s: str) -> tuple[int, int]:
+    """A row entry as a reduced (numerator, denominator) pair with a positive
+    denominator, read without building a Fraction when it has the "p" or "p/q"
+    form; every other form goes through parse_scalar."""
+    m = _ENTRY.fullmatch(s)
+    if m is not None:
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # more digits than int() converts; parse_scalar reports it
+            den = 0
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    v = parse_scalar(s)  # "0.25", "1e-2", " 3/4 ", ...; raises for "3/0"
+    return v.numerator, v.denominator
+
+
 def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[Scalar, ...]]:
     if rule["kind"] == "uniform":
         return [(Fraction(1, a),) * a for a in arities]
@@ -352,7 +383,7 @@ def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[S
     for lvl, (row, a) in enumerate(zip(rows, arities)):
         if len(row) != a:
             raise ValidationError(f"{what} row at level {lvl} has {len(row)} entries, expected {a}")
-        out.append(tuple(parse_scalar(str(s)) for s in row))
+        out.append(tuple(Fraction(*_parse_entry(str(s))) for s in row))
     return out
 
 
@@ -381,14 +412,19 @@ def _random_w_ints(rng: Random, k: int, max_weight: int) -> tuple[list[int], int
         return nums, s
 
 
-def _row_to_ints(row: Sequence[Scalar], what: str, where: str) -> tuple[list[int], int]:
-    """Integer numerators over the row's common denominator; raises unless
-    the row is a valid q (positive) or w (nonzero) row summing to one."""
-    den = lcm(*(v.denominator for v in row)) if row else 1
-    nums = [v.numerator * (den // v.denominator) for v in row]
-    if what == "q" and any(n <= 0 for n in nums):
+def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
+    return [(v.numerator, v.denominator) for v in row]
+
+
+def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str) -> tuple[list[int], int]:
+    """Integer numerators over the common denominator of a row of reduced
+    (numerator, denominator) pairs; raises unless the row is a valid q
+    (positive) or w (nonzero) row summing to one."""
+    den = lcm(*(d for _, d in row))
+    nums = [n * (den // d) for n, d in row]
+    if what == "q" and min(nums, default=1) <= 0:
         raise ValidationError(f"{where}: transition probabilities must be positive")
-    if what == "w" and any(n == 0 for n in nums):
+    if what == "w" and 0 in nums:
         raise ValidationError(f"{where}: harmonic weights must be nonzero")
     if sum(nums) != den:
         raise ValidationError(f"{where}: {what} row sums to {Fraction(sum(nums), den)}, not 1")
@@ -408,8 +444,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
         if level_arities is not None:
             row = [level_arities[lvl]] * size
         elif b["kind"] == "explicit":
-            table = b.get("counts")
-            if table is None or len(table) != spec.depth or len(table[lvl]) != size:
+            table = b["counts"]
+            if len(table) != spec.depth or len(table[lvl]) != size:
                 raise ValidationError("explicit branching table incomplete")
             row = [int(c) for c in table[lvl]]
         else:
@@ -432,7 +468,7 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
         if rule["kind"] == "per_level":
             # each level's row is parsed once; every vertex of the level must fit it
             level_rows = [
-                _row_to_ints(row, what, f"level {lvl}")
+                _row_to_ints(_pairs(row), what, f"level {lvl}")
                 for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
             ]
         edge: list = [None]  # level 0 has no incoming edges
@@ -456,7 +492,7 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                     raw = table[lvl][o]
                     if len(raw) != k:
                         raise ValidationError(f"{where}: {what} row has {len(raw)} entries, expected {k}")
-                    nums, den = _row_to_ints([parse_scalar(str(s)) for s in raw], what, where)
+                    nums, den = _row_to_ints([_parse_entry(str(s)) for s in raw], what, where)
                 else:
                     mw = int(rule.get("max_weight", 30 if what == "q" else 9))
                     nums, den = (_random_q_ints if what == "q" else _random_w_ints)(rng, k, mw)
@@ -514,6 +550,12 @@ def min_child_probability(tree: Tree, x: VertexId) -> tuple[VertexId, Scalar]:
 # Serialization
 
 
+def _format_entry(num: int, den: int) -> str:
+    """num/den (den > 0) reduced and written as str(Fraction) writes it."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def tree_to_doc(tree: Tree) -> dict:
     """The tree/1 document; its "mode" is always "exact", the only arithmetic."""
     if isinstance(tree, UniformTree):
@@ -527,23 +569,24 @@ def tree_to_doc(tree: Tree) -> dict:
             "w_rows": [[format_scalar(v) for v in row] for row in tree.w_rows],
         }
     assert isinstance(tree, ExplicitTree)
-    counts = [[tree.arity(VertexId(l, o)) for o in range(tree.level_size(l))] for l in range(tree.depth)]
-    q_rows = [
-        [[format_scalar(v) for v in tree.q_row(VertexId(l, o))] for o in range(tree.level_size(l))]
-        for l in range(tree.depth)
-    ]
-    w_rows = [
-        [[format_scalar(v) for v in tree.w_row(VertexId(l, o))] for o in range(tree.level_size(l))]
-        for l in range(tree.depth)
-    ]
+
+    def rows(edges: list, dens: list) -> list:
+        return [
+            [
+                [_format_entry(num, den) for num in edges[lvl + 1][st : st + k]]
+                for st, k, den in zip(tree._starts[lvl], tree._counts[lvl], dens[lvl])
+            ]
+            for lvl in range(tree.depth)
+        ]
+
     return {
         "schema": "tree/1",
         "kind": "explicit",
         "mode": "exact",
         "depth": tree.depth,
-        "child_counts": counts,
-        "q_rows": q_rows,
-        "w_rows": w_rows,
+        "child_counts": [list(c) for c in tree._counts],
+        "q_rows": rows(tree._q_edge, tree._q_den),
+        "w_rows": rows(tree._w_edge, tree._w_den),
     }
 
 

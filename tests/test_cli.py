@@ -204,6 +204,51 @@ def test_outputs_match_recorded_digests(tmp_path, argv, digests):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of an explicit-tree witness and its certify report, recorded before
+# explicit rows were written from integers and read without Fractions; the
+# rows and values are written with both "p" and "p/q" entries
+EXPLICIT_CONFIG = {
+    "seed": 1,
+    "tree": {
+        "depth": 6,
+        "branching": {"kind": "random", "max_arity": 3},
+        "q_rule": {"kind": "random"},
+        "w_rule": {"kind": "random"},
+    },
+}
+EXPLICIT_GOLDEN = {
+    "witness/report.json": "1de9f4399421e1ec974c2f19b1d0b7c8e22e2ced4fd9ac5f0c83ab7791531888",
+    "witness/witness.json": "f20b755c28a8f60b4abfb4a98ad5dcebf63737deef19345c98aadfd84ccab89f",
+    "certify/report.json": "cb01c38223a7ccbdf6a745f4ff911f81318b88fab641e38207729e65032ac4c3",
+}
+
+
+def test_explicit_tree_outputs_match_recorded_digests(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EXPLICIT_CONFIG), encoding="utf-8")
+    witness, certify = tmp_path / "witness", tmp_path / "certify"
+    assert main(["witness-x", "--config", str(cfg), "--out", str(witness)]) == 0
+    assert main(["certify", "--witness", str(witness / "witness.json"), "--out", str(certify)]) == 0
+    for name, digest in EXPLICIT_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "branching,key",
+    [({"kind": "random"}, "max_arity"), ({"kind": "per_level"}, "arities")],
+    ids=["random", "per_level"],
+)
+def test_branching_without_its_key_exits_one(tmp_path, capsys, branching, key):
+    # the default branching's "arity" merges in, so only the kind's own key is missing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": {"depth": 3, "branching": branching}}), encoding="utf-8")
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert len(errors) == 1 and repr(key) in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_span_check_cli(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeharmonics import (
     TreeSpec,
@@ -15,6 +18,8 @@ from treeharmonics import (
     tree_from_doc,
     tree_to_doc,
 )
+from treeharmonics.scalars import parse_scalar
+from treeharmonics.trees import _parse_entry, _row_to_ints
 
 
 def test_uniform_binary_leaf_count():
@@ -281,3 +286,80 @@ def test_per_level_rows_on_explicit_backing():
     )
     with pytest.raises(ValidationError, match="level 1 vertex 1: q row has 2 entries, expected 3"):
         build_tree(uneven)
+
+
+def fraction_route(raw, what):
+    """Row integers as they were read before: parse_scalar builds a Fraction
+    per entry, then the numerators go over the lcm of the denominators."""
+    row = [parse_scalar(str(s)) for s in raw]
+    den = lcm(*(v.denominator for v in row)) if row else 1
+    nums = [v.numerator * (den // v.denominator) for v in row]
+    if what == "q" and any(n <= 0 for n in nums):
+        raise ValidationError("here: transition probabilities must be positive")
+    if what == "w" and any(n == 0 for n in nums):
+        raise ValidationError("here: harmonic weights must be nonzero")
+    if sum(nums) != den:
+        raise ValidationError(f"here: {what} row sums to {Fraction(sum(nums), den)}, not 1")
+    return nums, den
+
+
+def outcome(read, raw, what):
+    try:
+        return read(raw, what)
+    except ValidationError as exc:
+        return ("error", exc.issues)
+
+
+def assert_rows_read_alike(raw):
+    for what in ("q", "w"):
+        want = outcome(fraction_route, raw, what)
+        got = outcome(lambda r, w: _row_to_ints([_parse_entry(str(s)) for s in r], w, "here"), raw, what)
+        assert got == want, (raw, what)
+
+
+@st.composite
+def row_entries(draw):
+    """Rows of "p/q" and "p" strings with signed, unreduced and zero
+    numerators; about half the rows sum to one."""
+    k = draw(st.integers(2, 4))
+    values = [Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 40))) for _ in range(k - 1)]
+    values.append(1 - sum(values) if draw(st.booleans()) else Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 40))))
+    raw = []
+    for v in values:
+        scale = draw(st.integers(1, 6))
+        sign = "+" if v >= 0 and draw(st.booleans()) else ""
+        if v.denominator == 1 and draw(st.booleans()):
+            raw.append(f"{sign}{v.numerator}")
+        else:
+            raw.append(f"{sign}{v.numerator * scale}/{v.denominator * scale}")
+    return raw
+
+
+@given(row_entries())
+def test_entry_parser_reads_rows_like_fractions(raw):
+    assert_rows_read_alike(raw)
+    for s in raw:
+        v = parse_scalar(s)
+        assert _parse_entry(s) == (v.numerator, v.denominator)
+
+
+OTHER_FORMS = {
+    "plus": "+3/4",
+    "padded": " 3/4 ",
+    "space-after-slash": "3/ 4",
+    "space-after-sign": "- 3/4",
+    "decimal": "0.25",
+    "exponent": "1e-2",
+    "zero-denominator": "3/0",
+    "double-slash": "3//4",
+    "letters": "a/b",
+    "empty": "",
+    "5000-digits": "1" * 5000 + "/3",
+    "int": 1,
+}
+
+
+@pytest.mark.parametrize("entry", list(OTHER_FORMS.values()), ids=list(OTHER_FORMS))
+def test_entry_parser_on_other_forms(entry):
+    assert_rows_read_alike([entry, "1/4"])
+    assert_rows_read_alike(["1/4", entry, "-1/2"])
