@@ -319,10 +319,6 @@ class TreeSpec:
 BRANCHING_KEYS = {"uniform": "arity", "per_level": "arities", "explicit": "counts", "random": "max_arity"}
 
 
-def _is_level_rule(rule: dict) -> bool:
-    return rule.get("kind") in ("uniform", "per_level")
-
-
 def build_tree(spec: TreeSpec) -> Tree:
     """Construct a tree satisfying every invariant, or raise ValidationError."""
     if spec.depth < 1:
@@ -336,17 +332,26 @@ def build_tree(spec: TreeSpec) -> Tree:
         if rule.get("kind") not in ("uniform", "per_level", "explicit", "random"):
             raise ValidationError(f"unknown {name} kind {rule.get('kind')!r}")
 
-    uniform_backing = bkind in ("uniform", "per_level") and _is_level_rule(spec.q_rule) and _is_level_rule(spec.w_rule)
-    if uniform_backing:
+    if all(kind in ("uniform", "per_level") for kind in (bkind, spec.q_rule["kind"], spec.w_rule["kind"])):
         return _build_uniform(spec)
     return _build_explicit(spec)
+
+
+def _spec_int(value, name: str, least: int) -> int:
+    """A branching or rule integer of at least `least`, read as int() reads it; else a ValidationError naming it."""
+    try:
+        if int(value) >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _level_arities(spec: TreeSpec) -> list[int]:
     b = spec.branching
     if b["kind"] == "uniform":
-        return [int(b["arity"])] * spec.depth
-    arities = [int(a) for a in b["arities"]]
+        return [_spec_int(b["arity"], "branching 'arity'", 2)] * spec.depth
+    arities = [_spec_int(a, "branching 'arities'", 2) for a in b["arities"]]
     if len(arities) != spec.depth:
         raise ValidationError("per_level branching must list one arity per level")
     return arities
@@ -416,19 +421,24 @@ def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
     return [(v.numerator, v.denominator) for v in row]
 
 
-def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str) -> tuple[list[int], int]:
+def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | tuple[int, int]) -> tuple[list[int], int]:
     """Integer numerators over the common denominator of a row of reduced
     (numerator, denominator) pairs; raises unless the row is a valid q
-    (positive) or w (nonzero) row summing to one."""
+    (positive) or w (nonzero) row summing to one.  `where` names the row in
+    the error; a (level, vertex) pair is formatted only then."""
     den = lcm(*(d for _, d in row))
     nums = [n * (den // d) for n, d in row]
     if what == "q" and min(nums, default=1) <= 0:
-        raise ValidationError(f"{where}: transition probabilities must be positive")
-    if what == "w" and 0 in nums:
-        raise ValidationError(f"{where}: harmonic weights must be nonzero")
-    if sum(nums) != den:
-        raise ValidationError(f"{where}: {what} row sums to {Fraction(sum(nums), den)}, not 1")
-    return nums, den
+        problem = "transition probabilities must be positive"
+    elif what == "w" and 0 in nums:
+        problem = "harmonic weights must be nonzero"
+    elif sum(nums) == den:
+        return nums, den
+    else:
+        problem = f"{what} row sums to {Fraction(sum(nums), den)}, not 1"
+    if not isinstance(where, str):
+        where = "level {} vertex {}".format(*where)
+    raise ValidationError(f"{where}: {problem}")
 
 
 def _build_explicit(spec: TreeSpec) -> ExplicitTree:
@@ -447,13 +457,11 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             table = b["counts"]
             if len(table) != spec.depth or len(table[lvl]) != size:
                 raise ValidationError("explicit branching table incomplete")
-            row = [int(c) for c in table[lvl]]
+            row = [_spec_int(c, "branching 'counts'", 2) for c in table[lvl]]
         else:
-            lo = int(b.get("min_arity", 2))
-            hi = int(b["max_arity"])
+            lo = _spec_int(b.get("min_arity", 2), "branching 'min_arity'", 2)
+            hi = _spec_int(b["max_arity"], "branching 'max_arity'", lo)
             row = [rng.randint(lo, hi) for _ in range(size)]
-        if any(c < 2 for c in row):
-            raise ValidationError(f"level {lvl}: arity below two")
         counts.append(row)
         size = sum(row)
         total += size
@@ -464,13 +472,20 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             )
 
     def gather(rule: dict, what: str):
-        level_rows = None
-        if rule["kind"] == "per_level":
+        kind = rule["kind"]
+        if kind == "per_level":
             # each level's row is parsed once; every vertex of the level must fit it
             level_rows = [
                 _row_to_ints(_pairs(row), what, f"level {lvl}")
                 for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
             ]
+        elif kind == "explicit":
+            table = rule.get("rows")
+            if table is None or len(table) != spec.depth or any(len(r) != len(c) for r, c in zip(table, counts)):
+                raise ValidationError(f"explicit {what} table incomplete")
+        elif kind == "random":
+            mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
+            draw = _random_q_ints if what == "q" else _random_w_ints
         edge: list = [None]  # level 0 has no incoming edges
         dens: list = []
         for lvl in range(spec.depth):
@@ -478,24 +493,19 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             e = array("q")
             d = array("q")
             for o, k in enumerate(row_counts):
-                where = f"level {lvl} vertex {o}"
-                if rule["kind"] == "uniform":
+                if kind == "uniform":
                     nums, den = [1] * k, k
-                elif level_rows is not None:
+                elif kind == "random":
+                    nums, den = draw(rng, k, mw)
+                elif kind == "per_level":
                     nums, den = level_rows[lvl]
                     if len(nums) != k:
-                        raise ValidationError(f"{where}: {what} row has {len(nums)} entries, expected {k}")
-                elif rule["kind"] == "explicit":
-                    table = rule.get("rows")
-                    if table is None or len(table) != spec.depth or len(table[lvl]) != len(row_counts):
-                        raise ValidationError(f"explicit {what} table incomplete")
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(nums)} entries, expected {k}")
+                else:
                     raw = table[lvl][o]
                     if len(raw) != k:
-                        raise ValidationError(f"{where}: {what} row has {len(raw)} entries, expected {k}")
-                    nums, den = _row_to_ints([_parse_entry(str(s)) for s in raw], what, where)
-                else:
-                    mw = int(rule.get("max_weight", 30 if what == "q" else 9))
-                    nums, den = (_random_q_ints if what == "q" else _random_w_ints)(rng, k, mw)
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
+                    nums, den = _row_to_ints([_parse_entry(str(s)) for s in raw], what, (lvl, o))
                 e.extend(nums)
                 d.append(den)
             edge.append(e)

@@ -7,6 +7,12 @@ the parent's weighted average intact.  The mismatched boundary mass therefore
 shrinks by at least half per level, so a block of consecutive levels ends with
 the orbit inside any prescribed metric ball.
 
+A witness component runs all its blocks in one memoized top-down walk over the
+function and target DAGs (the apply construction of decision diagrams).  A
+block writes only its own levels, so the finished function agrees with the
+function at block time on every level that block logs: each block's mismatch
+log and terminal distance are sliced from one sweep per target.
+
 Two block plans realize the two density behaviors at a finite horizon:
 
 * geometric blocks anchored at the horizon ("x" kind), cycling targets per
@@ -283,68 +289,66 @@ def ufm_schedule(
 # Synthesis primitives
 
 
-def _drive(tree: Tree, c: Value, t: Value, x: VertexId, end: int, memo: dict) -> FuncNode:
-    """Subtree below a vertex holding value c, driven toward the constant
-    target t through level `end`, constant-extended afterwards."""
-    if c == t:
-        return func_leaf(c)
-    if x.level >= end:
-        return func_leaf(c)
-    key = (c, t, tree.pos_key(x))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    j, _ = tree.min_child(x)
-    ws = tree.w_row(x)
-    wstar = ws[j]
-    # value forced on the absorbing child so the parent's weighted average holds
-    cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
-    kids = tuple(
-        _drive(tree, cstar, t, tree.child(x, j), end, memo) if i == j else func_leaf(t)
-        for i in range(tree.arity(x))
-    )
-    node = func_split(c, kids)
-    memo[key] = node
-    return node
+def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunction]]) -> HarmonicFunction:
+    """Run the (start, end, target) blocks on f, ordered and each starting
+    below the previous end, in one top-down walk.
 
-
-def _rebuild(
-    f: HarmonicFunction,
-    target: LevelFunction,
-    stop_level: int,
-    end: int,
-) -> HarmonicFunction:
-    """Copy f above stop_level, then drive each sector toward the target
-    through `end`.  Below stop_level, f contributes only its restriction."""
+    Above level start-1 of the first block the walk copies f.  From level
+    start-1 it drives each vertex toward its block's target: every child
+    copies the target value except the absorbing child, which receives the
+    value that keeps the parent's weighted average.  A vertex on its target,
+    or past end, holds its value until the next block starts.  The walk is
+    memoized on (function node, the node of every distinct target, position,
+    block index), so one pass equals running the blocks one after another.
+    """
     tree = f.tree
-    if target.dim != f.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {target.dim} vs {f.dim}")
-    if end > tree.depth:
-        raise ValidationError(f"level {end} exceeds tree depth {tree.depth}")
-    if stop_level < target.level:
-        raise ValidationError(
-            f"cannot approximate a level-{target.level} target from level {stop_level}"
-        )
-    drive_memo: dict = {}
-    desc_memo: dict = {}
+    for start, end, target in blocks:
+        if target.dim != f.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {target.dim} vs {f.dim}")
+        if end > tree.depth:
+            raise ValidationError(f"level {end} exceeds tree depth {tree.depth}")
+        if start - 1 < target.level:
+            raise ValidationError(f"cannot approximate a level-{target.level} target from level {start - 1}")
+    roots = {id(target.node): target.node for _, _, target in blocks}  # each distinct target once
+    slots = {key: i for i, key in enumerate(roots)}
+    plan = [(start - 1, end, slots[id(target.node)]) for start, end, target in blocks]
+    memo: dict[tuple, FuncNode] = {}
 
-    def desc(fn: FuncNode, tn: SectorNode, x: VertexId) -> FuncNode:
-        if x.level == stop_level:
-            if not tn.is_leaf:
-                raise InvariantError("target structure deeper than the approximation level")
-            return _drive(tree, fn.value, tn.value, x, end, drive_memo)
-        key = (id(fn), id(tn), tree.pos_key(x))
-        hit = desc_memo.get(key)
+    def walk(node: FuncNode, tnodes: tuple[SectorNode, ...], x: VertexId, k: int) -> FuncNode:
+        key = (id(node), tnodes, tree.pos_key(x), k)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        k = tree.arity(x)
-        fc, tc = _expand(fn, k), _expand(tn, k)
-        kids = tuple(desc(fc[i], tc[i], tree.child(x, i)) for i in range(k))
-        node = func_split(fn.value, kids)
-        desc_memo[key] = node
-        return node
+        while k < len(plan):
+            stop, end, slot = plan[k]
+            if x.level < stop:  # above block k: copy the node
+                kids = _expand(node, tree.arity(x))
+                break
+            tn = tnodes[slot]
+            if x.level == stop and not tn.is_leaf:
+                raise InvariantError("target structure deeper than the approximation level")
+            c, t = node.value, tn.value
+            if c != t and x.level < end:
+                j, _ = tree.min_child(x)
+                wstar = tree.w_row(x)[j]
+                # value forced on the absorbing child so the parent's weighted average holds
+                cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
+                kids = tuple(func_leaf(cstar if i == j else t) for i in range(tree.arity(x)))
+                break
+            # on the target or past block k: hold c until the next block starts
+            node = func_leaf(c)
+            k += 1
+        else:
+            memo[key] = node
+            return node
+        tkids = [_expand(tn, len(kids)) for tn in tnodes]
+        out = func_split(node.value, tuple(
+            walk(kid, tuple(e[i] for e in tkids), tree.child(x, i), k) for i, kid in enumerate(kids)
+        ))
+        memo[key] = out
+        return out
 
-    return HarmonicFunction(tree, f.depth, f.dim, desc(f.node, target.node, tree.root))
+    return HarmonicFunction(tree, f.depth, f.dim, walk(f.node, tuple(roots.values()), tree.root, 0))
 
 
 @dataclass(frozen=True)
@@ -366,16 +370,10 @@ def one_level_approximation(
         raise ValidationError(f"level {n} exceeds tree depth {tree.depth}")
     if n < 1:
         raise ValidationError("approximation level must be at least 1")
-    g = _rebuild(f, target, n - 1, n)
-    refined = refine(tree, target, n)
+    g = _run_blocks(f, [(n, n, target)])
+    at_n, refined = restrict_to_level(g, n), refine(tree, target, n)
     corrected = mismatch_measure(tree, restrict_to_level(f, n - 1), refine(tree, target, n - 1))
-    report = MismatchReport(
-        level=n,
-        measure=mismatch_measure(tree, restrict_to_level(g, n), refined),
-        corrected_measure=corrected,
-        indicator=mismatch_indicator(restrict_to_level(g, n), refined),
-    )
-    return g, report
+    return g, MismatchReport(n, mismatch_measure(tree, at_n, refined), corrected, mismatch_indicator(at_n, refined))
 
 
 def refine_mismatch(
@@ -387,22 +385,14 @@ def refine_mismatch(
     tree = f.tree
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
-    if start + steps > tree.depth:
-        raise ValidationError(
-            f"depth exhausted: level {start + steps} exceeds tree depth {tree.depth}"
-        )
-    g = _rebuild(f, target, start, start + steps)
-    return g, _mismatch_log(g, target, start, start + steps)
-
-
-def _mismatch_log(f: HarmonicFunction, target: LevelFunction, start: int, end: int) -> list[tuple[int, Scalar]]:
-    """Measured mismatch of f against target at each level start..end."""
-    measures = level_profile(f, target, mismatch_integrand, end)
-    if start == 0:
-        measures.insert(0, mismatch_measure(f.tree, restrict_to_level(f, 0), target))
-    else:
-        del measures[: start - 1]
-    return list(zip(range(start, end + 1), measures))
+    end = start + steps
+    if end > tree.depth:
+        raise ValidationError(f"depth exhausted: level {end} exceeds tree depth {tree.depth}")
+    g = _run_blocks(f, [(start + 1, end, target)])
+    # the level sweep starts at level 1
+    measures = [mismatch_measure(tree, restrict_to_level(g, 0), target)]
+    measures += level_profile(g, target, mismatch_integrand, end)
+    return g, list(zip(range(start, end + 1), measures[start:]))
 
 
 # ----------------------------------------------------------------------
@@ -458,37 +448,36 @@ def _synthesize(
     """Run the schedule's blocks on zero components, log each block's
     mismatches and terminal distance, re-check harmonicity and wrap the
     result: a HarmonicTuple when as_tuple, else the single component."""
-    dim = targets[0].level_function.dim
-    components = [zero_function(tree, dim) for _ in range(schedule.width)]
+    zero = zero_function(tree, targets[0].level_function.dim)
+    components: list[HarmonicFunction] = []
     logs: list[BlockLog] = []
     for comp in range(1, schedule.width + 1):
-        f = components[comp - 1]
-        for block in schedule.component_blocks(comp):
+        blocks = schedule.component_blocks(comp)
+        f = _run_blocks(zero, [(b.start, b.end, targets[b.target_index - 1].level_function) for b in blocks])
+        # a block writes levels start..end only, so f agrees with the function
+        # at block time on every level the block logs: one sweep per target
+        # up to its last block end serves all of that target's blocks
+        sweeps = {}
+        for index, end in {b.target_index: b.end for b in blocks}.items():
+            lf = targets[index - 1].level_function
+            sweeps[index] = level_profile(f, lf, mismatch_integrand, end), level_profile(f, lf, bounded_metric, end)
+        for block in blocks:
             target = targets[block.target_index - 1]
-            f = _rebuild(f, target.level_function, block.start - 1, block.end)
-            mismatches = _mismatch_log(f, target.level_function, block.start, block.end)
+            measures, distances = sweeps[block.target_index]
+            mismatches = list(zip(range(block.start, block.end + 1), measures[block.start - 1 : block.end]))
             for (_, prev), (lvl, m) in zip(mismatches, mismatches[1:]):
                 if m > prev:
                     raise InvariantError(
                         f"mismatch grew from {prev} to {m} at level {lvl} inside a block"
                     )
-            terminal = level_profile(f, target.level_function, bounded_metric, block.end)[-1]
+            terminal = distances[block.end - 1]
             if not terminal < target.epsilon:
                 raise InvariantError(
                     f"block ending at {block.end} left distance {terminal}, "
                     f"not below epsilon {target.epsilon}"
                 )
-            logs.append(
-                BlockLog(
-                    component=comp,
-                    target_index=block.target_index,
-                    start=block.start,
-                    end=block.end,
-                    mismatch=tuple(mismatches),
-                    terminal_p=terminal,
-                )
-            )
-        components[comp - 1] = f
+            logs.append(BlockLog(comp, block.target_index, block.start, block.end, tuple(mismatches), terminal))
+        components.append(f)
     function = HarmonicTuple(tuple(components)) if as_tuple else components[0]
     if not check_harmonic(function).passed:
         raise InvariantError(f"synthesized {schedule.kind}-kind witness failed the harmonicity check")

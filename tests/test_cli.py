@@ -179,24 +179,38 @@ def test_certify_witness_without_schedule_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["errors"] == ["witness document lacks the key 'schedule'"]
 
 
-# sha256 of outputs recorded from the per-level restrict-and-integrate route;
+# sha256 of outputs recorded from the per-level restrict-and-integrate route
+# (the first two) and from block-by-block witness synthesis (the last two);
 # any change to a distance, its type or its formatting changes a digest
-GOLDEN = [
-    (
+GOLDEN = {
+    "witness-ufm": (
         ["witness-ufm", "--depth", "30", "--block-length", "5"],
         {
             "report.json": "83b6ce391cc738938dde46b332cde67d16d19241e30011435235fa5256d3c4d3",
             "witness.json": "8f00b79562968fe7cd8042a5403d7608d6b376fbc6bd4a1b40e1e7f7ed447690",
         },
     ),
-    (
+    "span-check": (
         ["span-check", "--depth", "30", "--cases", "4"],
         {"report.json": "c48144cbee1d91b4063808e48d79f1da0d46efb65fd0465e42f6787f88050987"},
     ),
-]
+    # twelve blocks, the shape of the benchmark's deepest witness
+    "witness-ufm-120": (
+        ["witness-ufm", "--depth", "120", "--block-length", "10"],
+        {
+            "report.json": "6f673bbb9103951bddeaadcc4d8662554dee2404e951473cf1dc4953ad18c939",
+            "witness.json": "31e660a4fa715271b6e53b47a201a0b96e0d3448c67680858413b1db3b2ce8fc",
+        },
+    ),
+    # the only width-3 synchronized schedule, and the only zero target
+    "double-genericity": (
+        ["double-genericity", "--depth", "60"],
+        {"report.json": "2bc2f61c13fa180ab67228bbff725b8a4a984d713f64b29c224c68f87c5515d8"},
+    ),
+}
 
 
-@pytest.mark.parametrize("argv,digests", GOLDEN, ids=[argv[0] for argv, _ in GOLDEN])
+@pytest.mark.parametrize("argv,digests", GOLDEN.values(), ids=GOLDEN.keys())
 def test_outputs_match_recorded_digests(tmp_path, argv, digests):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 0
@@ -247,6 +261,38 @@ def test_branching_without_its_key_exits_one(tmp_path, capsys, branching, key):
     errors = json.loads(capsys.readouterr().err)["errors"]
     assert len(errors) == 1 and repr(key) in errors[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "tree,key",
+    [
+        ({"branching": {"kind": "uniform", "arity": 0}}, "'arity'"),
+        ({"branching": {"kind": "uniform", "arity": "x"}}, "'arity'"),
+        ({"branching": {"kind": "per_level", "arities": [2, 0, 2]}}, "'arities'"),
+        ({"branching": {"kind": "random", "max_arity": "x"}}, "'max_arity'"),
+        ({"branching": {"kind": "random", "max_arity": 3, "min_arity": 1}}, "'min_arity'"),
+        ({"depth": 1, "branching": {"kind": "explicit", "counts": [["x"]]}}, "'counts'"),
+        ({"branching": {"kind": "random", "max_arity": 3}, "q_rule": {"kind": "random", "max_weight": 0}}, "q_rule 'max_weight'"),
+        ({"branching": {"kind": "random", "max_arity": 3}, "w_rule": {"kind": "random", "max_weight": None}}, "w_rule 'max_weight'"),
+    ],
+    ids=["arity-zero", "arity-text", "arities-zero", "max-arity-text", "min-arity-one", "counts-text", "max-weight-zero", "max-weight-null"],
+)
+def test_bad_tree_integer_exits_one(tmp_path, capsys, tree, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": {"depth": 3, **tree}}), encoding="utf-8")
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert len(errors) == 1 and key in errors[0] and "must be an integer of at least" in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_arity_flag_zero_exits_one(tmp_path, capsys):
+    code = main(["build", "--depth", "3", "--arity", "0", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == [
+        "branching 'arity' must be an integer of at least 2, got 0"
+    ]
 
 
 def test_span_check_cli(tmp_path):

@@ -60,13 +60,38 @@ def test_zero_weight_rejected():
 
 
 def test_incomplete_explicit_table_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="explicit branching table incomplete"):
         build_tree(
             TreeSpec(
                 depth=2,
                 branching={"kind": "explicit", "counts": [[2]]},  # level 1 missing
             )
         )
+
+
+HALVES = [["1/2", "1/2"]]
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (None, "explicit q table incomplete"),
+        ([HALVES], "explicit q table incomplete"),  # level 1 missing
+        ([HALVES, HALVES], "explicit q table incomplete"),  # a level-1 vertex missing
+        ([HALVES, HALVES * 2 + [["1/2", "1/2", "0"]]], "explicit q table incomplete"),
+        ([HALVES, [["1"], ["1/2", "1/2"]]], "level 1 vertex 0: q row has 1 entries, expected 2"),
+        ([HALVES, HALVES + [["1/2", "1/4", "1/4"]]], "level 1 vertex 1: q row has 3 entries, expected 2"),
+        ([HALVES, HALVES + [["1/2", "1/4"]]], "level 1 vertex 1: q row sums to 3/4, not 1"),
+        ([[["1", "0"]], HALVES * 2], "level 0 vertex 0: transition probabilities must be positive"),
+    ],
+    ids=["absent", "level-missing", "vertex-missing", "vertex-extra", "row-short", "row-long", "row-sum", "row-zero"],
+)
+def test_explicit_row_table_errors(rows, message):
+    rule = {"kind": "explicit"} if rows is None else {"kind": "explicit", "rows": rows}
+    spec = TreeSpec(depth=2, branching={"kind": "explicit", "counts": [[2], [2, 2]]}, q_rule=rule)
+    with pytest.raises(ValidationError) as exc:
+        build_tree(spec)
+    assert exc.value.issues == [message]
 
 
 def test_sector_measure_root_is_one(binary4):

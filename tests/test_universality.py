@@ -5,6 +5,7 @@ import pytest
 
 from treeharmonics import (
     InfeasibleScheduleError,
+    InvariantError,
     LevelFunction,
     Target,
     TreeSpec,
@@ -21,6 +22,7 @@ from treeharmonics import (
     constant_function,
     dense_family,
     double_genericity_check,
+    enumerate_harmonics,
     enumerate_targets,
     hit_set,
     level_scale,
@@ -39,13 +41,28 @@ from treeharmonics import (
     tuple_p_metric,
     zero_function,
 )
+from treeharmonics import universality
+from treeharmonics.boundary import _expand, mismatch_integrand
+from treeharmonics.errors import DimensionMismatchError
+from treeharmonics.harmonic import (
+    HarmonicFunction,
+    func_leaf,
+    func_split,
+    harmonic_from_assignment,
+    level_profile,
+)
 from treeharmonics.universality import (
     COEFF_LATTICE,
+    Schedule,
+    ScheduleBlock,
+    _family_ufm_schedule,
+    _synthesize,
+    _validate_schedule,
     min_block_length,
     refinement_levels,
     x_schedule,
 )
-from treeharmonics.values import centered_grid
+from treeharmonics.values import bounded_metric, centered_grid
 
 from conftest import random_value
 
@@ -395,6 +412,225 @@ def test_infeasible_horizon():
     targets = enumerate_targets(tree, count=1, epsilon=Fraction(1, 64))
     with pytest.raises(InfeasibleScheduleError):
         build_x_witness(tree, targets, growth=5)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the one-pass block walk against block-by-block rebuilding
+
+
+def _ref_drive(tree, c, t, x, end, memo):
+    """Subtree below a vertex holding value c, driven toward the constant
+    target t through level `end`, constant-extended afterwards."""
+    if c == t:
+        return func_leaf(c)
+    if x.level >= end:
+        return func_leaf(c)
+    key = (c, t, tree.pos_key(x))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    j, _ = tree.min_child(x)
+    ws = tree.w_row(x)
+    wstar = ws[j]
+    cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
+    kids = tuple(
+        _ref_drive(tree, cstar, t, tree.child(x, j), end, memo) if i == j else func_leaf(t)
+        for i in range(tree.arity(x))
+    )
+    node = func_split(c, kids)
+    memo[key] = node
+    return node
+
+
+def _ref_rebuild(f, target, stop_level, end):
+    """Copy f above stop_level, then drive each sector toward the target
+    through `end`.  Below stop_level, f contributes only its restriction."""
+    tree = f.tree
+    drive_memo: dict = {}
+    desc_memo: dict = {}
+
+    def desc(fn, tn, x):
+        if x.level == stop_level:
+            assert tn.is_leaf
+            return _ref_drive(tree, fn.value, tn.value, x, end, drive_memo)
+        key = (id(fn), id(tn), tree.pos_key(x))
+        hit = desc_memo.get(key)
+        if hit is not None:
+            return hit
+        k = tree.arity(x)
+        fc, tc = _expand(fn, k), _expand(tn, k)
+        kids = tuple(desc(fc[i], tc[i], tree.child(x, i)) for i in range(k))
+        node = func_split(fn.value, kids)
+        desc_memo[key] = node
+        return node
+
+    return HarmonicFunction(tree, f.depth, f.dim, desc(f.node, target.node, tree.root))
+
+
+def _assert_matches_block_by_block(witness):
+    """Each component's root is the node that rebuilding block by block
+    yields, and each block log equals the sweeps over the function as it
+    stood when that block ended (repr also pins int 0 against Fraction 0)."""
+    want = []
+    for comp in range(1, witness.schedule.width + 1):
+        f = zero_function(witness.tree, witness.component_function(1).dim)
+        for b in witness.schedule.component_blocks(comp):
+            lf = witness.targets[b.target_index - 1].level_function
+            f = _ref_rebuild(f, lf, b.start - 1, b.end)
+            measures = level_profile(f, lf, mismatch_integrand, b.end)[b.start - 1 :]
+            terminal = level_profile(f, lf, bounded_metric, b.end)[-1]
+            want.append((comp, b.target_index, b.start, b.end, tuple(zip(range(b.start, b.end + 1), measures)), terminal))
+        assert witness.component_function(comp).node is f.node
+    got = [(g.component, g.target_index, g.start, g.end, g.mismatch, g.terminal_p) for g in witness.logs]
+    assert repr(got) == repr(want)
+
+
+ORACLE_TREES = {
+    # spec, target epsilon, ufm block length, nonzero targets per schedule
+    "binary": (TreeSpec(depth=40, branching={"kind": "uniform", "arity": 2}), Fraction(1, 8), 5, 2),
+    "skewed-per-level": (
+        TreeSpec(
+            depth=40,
+            branching={"kind": "per_level", "arities": [2] * 40},
+            q_rule={"kind": "per_level", "rows": [["1/100", "99/100"], ["3/4", "1/4"]] * 20},
+            w_rule={"kind": "per_level", "rows": [["1/3", "2/3"], ["-1/2", "3/2"]] * 20},
+        ),
+        Fraction(1, 8),
+        5,
+        2,
+    ),
+    "ternary": (TreeSpec(depth=25, branching={"kind": "uniform", "arity": 3}), Fraction(1, 4), 4, 2),
+    "random-explicit": (
+        TreeSpec(
+            depth=10,
+            branching={"kind": "random", "max_arity": 3},
+            q_rule={"kind": "random", "max_weight": 9},
+            w_rule={"kind": "random", "max_weight": 5},
+            seed=31,
+        ),
+        Fraction(1, 2),
+        3,
+        1,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_TREES))
+def oracle_case(request):
+    spec, eps, block_length, nonzero = ORACLE_TREES[request.param]
+    return build_tree(spec), eps, block_length, nonzero
+
+
+@pytest.mark.parametrize("kind", ["x", "ufm", "family"])
+def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
+    tree, eps, block_length, nonzero = oracle_case
+    if kind == "x":
+        targets = enumerate_targets(tree, count=3, epsilon=eps)
+        witness = build_x_witness(tree, targets, growth=3)
+    elif kind == "ufm":
+        targets = enumerate_targets(tree, count=nonzero + 1, epsilon=eps)[1:]
+        witness = build_ufm_witness(tree, targets, block_length=block_length)
+    else:
+        targets = enumerate_targets(tree, count=nonzero + 1, resolution=1, epsilon=eps)
+        schedule = _family_ufm_schedule(tree, targets, block_length, width=nonzero, horizon=tree.depth)
+        witness = _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=True)
+    assert len(witness.logs) >= 2
+    _assert_matches_block_by_block(witness)
+
+
+@pytest.mark.parametrize("spec", [ORACLE_TREES["binary"][0], ORACLE_TREES["skewed-per-level"][0]], ids=["binary", "skewed"])
+def test_one_pass_walk_gap_and_level_two_target(spec):
+    # blocks leave gaps, and the level-2 target is still split while the
+    # first blocks are driven above it
+    tree = build_tree(spec)
+    rng = random.Random(4)
+    level2 = LevelFunction.from_values(tree, 2, [random_value(rng, 1) for _ in range(tree.level_size(2))])
+    targets = (
+        Target(1, LevelFunction.constant(0, Value.of(1)), Fraction(1, 8)),
+        Target(2, level2, Fraction(1, 8)),
+    )
+    blocks = (
+        ScheduleBlock(component=1, target_index=1, start=1, end=6),
+        ScheduleBlock(component=1, target_index=2, start=10, end=16),
+        ScheduleBlock(component=1, target_index=1, start=20, end=26),
+        ScheduleBlock(component=2, target_index=2, start=4, end=9),
+        ScheduleBlock(component=2, target_index=1, start=9 + 3, end=18),
+    )
+    schedule = Schedule(kind="ufm", width=2, horizon=30, warmup=0, blocks=blocks)
+    _validate_schedule(schedule, tree, targets)
+    witness = _synthesize(tree, schedule, targets, (1, 2), as_tuple=True)
+    _assert_matches_block_by_block(witness)
+
+
+def _split_levels(node):
+    return 0 if node.children is None else 1 + max(_split_levels(c) for c in node.children)
+
+
+def _structured(tree, levels):
+    # the first enumerated harmonic function with a nonzero root whose DAG
+    # has split nodes on `levels` levels
+    for index in range(1, 200):
+        f = enumerate_harmonics(tree, index)
+        if _split_levels(f.node) >= levels and f.node.value != Value.of(0):
+            return f
+    raise AssertionError("no such function in the enumeration prefix")
+
+
+@pytest.mark.parametrize("tree_name", ["binary", "ternary", "random-explicit"])
+def test_single_block_calls_match_rebuild_from_nonzero_start(tree_name):
+    tree = build_tree(ORACLE_TREES[tree_name][0])
+    f = _structured(tree, 3)
+    for target in (LevelFunction.constant(0, Value.of(1)), LevelFunction.constant(0, Value.of(0))):
+        for n in (1, 2, 4):
+            g, _ = one_level_approximation(f, target, n)
+            assert g.node is _ref_rebuild(f, target, n - 1, n).node
+        for start, steps in ((0, 3), (1, 4), (2, 0), (1, 0)):
+            g, log = refine_mismatch(f, target, start, steps)
+            assert g.node is _ref_rebuild(f, target, start, start + steps).node
+            assert [lvl for lvl, _ in log] == list(range(start, start + steps + 1))
+
+
+def test_refine_mismatch_zero_steps_cuts_structure_below_start(binary6):
+    # zero steps still replace f below `start` by its level-start values
+    f = harmonic_from_assignment(binary6, 3, 100, centered_grid(1, 0, 1))
+    assert f.node.children[0].children is not None
+    target = LevelFunction.constant(0, Value.of(1))
+    g, log = refine_mismatch(f, target, 1, 0)
+    assert g.node is not f.node
+    assert g.node.value == f.node.value
+    assert [c.value for c in g.node.children] == [c.value for c in f.node.children]
+    assert all(c.children is None for c in g.node.children)
+    assert log == [(1, mismatch_measure(binary6, restrict_to_level(f, 1), target))]
+
+
+def test_block_walk_checks_keep_their_messages(binary4):
+    f = zero_function(binary4, 1)
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 1"):
+        one_level_approximation(f, LevelFunction.constant(0, Value.of(1, 1)), 1)
+    level2 = LevelFunction.from_values(binary4, 2, [Value.of(v) for v in (1, 0, 0, 1)])
+    with pytest.raises(ValidationError, match="cannot approximate a level-2 target from level 1"):
+        refine_mismatch(f, level2, 1, 2)
+    # a level function whose structure runs deeper than its level
+    deep = LevelFunction(0, 1, level2.node)
+    with pytest.raises(InvariantError, match="target structure deeper than the approximation level"):
+        one_level_approximation(f, deep, 1)
+
+
+def test_mismatch_growth_inside_a_block_is_an_invariant_error(binary6, monkeypatch):
+    # zero on levels 0 to 2, nonzero from level 3 on: the mismatch against
+    # the zero target grows inside the first block, levels 1 to 3
+    grown = aggregate_upward(binary6, [Value.of(v) for v in (1, -1) * 4 for _ in range(8)])
+    assert restrict_to_level(grown, 2).node.is_leaf
+    monkeypatch.setattr(universality, "_run_blocks", lambda f, blocks: grown)
+    targets = enumerate_targets(binary6, count=1, epsilon=Fraction(1, 2))
+    with pytest.raises(InvariantError, match="mismatch grew from 0 to 1 at level 3"):
+        build_ufm_witness(binary6, targets, block_length=3)
+
+
+def test_missed_epsilon_is_an_invariant_error(deep60, three_targets, monkeypatch):
+    monkeypatch.setattr(universality, "_run_blocks", lambda f, blocks: f)
+    with pytest.raises(InvariantError, match="block ending at 20 left distance 1/2, not below epsilon 1/8"):
+        build_ufm_witness(deep60, three_targets, block_length=10)
 
 
 # ----------------------------------------------------------------------
