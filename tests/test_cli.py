@@ -207,6 +207,22 @@ GOLDEN = {
         ["double-genericity", "--depth", "60"],
         {"report.json": "2bc2f61c13fa180ab67228bbff725b8a4a984d713f64b29c224c68f87c5515d8"},
     ),
+    # recorded while every hit set was swept from the root: an x-kind tuple,
+    # and a ufm witness certified at a horizon short of the tree depth
+    "witness-x-60": (
+        ["witness-x", "--depth", "60"],
+        {
+            "report.json": "84d637831be5e6ae175a508f71d5194e469012060f977fcd94a6449d998a36f0",
+            "witness.json": "daa8d8289610d9390d1b0bc876629520815ea5449ccaedc53bc2b4d82fbda790",
+        },
+    ),
+    "witness-ufm-60-h45": (
+        ["witness-ufm", "--depth", "60", "--horizon", "45", "--block-length", "5"],
+        {
+            "report.json": "ce06976d9551de53a1a294f2338a1745c0194cd0bea8671d1db929c082e3b8fb",
+            "witness.json": "54285309177a79b8dd990327f64ed472ee65a648dd42b8b099a20eb3c4c5a919",
+        },
+    ),
 }
 
 
@@ -216,6 +232,23 @@ def test_outputs_match_recorded_digests(tmp_path, argv, digests):
     assert main(argv + ["--out", str(out)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of certify reports on the witness-ufm-60-h45 witness at a horizon
+# below and above the schedule's 45, recorded with the entry above
+CERTIFY_GOLDEN = {
+    "30": "bc8888c26bab08f7ed5f78ec4fa8623d0325eeb0741eecd5535879a144d7909e",
+    "60": "a7c544cc24eafb667c85c3a91b418c584e0276dc86c262f0a8146fa4281e915d",
+}
+
+
+def test_certify_horizons_match_recorded_digests(tmp_path):
+    argv, _ = GOLDEN["witness-ufm-60-h45"]
+    assert main(argv + ["--out", str(tmp_path / "w")]) == 0
+    for horizon, digest in CERTIFY_GOLDEN.items():
+        out = tmp_path / f"c{horizon}"
+        assert main(["certify", "--witness", str(tmp_path / "w" / "witness.json"), "--horizon", horizon, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest, horizon
 
 
 # sha256 of an explicit-tree witness and its certify report, recorded before
