@@ -11,10 +11,11 @@ and certifies a constant node in one step, since the tree invariant that each
 w row sums to one makes a constant harmonic at every vertex below it.
 
 level_profile gives the boundary distance of every level restriction up to a
-horizon in one forward sweep: it pushes q-mass down the function and target
-DAGs one level at a time and folds pairs that can no longer change into a
-running sum, so certifying H levels costs O(H x frontier width) rather than
-the O(H x DAG) of restricting and integrating each level from the root.
+horizon in one forward sweep: it pushes q-mass down the function DAG and the
+DAGs of any number of targets together, one level at a time, and folds pairs
+that can no longer change into a running sum per target and integrand, so
+certifying H levels costs O(H x frontier width) rather than the O(H x DAG) of
+restricting and integrating each level from the root.
 """
 
 from __future__ import annotations
@@ -288,75 +289,80 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
 
 def level_profile(
     f: HarmonicFunction,
-    target: LevelFunction,
-    integrand: Callable[[Value, Value], Scalar],
-    horizon: int,
-) -> list[Scalar]:
-    """Distances [I_1, ..., I_horizon] of the level restrictions of f to target.
+    sweeps: Sequence[tuple[LevelFunction, Callable[[Value, Value], Scalar], int]],
+) -> list[list[Scalar]]:
+    """Distances [I_1, ..., I_horizon] of the level restrictions of f to
+    target, one list per (target, integrand, horizon) triple of sweeps.
 
     I_n integrates integrand(value of f at level n, target value) against the
     boundary measure, exactly as the boundary metrics do on
     restrict_to_level(f, n) (zero terms are skipped, so an all-zero distance
-    stays the int 0).  One forward sweep serves every level: the frontier maps
-    (function node, target node, position) to the q-mass of the sectors it
-    covers and moves down one level per step.  A pair whose function node is
-    constant never changes below, so its integral joins a running frozen sum
-    and leaves the frontier.  The cost is horizon times the frontier width,
-    not horizon times the DAG.
+    stays the int 0).  One forward sweep serves every level and triple: the
+    frontier maps (function node, the node of each distinct target, position)
+    to the q-mass of the sectors it covers and moves down one level per step,
+    to the largest horizon.  A pair whose function node is constant never
+    changes below, so its integral joins each triple's frozen sum and leaves
+    the frontier.  The cost is the largest horizon times the frontier width.
     """
-    if not 0 <= horizon <= f.depth:
-        raise ValidationError(f"level {horizon} outside 0..{f.depth}")
-    if f.dim != target.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {target.dim}")
+    for target, _, horizon in sweeps:
+        if not 0 <= horizon <= f.depth:
+            raise ValidationError(f"level {horizon} outside 0..{f.depth}")
+        if f.dim != target.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {target.dim}")
     tree = f.tree
+    roots = tuple({id(target.node): target.node for target, _, _ in sweeps}.values())  # each distinct target once
+    plan = [(roots.index(target.node), integrand, horizon) for target, integrand, horizon in sweeps]
 
-    def against(value: Value, tnode: SectorNode, x: VertexId) -> Scalar:
+    def against(value: Value, tnode: SectorNode, x: VertexId, integrand) -> Scalar:
         # a value held constant below x, integrated against the target sector
         if tnode.is_leaf:
             return integrand(value, tnode.value)
         qs = tree.q_row(x)
         r: Scalar = 0
         for i, c in enumerate(_expand(tnode, tree.arity(x))):
-            part = against(value, c, tree.child(x, i))
+            part = against(value, c, tree.child(x, i), integrand)
             if part:
                 r = r + qs[i] * part
         return r
 
-    frozen: Scalar = 0
+    frozen: list[Scalar] = [0] * len(plan)
 
-    def push(into: dict, fnode: FuncNode, tnode: SectorNode, x: VertexId, mass: Scalar) -> None:
-        nonlocal frozen
+    def push(into: dict, fnode: FuncNode, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
         if fnode.is_constant:
-            part = against(fnode.value, tnode, x)
-            if part:
-                frozen = frozen + mass * part
+            for j, (slot, integrand, horizon) in enumerate(plan):
+                if horizon >= x.level:
+                    part = against(fnode.value, tnodes[slot], x, integrand)
+                    if part:
+                        frozen[j] = frozen[j] + mass * part
             return
-        key = (id(fnode), id(tnode), tree.pos_key(x))
+        key = (id(fnode), tnodes, tree.pos_key(x))
         entry = into.get(key)
         if entry is None:
-            into[key] = [fnode, tnode, x, mass]
+            into[key] = [fnode, tnodes, x, mass]
         else:
             entry[3] = entry[3] + mass
 
     frontier: dict[tuple, list] = {}
-    push(frontier, f.node, target.node, tree.root, 1)
-    out: list[Scalar] = []
-    for _ in range(horizon):
+    push(frontier, f.node, roots, tree.root, 1)
+    out: list[list[Scalar]] = [[] for _ in plan]
+    for n in range(1, max((horizon for _, _, horizon in plan), default=0) + 1):
         below: dict[tuple, list] = {}
-        for fnode, tnode, x, mass in frontier.values():
+        for fnode, tnodes, x, mass in frontier.values():
             k = tree.arity(x)
             fkids = _expand(fnode, k)
-            tkids = _expand(tnode, k)
+            tkids = [_expand(t, k) for t in tnodes]
             qs = tree.q_row(x)
             for i in range(k):
-                push(below, fkids[i], tkids[i], tree.child(x, i), mass * qs[i])
+                push(below, fkids[i], tuple(e[i] for e in tkids), tree.child(x, i), mass * qs[i])
         frontier = below
-        total = frozen
-        for fnode, tnode, x, mass in frontier.values():
-            part = against(fnode.value, tnode, x)
-            if part:
-                total = total + mass * part
-        out.append(total)
+        for j, (slot, integrand, horizon) in enumerate(plan):
+            if n <= horizon:
+                total = frozen[j]
+                for fnode, tnodes, x, mass in frontier.values():
+                    part = against(fnode.value, tnodes[slot], x, integrand)
+                    if part:
+                        total = total + mass * part
+                out[j].append(total)
     return out
 
 

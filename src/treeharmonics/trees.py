@@ -347,11 +347,18 @@ def _spec_int(value, name: str, least: int) -> int:
     raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _spec_list(value, name: str) -> list:
+    """A branching or rule field that must be a list; else a ValidationError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _level_arities(spec: TreeSpec) -> list[int]:
     b = spec.branching
     if b["kind"] == "uniform":
         return [_spec_int(b["arity"], "branching 'arity'", 2)] * spec.depth
-    arities = [_spec_int(a, "branching 'arities'", 2) for a in b["arities"]]
+    arities = [_spec_int(a, "branching 'arities'", 2) for a in _spec_list(b["arities"], "branching 'arities'")]
     if len(arities) != spec.depth:
         raise ValidationError("per_level branching must list one arity per level")
     return arities
@@ -381,12 +388,12 @@ def _parse_entry(s: str) -> tuple[int, int]:
 def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[Scalar, ...]]:
     if rule["kind"] == "uniform":
         return [(Fraction(1, a),) * a for a in arities]
-    rows = rule.get("rows")
-    if rows is None or len(rows) != len(arities):
+    rows = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
+    if len(rows) != len(arities):
         raise ValidationError(f"per_level {what} rule must list one row per level")
     out = []
     for lvl, (row, a) in enumerate(zip(rows, arities)):
-        if len(row) != a:
+        if len(_spec_list(row, f"{what}_rule 'rows'")) != a:
             raise ValidationError(f"{what} row at level {lvl} has {len(row)} entries, expected {a}")
         out.append(tuple(Fraction(*_parse_entry(str(s))) for s in row))
     return out
@@ -454,8 +461,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
         if level_arities is not None:
             row = [level_arities[lvl]] * size
         elif b["kind"] == "explicit":
-            table = b["counts"]
-            if len(table) != spec.depth or len(table[lvl]) != size:
+            table = _spec_list(b["counts"], "branching 'counts'")
+            if len(table) != spec.depth or len(_spec_list(table[lvl], "branching 'counts'")) != size:
                 raise ValidationError("explicit branching table incomplete")
             row = [_spec_int(c, "branching 'counts'", 2) for c in table[lvl]]
         else:
@@ -480,8 +487,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
             ]
         elif kind == "explicit":
-            table = rule.get("rows")
-            if table is None or len(table) != spec.depth or any(len(r) != len(c) for r, c in zip(table, counts)):
+            table = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
+            if len(table) != spec.depth or any(len(_spec_list(r, f"{what}_rule 'rows'")) != len(c) for r, c in zip(table, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
         elif kind == "random":
             mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)

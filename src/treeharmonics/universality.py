@@ -10,8 +10,9 @@ the orbit inside any prescribed metric ball.
 A witness component runs all its blocks in one memoized top-down walk over the
 function and target DAGs (the apply construction of decision diagrams).  A
 block writes only its own levels, so the finished function agrees with the
-function at block time on every level that block logs: each block's mismatch
-log and terminal distance are sliced from one sweep per target.
+function at block time on every level that block logs.  One level sweep per
+component serves every block's mismatch log and terminal distance, and the
+witness's own hit sets: it carries each certified target on to the horizon.
 
 Two block plans realize the two density behaviors at a finite horizon:
 
@@ -27,7 +28,7 @@ certified, never an infinite-horizon class membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -391,7 +392,7 @@ def refine_mismatch(
     g = _run_blocks(f, [(start + 1, end, target)])
     # the level sweep starts at level 1
     measures = [mismatch_measure(tree, restrict_to_level(g, 0), target)]
-    measures += level_profile(g, target, mismatch_integrand, end)
+    measures += level_profile(g, [(target, mismatch_integrand, end)])[0]
     return g, list(zip(range(start, end + 1), measures[start:]))
 
 
@@ -417,6 +418,9 @@ class Witness:
     targets: tuple[Target, ...]
     target_components: tuple[int, ...]  # component certifying each target
     logs: tuple[BlockLog, ...]
+    # each target's distances on its certifying component, levels 1..horizon,
+    # from synthesis; a witness read from a file has none
+    hit_distances: tuple[list[Scalar], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def tree(self) -> Tree:
@@ -451,16 +455,20 @@ def _synthesize(
     zero = zero_function(tree, targets[0].level_function.dim)
     components: list[HarmonicFunction] = []
     logs: list[BlockLog] = []
+    metrics: dict[int, dict[int, list[Scalar]]] = {}
     for comp in range(1, schedule.width + 1):
         blocks = schedule.component_blocks(comp)
         f = _run_blocks(zero, [(b.start, b.end, targets[b.target_index - 1].level_function) for b in blocks])
         # a block writes levels start..end only, so f agrees with the function
-        # at block time on every level the block logs: one sweep per target
-        # up to its last block end serves all of that target's blocks
-        sweeps = {}
-        for index, end in {b.target_index: b.end for b in blocks}.items():
-            lf = targets[index - 1].level_function
-            sweeps[index] = level_profile(f, lf, mismatch_integrand, end), level_profile(f, lf, bounded_metric, end)
+        # at block time on every level the block logs: one sweep of f serves
+        # them all, carrying a target this component certifies to the horizon
+        ends = {b.target_index: b.end for b in blocks}
+        reach = {**ends, **{i: schedule.horizon for i, c in enumerate(target_components, 1) if c == comp}}
+        wanted = [(targets[i - 1].level_function, mismatch_integrand, end) for i, end in ends.items()]
+        wanted += [(targets[i - 1].level_function, bounded_metric, end) for i, end in reach.items()]
+        profiles = level_profile(f, wanted)
+        metrics[comp] = dict(zip(reach, profiles[len(ends) :]))
+        sweeps = {i: (measures, metrics[comp][i]) for i, measures in zip(ends, profiles)}
         for block in blocks:
             target = targets[block.target_index - 1]
             measures, distances = sweeps[block.target_index]
@@ -488,6 +496,7 @@ def _synthesize(
         targets=tuple(targets),
         target_components=target_components,
         logs=tuple(logs),
+        hit_distances=tuple(metrics[c][i] for i, c in enumerate(target_components, 1)),
     )
 
 
@@ -530,7 +539,7 @@ def hit_set(tree: Tree, f: HarmonicFunction, target: Target, horizon: int) -> li
     """Exact hit levels: {n : p_metric(level-n restriction, target) < epsilon}."""
     if horizon > f.depth:
         raise ValidationError(f"horizon {horizon} exceeds function depth {f.depth}")
-    distances = level_profile(f, target.level_function, bounded_metric, horizon)
+    distances = level_profile(f, [(target.level_function, bounded_metric, horizon)])[0]
     return [n for n, d in enumerate(distances, 1) if d < target.epsilon]
 
 
@@ -565,17 +574,25 @@ def certify_hits(
     """Exact per-target hit sets and density profiles with empirical verdicts.
 
     Geometric-kind witnesses are judged on the upper-density surrogate,
-    cyclic-kind ones on the lower-density floor.
+    cyclic-kind ones on the lower-density floor.  The distances come from
+    synthesis if they reach the horizon, else from one sweep per component.
     """
     tree = witness.tree
     horizon = witness.schedule.horizon if horizon is None else horizon
     warmup = witness.schedule.warmup if warmup is None else warmup
     if horizon > tree.depth:
         raise ValidationError(f"horizon {horizon} exceeds tree depth {tree.depth}")
+    pairs = list(zip(witness.targets, witness.target_components))
+    distances = witness.hit_distances
+    if not (distances and 0 <= horizon <= len(distances[0])):
+        swept = {}  # each component's distances, in the order of the targets it certifies
+        for comp in dict.fromkeys(witness.target_components):
+            sweeps = [(t.level_function, bounded_metric, horizon) for t, c in pairs if c == comp]
+            swept[comp] = iter(level_profile(witness.component_function(comp), sweeps))
+        distances = [next(swept[c]) for _, c in pairs]
     entries = []
-    for t, comp in zip(witness.targets, witness.target_components):
-        f = witness.component_function(comp)
-        hits = hit_set(tree, f, t, horizon)
+    for (t, comp), d in zip(pairs, distances):
+        hits = [n for n, dn in enumerate(d[:horizon], 1) if dn < t.epsilon]
         prof = profile(hits, horizon, min(warmup, horizon - 1))
         upper = empirical_upper_density(prof)
         lower = empirical_lower_density(prof)
@@ -644,10 +661,10 @@ def span_inclusion_check(
     zero_lf = LevelFunction.constant(0, Value.zero(dim))
     centers = [zero_lf] * (s - 1) + [psi]
     scaled = [
-        level_profile(f, center, lambda u, v, a=a: bounded_metric(u.scale(a), v), horizon)
+        level_profile(f, [(center, lambda u, v, a=a: bounded_metric(u.scale(a), v), horizon)])[0]
         for f, center, a in zip(components, centers, b)
     ]
-    combo_distances = level_profile(combo, psi, bounded_metric, horizon)
+    combo_distances = level_profile(combo, [(psi, bounded_metric, horizon)])[0]
     hat_hits: list[int] = []
     combo_hits: list[int] = []
     violations: list[int] = []

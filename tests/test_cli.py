@@ -72,8 +72,14 @@ def test_too_deeply_nested_config_exits_one(tmp_path, capsys):
         ({"tree": {"depth": 3, "q_rule": 5}}, "tree.q_rule must be an object"),
         ({"tree": {"depth": 3, "branching": "x"}}, "tree.branching must be an object"),
         ([1], "the config must be a JSON object"),
+        ({"tree": {"branching": {"kind": "per_level", "arities": 5}}}, "branching 'arities' must be a list, got 5"),
+        (
+            {"tree": {"branching": {"kind": "random", "max_arity": 3}, "q_rule": {"kind": "explicit", "rows": 5}}},
+            "q_rule 'rows' must be a list, got 5",
+        ),
+        ({"tree": {"w_rule": {"kind": "per_level", "rows": 5}}}, "w_rule 'rows' must be a list, got 5"),
     ],
-    ids=["tree", "targets", "q_rule", "branching", "not-an-object"],
+    ids=["tree", "targets", "q_rule", "branching", "not-an-object", "arities-int", "explicit-rows-int", "per-level-rows-int"],
 )
 def test_malformed_config_section_exits_one(tmp_path, capsys, config, issue):
     # --depth must not write into a section that is not an object

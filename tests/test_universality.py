@@ -62,6 +62,7 @@ from treeharmonics.universality import (
     refinement_levels,
     x_schedule,
 )
+from treeharmonics.serialize import witness_from_doc, witness_to_doc
 from treeharmonics.values import bounded_metric, centered_grid
 
 from conftest import random_value
@@ -477,8 +478,8 @@ def _assert_matches_block_by_block(witness):
         for b in witness.schedule.component_blocks(comp):
             lf = witness.targets[b.target_index - 1].level_function
             f = _ref_rebuild(f, lf, b.start - 1, b.end)
-            measures = level_profile(f, lf, mismatch_integrand, b.end)[b.start - 1 :]
-            terminal = level_profile(f, lf, bounded_metric, b.end)[-1]
+            measures = level_profile(f, [(lf, mismatch_integrand, b.end)])[0][b.start - 1 :]
+            terminal = level_profile(f, [(lf, bounded_metric, b.end)])[0][-1]
             want.append((comp, b.target_index, b.start, b.end, tuple(zip(range(b.start, b.end + 1), measures)), terminal))
         assert witness.component_function(comp).node is f.node
     got = [(g.component, g.target_index, g.start, g.end, g.mismatch, g.terminal_p) for g in witness.logs]
@@ -536,6 +537,32 @@ def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
         witness = _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=True)
     assert len(witness.logs) >= 2
     _assert_matches_block_by_block(witness)
+
+
+@pytest.mark.parametrize("kind", ["x", "ufm"])
+def test_cached_hits_equal_rederived_hits(oracle_case, kind, monkeypatch):
+    # synthesis hands its distances to certify_hits; a witness read back from
+    # its document carries none, so its hits are swept from the function
+    tree, eps, block_length, nonzero = oracle_case
+    horizon = tree.depth - 2
+    if kind == "x":
+        witness = build_x_witness(tree, enumerate_targets(tree, count=3, epsilon=eps), growth=3, horizon=horizon)
+    else:
+        targets = enumerate_targets(tree, count=nonzero + 1, epsilon=eps)[1:]
+        witness = build_ufm_witness(tree, targets, block_length=block_length, horizon=horizon)
+    read_back = witness_from_doc(witness_to_doc(witness))
+    assert witness.hit_distances and not read_back.hit_distances
+    for h in (horizon, horizon // 2, tree.depth):
+        cached = certify_hits(witness, horizon=h)
+        assert cached == certify_hits(read_back, horizon=h), h
+        assert cached.horizon == h and any(e.hits for e in cached.entries)
+
+    def no_sweep(*args):
+        raise AssertionError("certify_hits swept a witness that carries its distances")
+
+    monkeypatch.setattr(universality, "level_profile", no_sweep)
+    for h in (horizon, horizon // 2):
+        certify_hits(witness, horizon=h)
 
 
 @pytest.mark.parametrize("spec", [ORACLE_TREES["binary"][0], ORACLE_TREES["skewed-per-level"][0]], ids=["binary", "skewed"])
