@@ -488,7 +488,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             ]
         elif kind == "explicit":
             table = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
-            if len(table) != spec.depth or any(len(_spec_list(r, f"{what}_rule 'rows'")) != len(c) for r, c in zip(table, counts)):
+            shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
+            if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
         elif kind == "random":
             mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)

@@ -418,8 +418,7 @@ class Witness:
     targets: tuple[Target, ...]
     target_components: tuple[int, ...]  # component certifying each target
     logs: tuple[BlockLog, ...]
-    # each target's distances on its certifying component, levels 1..horizon,
-    # from synthesis; a witness read from a file has none
+    # each target's distances on its certifying component, levels 1..horizon; none if read from a file
     hit_distances: tuple[list[Scalar], ...] = field(default=(), compare=False, repr=False)
 
     @property
