@@ -216,12 +216,22 @@ def witness_from_doc(doc: dict) -> Witness:
             for c in doc["components"]
         )
         function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
+        targets = tuple(target_from_doc(tree, t) for t in doc["targets"])
+        target_components = tuple(int(c) for c in doc["target_components"])
+        width = len(comps) if doc["tuple"] else 1
+        if len(target_components) != len(targets):
+            raise ValidationError(
+                f"target_components lists {len(target_components)} entries for {len(targets)} targets"
+            )
+        for c in target_components:
+            if not 1 <= c <= width:
+                raise ValidationError(f"target_components entry {c} outside the components 1..{width}")
         return Witness(
             kind=str(doc["kind"]),
             function=function,
             schedule=schedule_from_doc(doc["schedule"]),
-            targets=tuple(target_from_doc(tree, t) for t in doc["targets"]),
-            target_components=tuple(int(c) for c in doc["target_components"]),
+            targets=targets,
+            target_components=target_components,
             logs=tuple(block_log_from_doc(l) for l in doc["logs"]),
         )
     except KeyError as exc:

@@ -21,6 +21,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from random import Random
 from typing import Iterator, Sequence
@@ -229,14 +230,10 @@ class ExplicitTree(Tree):
         self._w_den = w_den
         starts: list[array] = []
         sizes = [1]
-        for lvl in range(self.depth):
-            st = array("q", [0] * len(child_counts[lvl]))
-            acc = 0
-            for o, c in enumerate(child_counts[lvl]):
-                st[o] = acc
-                acc += c
+        for counts in child_counts:
+            st = array("q", accumulate(counts, initial=0))
+            sizes.append(st.pop())  # the level below's size
             starts.append(st)
-            sizes.append(acc)
         self._starts = starts
         self._sizes = tuple(sizes)
 
@@ -406,24 +403,6 @@ def _build_uniform(spec: TreeSpec) -> UniformTree:
     return UniformTree(arities, q_rows, w_rows)
 
 
-def _random_q_ints(rng: Random, k: int, max_weight: int) -> tuple[list[int], int]:
-    nums = [rng.randint(1, max_weight) for _ in range(k)]
-    return nums, sum(nums)
-
-
-def _random_w_ints(rng: Random, k: int, max_weight: int) -> tuple[list[int], int]:
-    choices = [i for i in range(-max_weight, max_weight + 1) if i != 0]
-    while True:
-        nums = [rng.choice(choices) for _ in range(k)]
-        s = sum(nums)
-        if s == 0:
-            continue
-        if s < 0:
-            nums = [-n for n in nums]
-            s = -s
-        return nums, s
-
-
 def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
     return [(v.numerator, v.denominator) for v in row]
 
@@ -479,57 +458,86 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             )
 
     def gather(rule: dict, what: str):
+        """Per level, the edge numerators (one per child) and the row
+        denominators (one per parent) as arrays; level 0 has no edges."""
         kind = rule["kind"]
-        if kind == "per_level":
+        edge: list = [None]
+        dens: list = []
+        if kind == "uniform":
+            for row_counts in counts:
+                edge.append(array("q", [1]) * sum(row_counts))
+                dens.append(array("q", row_counts))
+        elif kind == "per_level":
             # each level's row is parsed once; every vertex of the level must fit it
             level_rows = [
                 _row_to_ints(_pairs(row), what, f"level {lvl}")
                 for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
             ]
+            for lvl, (row_counts, (nums, den)) in enumerate(zip(counts, level_rows)):
+                for o, k in enumerate(row_counts):
+                    if len(nums) != k:
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(nums)} entries, expected {k}")
+                edge.append(array("q", nums * len(row_counts)))
+                dens.append(array("q", [den]) * len(row_counts))
         elif kind == "explicit":
             table = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
             if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
-        elif kind == "random":
-            mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
-            draw = _random_q_ints if what == "q" else _random_w_ints
-        edge: list = [None]  # level 0 has no incoming edges
-        dens: list = []
-        for lvl in range(spec.depth):
-            row_counts = counts[lvl]
-            e = array("q")
-            d = array("q")
-            for o, k in enumerate(row_counts):
-                if kind == "uniform":
-                    nums, den = [1] * k, k
-                elif kind == "random":
-                    nums, den = draw(rng, k, mw)
-                elif kind == "per_level":
-                    nums, den = level_rows[lvl]
-                    if len(nums) != k:
-                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(nums)} entries, expected {k}")
-                else:
-                    raw = table[lvl][o]
+            # each distinct row is read once, keyed by its entry texts: a key
+            # of values would let a row of true reuse an earlier row of 1
+            read: dict[tuple[str, ...], tuple[list[int], int]] = {}
+            for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
+                level_nums = []
+                level_dens = []
+                for o, (raw, k) in enumerate(zip(raws, row_counts)):
+                    if not isinstance(raw, (list, tuple)):
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
                     if len(raw) != k:
                         raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
-                    nums, den = _row_to_ints([_parse_entry(str(s)) for s in raw], what, (lvl, o))
-                e.extend(nums)
-                d.append(den)
-            edge.append(e)
-            dens.append(d)
+                    key = tuple(map(str, raw))
+                    row = read.get(key)
+                    if row is None:
+                        row = read[key] = _row_to_ints([_parse_entry(s) for s in key], what, (lvl, o))
+                    level_nums.append(row[0])
+                    level_dens.append(row[1])
+                edge.append(array("q", chain.from_iterable(level_nums)))
+                dens.append(array("q", level_dens))
+        else:
+            mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
+            if what == "q":
+                randint = rng.randint
+                for row_counts in counts:
+                    # the vertices' rows in order, drawn as one list
+                    nums = [randint(1, mw) for _ in range(sum(row_counts))]
+                    edge.append(array("q", nums))
+                    dens.append(array("q", [sum(nums[e - k : e]) for e, k in zip(accumulate(row_counts), row_counts)]))
+            else:
+                choice = rng.choice
+                choices = [i for i in range(-mw, mw + 1) if i != 0]
+                for row_counts in counts:
+                    level_nums = []
+                    level_dens = []
+                    for k in row_counts:
+                        while True:  # redraw a row summing to zero
+                            nums = [choice(choices) for _ in range(k)]
+                            den = sum(nums)
+                            if den:
+                                break
+                        if den < 0:
+                            nums = [-n for n in nums]
+                            den = -den
+                        level_nums.append(nums)
+                        level_dens.append(den)
+                    edge.append(array("q", chain.from_iterable(level_nums)))
+                    dens.append(array("q", level_dens))
         return edge, dens
 
     q_edge, q_den = gather(spec.q_rule, "q")
     w_edge, w_den = gather(spec.w_rule, "w")
 
     count_arrays = [array("q", row) for row in counts]
-    parents: list[array] = []
-    for lvl in range(spec.depth):
-        p = array("q")
-        for o, k in enumerate(counts[lvl]):
-            p.extend([o] * k)
-        parents.append(p)
+    parents = [array("q", chain.from_iterable(repeat(o, k) for o, k in enumerate(row))) for row in counts]
 
     return ExplicitTree(count_arrays, parents, q_edge, q_den, w_edge, w_den)
 
@@ -588,14 +596,23 @@ def tree_to_doc(tree: Tree) -> dict:
         }
     assert isinstance(tree, ExplicitTree)
 
+    # each distinct (numerators, denominator) row is formatted once; rows
+    # that repeat it share its tuple, which canonical_json writes as a list
+    written: dict[tuple, tuple[str, ...]] = {}
+
     def rows(edges: list, dens: list) -> list:
-        return [
-            [
-                [_format_entry(num, den) for num in edges[lvl + 1][st : st + k]]
-                for st, k, den in zip(tree._starts[lvl], tree._counts[lvl], dens[lvl])
-            ]
-            for lvl in range(tree.depth)
-        ]
+        out = []
+        for lvl in range(tree.depth):
+            e = edges[lvl + 1]
+            level = []
+            for st, k, den in zip(tree._starts[lvl], tree._counts[lvl], dens[lvl]):
+                key = (den, *e[st : st + k])
+                row = written.get(key)
+                if row is None:
+                    row = written[key] = tuple(_format_entry(num, den) for num in key[1:])
+                level.append(row)
+            out.append(level)
+        return out
 
     return {
         "schema": "tree/1",

@@ -90,6 +90,24 @@ def test_malformed_config_section_exits_one(tmp_path, capsys, config, issue):
     assert issue in json.loads(capsys.readouterr().err)["errors"]
 
 
+@pytest.mark.parametrize(
+    "rule,issue",
+    [
+        ("q_rule", "level 0 vertex 0: q row must be a list, got 5"),
+        ("w_rule", "level 0 vertex 0: w row must be a list, got 5"),
+    ],
+    ids=["q", "w"],
+)
+def test_explicit_row_not_a_list_exits_one(tmp_path, capsys, rule, issue):
+    tree = {"depth": 1, "branching": {"kind": "random", "max_arity": 2}, rule: {"kind": "explicit", "rows": [[5]]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": tree}), encoding="utf-8")
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == [issue]
+    assert not (tmp_path / "o").exists()
+
+
 def test_deeply_nested_unknown_key_is_ignored(tmp_path):
     nested: dict = {}
     for _ in range(600):
@@ -183,6 +201,30 @@ def test_certify_witness_without_schedule_exits_one(tmp_path, capsys):
     code = main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["errors"] == ["witness document lacks the key 'schedule'"]
+
+
+@pytest.mark.parametrize(
+    "argv,components,issue",
+    [
+        (["witness-x", "--depth", "20"], [9, 1, 2], "target_components entry 9 outside the components 1..3"),
+        (["witness-x", "--depth", "20"], [0, 1, 2], "target_components entry 0 outside the components 1..3"),
+        (["witness-x", "--depth", "20"], [1, 2], "target_components lists 2 entries for 3 targets"),
+        (["witness-ufm", "--depth", "30", "--block-length", "5"], [1, 2, 1], "target_components entry 2 outside the components 1..1"),
+    ],
+    ids=["above-width", "zero", "too-short", "single-function"],
+)
+def test_certify_bad_target_components_exits_one(tmp_path, capsys, argv, components, issue):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(read(out / "witness.json"))
+    doc["target_components"] = components
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == [issue]
+    assert not (tmp_path / "c").exists()
 
 
 # sha256 of outputs recorded from the per-level restrict-and-integrate route

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,6 +20,7 @@ from treeharmonics import (
     tree_to_doc,
 )
 from treeharmonics.scalars import parse_scalar
+from treeharmonics.serialize import canonical_json
 from treeharmonics.trees import _parse_entry, _row_to_ints
 
 
@@ -83,8 +85,17 @@ HALVES = [["1/2", "1/2"]]
         ([HALVES, HALVES + [["1/2", "1/4", "1/4"]]], "level 1 vertex 1: q row has 3 entries, expected 2"),
         ([HALVES, HALVES + [["1/2", "1/4"]]], "level 1 vertex 1: q row sums to 3/4, not 1"),
         ([[["1", "0"]], HALVES * 2], "level 0 vertex 0: transition probabilities must be positive"),
+        ([HALVES, [["1/2", "1/2"], 5]], "level 1 vertex 1: q row must be a list, got 5"),
+        ([HALVES, [["1/2", "1/2"], {"1/2": 0, " 1/2": 0}]], "level 1 vertex 1: q row must be a list, got {'1/2': 0, ' 1/2': 0}"),
+        # a bad row is named where it first occurs, before any later bad row
+        ([[["1/2", "1/4"]], [["1/2", "1/4"], ["1/2", "1/4"]]], "level 0 vertex 0: q row sums to 3/4, not 1"),
+        ([HALVES, [["1/2", "1/4"], "ab"]], "level 1 vertex 0: q row sums to 3/4, not 1"),
+        ([HALVES, [["1/2", "1/2", "0"], ["1/2", "1/4"]]], "level 1 vertex 0: q row has 3 entries, expected 2"),
     ],
-    ids=["absent", "level-missing", "vertex-missing", "vertex-extra", "row-short", "row-long", "row-sum", "row-zero"],
+    ids=[
+        "absent", "level-missing", "vertex-missing", "vertex-extra", "row-short", "row-long", "row-sum", "row-zero",
+        "row-int", "row-dict", "bad-row-repeated", "bad-row-then-string", "long-row-then-bad-row",
+    ],
 )
 def test_explicit_row_table_errors(rows, message):
     rule = {"kind": "explicit"} if rows is None else {"kind": "explicit", "rows": rows}
@@ -92,6 +103,43 @@ def test_explicit_row_table_errors(rows, message):
     with pytest.raises(ValidationError) as exc:
         build_tree(spec)
     assert exc.value.issues == [message]
+
+
+def _explicit_3x3(q_rows, w_rows):
+    """A depth-2 tree of arity 3 throughout with explicit q and w tables."""
+    return build_tree(
+        TreeSpec(
+            depth=2,
+            branching={"kind": "explicit", "counts": [[3], [3, 3, 3]]},
+            q_rule={"kind": "explicit", "rows": q_rows},
+            w_rule={"kind": "explicit", "rows": w_rows},
+        )
+    )
+
+
+def _arrays(tree):
+    return tree._q_edge, tree._q_den, tree._w_edge, tree._w_den
+
+
+def test_repeated_rows_spelled_differently_read_alike():
+    q = ["1/4", "1/4", "1/2"]
+    w = ["1", "1", "-1"]
+    q_rows = [[q], [["2/8", "0.25", "1/2"], q, ["1/4", "0.25", "2/4"]]]
+    w_rows = [[[1, "1", "-1"]], [["1", 1, "-1"], [1, "1", "-1"], ["2/2", "1", "-1.0"]]]
+    tree = _explicit_3x3(q_rows, w_rows)
+    once = _explicit_3x3([[q], [q] * 3], [[w], [w] * 3])
+    assert _arrays(tree) == _arrays(once)
+    for lvl, (q_level, w_level) in enumerate(zip(q_rows, w_rows)):
+        for x, q_raw, w_raw in zip(tree.vertices(lvl), q_level, w_level):
+            assert tree.q_row(x) == tuple(Fraction(str(s)) for s in q_raw)
+            assert tree.w_row(x) == tuple(Fraction(str(s)) for s in w_raw)
+
+
+def test_true_row_after_equal_valued_row_rejected():
+    # True == 1, so a row of true must not reuse the reading of a row of 1
+    q = [["1/4", "1/4", "1/2"]]
+    with pytest.raises(ValidationError, match="cannot parse scalar 'True'"):
+        _explicit_3x3([q, q * 3], [[[1, "1", "-1"]], [[1, "1", "-1"], [True, "1", "-1"], [1, "1", "-1"]]])
 
 
 def test_sector_measure_root_is_one(binary4):
@@ -235,6 +283,28 @@ def test_serialization_roundtrip(lopsided3, binary4):
         doc = tree_to_doc(tree)
         again = tree_from_doc(doc)
         assert tree_to_doc(again) == doc
+
+
+def test_tree_doc_shares_repeated_rows():
+    tree = build_tree(
+        TreeSpec(
+            depth=5,
+            branching={"kind": "random", "max_arity": 3},
+            q_rule={"kind": "random", "max_weight": 3},
+            w_rule={"kind": "random", "max_weight": 2},
+            seed=4,
+        )
+    )
+    doc = tree_to_doc(tree)
+    text = canonical_json(doc)
+    unshared = json.loads(text)
+    for key, row_of in (("q_rows", tree.q_row), ("w_rows", tree.w_row)):
+        rows = [row for level in doc[key] for row in level]
+        assert all(isinstance(row, tuple) for row in rows)
+        assert len({id(row) for row in rows}) < len(rows)  # repeated rows share a tuple
+        expected = [[[str(v) for v in row_of(x)] for x in tree.vertices(lvl)] for lvl in range(tree.depth)]
+        assert unshared[key] == expected
+    assert canonical_json(unshared) == text
 
 
 def test_deep_uniform_tree_is_implicit(deep_binary):
