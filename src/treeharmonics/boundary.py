@@ -1,19 +1,23 @@
 """Cylinder-level simple functions on the tree boundary and their metrics.
 
 A level function assigns one value to every vertex of a level, viewed as a
-simple function on the boundary (constant on each sector).  Functions are
-stored as interned sector structures: a leaf means "constant on everything
-below here", a split lists one child structure per child vertex.  Interning
+simple function on the boundary (constant on each sector).  It and the
+harmonic functions of the harmonic module are stored as DAGs of one interned
+node type: a leaf means "this value continues constantly below", a split
+lists one child node per child vertex.  A level function's split carries no
+value; a harmonic function's split carries its vertex's value.  Interning
 makes structural equality pointer equality, lets refinement be a free
 relabeling, and keeps functions on deep uniform trees tiny because identical
-sectors share one node.
+sectors share one node.  Both kinds share one leaf table, so a constant is
+the same node whichever kind of function holds it.
 
 The probability metric integrates d/(1+d) against the boundary measure; on
-level functions that integral is an exact finite weighted sum evaluated by a
-joint recursion over the two structures.  These metrics serve single-level
-comparisons; the distances of a harmonic function at every level up to a
-horizon come from one forward sweep, harmonic.level_profile, which costs
-O(horizon x frontier width) instead of one recursion per level.
+level functions that integral is an exact finite weighted sum evaluated by
+one memoized joint recursion over the structures (_integral).  These metrics
+serve single-level comparisons; the distances of a harmonic function at
+every level up to a horizon come from one forward sweep,
+harmonic.level_profile, which costs O(horizon x frontier width) instead of
+one recursion per level.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from .values import TupleValue, Value, bounded_metric, tuple_metric
 MAX_LEVEL_VALUES = 1 << 16  # vertices of a level materialized one value each
 
 
-class SectorNode:
-    """Interned description of a boundary function below one vertex."""
+class Node:
+    """Interned DAG node of a function below one vertex: a value plus either
+    one child node per child vertex or None, "this value continues constantly
+    below".  A level function's split has the value None."""
 
     __slots__ = ("value", "children")
 
-    def __init__(self, value: Value | None, children: tuple["SectorNode", ...] | None):
+    def __init__(self, value: Value | None, children: tuple["Node", ...] | None):
         self.value = value
         self.children = children
 
@@ -44,32 +50,32 @@ class SectorNode:
         return self.children is None
 
 
-_SECTOR_LEAVES: dict[Value, SectorNode] = {}
-_SECTOR_SPLITS: dict[tuple[int, ...], SectorNode] = {}
+_LEAVES: dict[Value, Node] = {}
+_SECTOR_SPLITS: dict[tuple[int, ...], Node] = {}
 
 
-def sector_leaf(value: Value) -> SectorNode:
-    node = _SECTOR_LEAVES.get(value)
+def leaf(value: Value) -> Node:
+    node = _LEAVES.get(value)
     if node is None:
-        node = SectorNode(value, None)
-        _SECTOR_LEAVES[value] = node
+        node = Node(value, None)
+        _LEAVES[value] = node
     return node
 
 
-def sector_split(children: tuple[SectorNode, ...]) -> SectorNode:
+def sector_split(children: tuple[Node, ...]) -> Node:
     first = children[0]
     if first.is_leaf and all(c is first for c in children):
         return first
     key = tuple(id(c) for c in children)
     node = _SECTOR_SPLITS.get(key)
     if node is None:
-        node = SectorNode(None, children)
+        node = Node(None, children)
         _SECTOR_SPLITS[key] = node
     return node
 
 
 def _expand(node, arity: int) -> tuple:
-    """The children of a sector or function node; a node without children
+    """The children of a node; a node without children
     stands for itself on every child."""
     if node.children is None:
         return (node,) * arity
@@ -86,11 +92,11 @@ class LevelFunction:
 
     level: int
     dim: int
-    node: SectorNode
+    node: Node
 
     @staticmethod
     def constant(level: int, value: Value) -> "LevelFunction":
-        return LevelFunction(level, value.dim, sector_leaf(value))
+        return LevelFunction(level, value.dim, leaf(value))
 
     @staticmethod
     def from_values(tree: Tree, level: int, values: Sequence[Value]) -> "LevelFunction":
@@ -103,9 +109,9 @@ class LevelFunction:
         dims = {v.dim for v in values}
         if len(dims) != 1:
             raise DimensionMismatchError("values of a level function must share a dimension")
-        nodes: list[SectorNode] = [sector_leaf(v) for v in values]
+        nodes: list[Node] = [leaf(v) for v in values]
         for lvl in range(level - 1, -1, -1):
-            grouped: list[SectorNode] = []
+            grouped: list[Node] = []
             i = 0
             for x in tree.vertices(lvl):
                 k = tree.arity(x)
@@ -131,7 +137,7 @@ def level_values(tree: Tree, psi: LevelFunction) -> list[Value]:
         raise ValidationError(f"level {psi.level} has {size} vertices; too large to materialize")
     out: list[Value] = []
 
-    def rec(node: SectorNode, x: VertexId) -> None:
+    def rec(node: Node, x: VertexId) -> None:
         if x.level == psi.level:
             if not node.is_leaf:
                 raise InvariantError("structure deeper than its level")
@@ -146,14 +152,14 @@ def level_values(tree: Tree, psi: LevelFunction) -> list[Value]:
 
 def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Value], Value]) -> LevelFunction:
     """Pointwise combination after common refinement; exact and structure-shared."""
-    memo: dict[tuple[int, int], SectorNode] = {}
+    memo: dict[tuple[int, int], Node] = {}
 
-    def rec(a: SectorNode, b: SectorNode) -> SectorNode:
+    def rec(a: Node, b: Node) -> Node:
         key = (id(a), id(b))
         if key in memo:
             return memo[key]
         if a.is_leaf and b.is_leaf:
-            r = sector_leaf(fn(a.value, b.value))
+            r = leaf(fn(a.value, b.value))
         else:
             k = len((a.children or b.children))
             if a.children is not None and b.children is not None and len(a.children) != len(b.children):
@@ -183,37 +189,35 @@ def level_scale(a: Scalar, psi: LevelFunction) -> LevelFunction:
     return sector_zip(psi, psi, lambda v, _: v.scale(a))
 
 
-def _weighted_integral(
-    tree: Tree,
-    a: SectorNode,
-    b: SectorNode,
-    integrand: Callable[[Value, Value], Scalar],
-) -> Scalar:
-    """Integrate integrand(psi, phi) against the boundary measure, exactly."""
+def _integral(tree: Tree, nodes: Sequence[Node], integrand: Callable[..., Scalar]) -> Scalar:
+    """Integrate integrand(the leaf value of each node) against the boundary
+    measure, exactly, over the common refinement of the nodes' structures.
+
+    Memoized on (the nodes, pos_key).  A zero term becomes the int 0 and is
+    skipped, so every all-zero integral stays the int 0.
+    """
     memo: dict[tuple, Scalar] = {}
 
-    def rec(na: SectorNode, nb: SectorNode, x: VertexId) -> Scalar:
-        if na is nb:
-            return 0
-        key = (id(na), id(nb), tree.pos_key(x))
+    def rec(ns: tuple[Node, ...], x: VertexId) -> Scalar:
+        key = (ns, tree.pos_key(x))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if na.is_leaf and nb.is_leaf:
-            r = integrand(na.value, nb.value)
+        if all(n.children is None for n in ns):
+            r = integrand(*(n.value for n in ns)) or 0
         else:
             k = tree.arity(x)
-            ca, cb = _expand(na, k), _expand(nb, k)
+            kids = [_expand(n, k) for n in ns]
             qs = tree.q_row(x)
             r = 0
             for i in range(k):
-                part = rec(ca[i], cb[i], tree.child(x, i))
+                part = rec(tuple(e[i] for e in kids), tree.child(x, i))
                 if part:
                     r = r + qs[i] * part
         memo[key] = r
         return r
 
-    return rec(a, b, tree.root)
+    return rec(tuple(nodes), tree.root)
 
 
 def p_metric(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scalar:
@@ -224,7 +228,7 @@ def p_metric(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scalar:
     """
     if psi.dim != phi.dim:
         raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return _weighted_integral(tree, psi.node, phi.node, bounded_metric)
+    return _integral(tree, (psi.node, phi.node), bounded_metric)
 
 
 def mismatch_measure(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scalar:
@@ -234,7 +238,7 @@ def mismatch_measure(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scal
     """
     if psi.dim != phi.dim:
         raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return _weighted_integral(tree, psi.node, phi.node, mismatch_integrand)
+    return _integral(tree, (psi.node, phi.node), mismatch_integrand)
 
 
 _ONE = Fraction(1)
@@ -285,37 +289,12 @@ def tuple_p_metric(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> 
     exactly; both routes are kept and the equality is asserted by tests.
     """
     _check_tuple_pair(a, b)
-    memo: dict[tuple, Scalar] = {}
+    w = a.width
 
-    def rec(nas: tuple[SectorNode, ...], nbs: tuple[SectorNode, ...], x: VertexId) -> Scalar:
-        if all(na is nb for na, nb in zip(nas, nbs)):
-            return 0
-        key = (tuple(map(id, nas)), tuple(map(id, nbs)), tree.pos_key(x))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if all(n.is_leaf for n in nas) and all(n.is_leaf for n in nbs):
-            u = TupleValue(tuple(n.value for n in nas))
-            v = TupleValue(tuple(n.value for n in nbs))
-            r = tuple_metric(u, v)
-        else:
-            k = tree.arity(x)
-            eas = [_expand(n, k) for n in nas]
-            ebs = [_expand(n, k) for n in nbs]
-            qs = tree.q_row(x)
-            r = 0
-            for i in range(k):
-                part = rec(tuple(e[i] for e in eas), tuple(e[i] for e in ebs), tree.child(x, i))
-                if part:
-                    r = r + qs[i] * part
-        memo[key] = r
-        return r
+    def integrand(*values: Value) -> Scalar:
+        return tuple_metric(TupleValue(values[:w]), TupleValue(values[w:]))
 
-    return rec(
-        tuple(c.node for c in a.components),
-        tuple(c.node for c in b.components),
-        tree.root,
-    )
+    return _integral(tree, [c.node for c in a.components + b.components], integrand)
 
 
 def tuple_p_metric_by_components(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> Scalar:

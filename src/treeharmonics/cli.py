@@ -476,6 +476,11 @@ def main(argv=None) -> int:
         message = f"recursion limit exceeded on {tree}; the DAG walks cannot go this deep"
         print(json.dumps({"errors": [message]}, sort_keys=True), file=sys.stderr)
         return 3
+    except Exception as exc:
+        # the last resort: every outcome is one of the documented exit codes
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        print(json.dumps({"errors": [message]}, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 A function assigns a value to every vertex; it is harmonic when each non-leaf
 value equals the w-weighted sum of its children's values.  Functions are
-stored as interned nodes mirroring the boundary module: a leaf node means
-"this value continues constantly below" (constants are harmonic because every
-weight row sums to one), a split node lists explicit children.  All
+DAGs of the boundary module's interned nodes, with a value on every node: a
+leaf means "this value continues constantly below" (constants are harmonic
+because every weight row sums to one), a split lists explicit children.  All
 constructors here emit exactly harmonic functions; the checker does not trust
 them.  It recomputes the residual at every position of a split node exactly
 and certifies a constant node in one step, since the tree invariant that each
@@ -27,10 +27,10 @@ from typing import Callable, Iterator, Sequence
 from .boundary import (
     MAX_LEVEL_VALUES,
     LevelFunction,
-    SectorNode,
+    Node,
     TupleLevelFunction,
     _expand,
-    sector_leaf,
+    leaf,
     sector_split,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -41,40 +41,17 @@ from .values import Value, bounded_metric, centered_grid
 ENUMERATION_LEVEL_LIMIT = 4096  # largest level the diagonal enumerations assign
 
 
-class FuncNode:
-    """Interned vertex-function node: a value plus either children or "constant below"."""
-
-    __slots__ = ("value", "children")
-
-    def __init__(self, value: Value, children: tuple["FuncNode", ...] | None):
-        self.value = value
-        self.children = children
-
-    @property
-    def is_constant(self) -> bool:
-        return self.children is None
+_FUNC_SPLITS: dict[tuple, Node] = {}
 
 
-_FUNC_LEAVES: dict[Value, FuncNode] = {}
-_FUNC_SPLITS: dict[tuple, FuncNode] = {}
-
-
-def func_leaf(value: Value) -> FuncNode:
-    node = _FUNC_LEAVES.get(value)
-    if node is None:
-        node = FuncNode(value, None)
-        _FUNC_LEAVES[value] = node
-    return node
-
-
-def func_split(value: Value, children: tuple[FuncNode, ...]) -> FuncNode:
+def func_split(value: Value, children: tuple[Node, ...]) -> Node:
     first = children[0]
-    if first.is_constant and first.value == value and all(c is first for c in children):
+    if first.is_leaf and first.value == value and all(c is first for c in children):
         return first
     key = (value, tuple(id(c) for c in children))
     node = _FUNC_SPLITS.get(key)
     if node is None:
-        node = FuncNode(value, children)
+        node = Node(value, children)
         _FUNC_SPLITS[key] = node
     return node
 
@@ -86,7 +63,7 @@ class HarmonicFunction:
     tree: Tree
     depth: int
     dim: int
-    node: FuncNode
+    node: Node
 
     def value_at(self, x: VertexId) -> Value:
         self.tree.require_vertex(x)
@@ -122,11 +99,11 @@ class HarmonicTuple:
 
 
 def zero_function(tree: Tree, dim: int) -> HarmonicFunction:
-    return HarmonicFunction(tree, tree.depth, dim, func_leaf(Value.zero(dim)))
+    return HarmonicFunction(tree, tree.depth, dim, leaf(Value.zero(dim)))
 
 
 def constant_function(tree: Tree, value: Value) -> HarmonicFunction:
-    return HarmonicFunction(tree, tree.depth, value.dim, func_leaf(value))
+    return HarmonicFunction(tree, tree.depth, value.dim, leaf(value))
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +139,7 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
     max_res: Scalar = 0
     samples: list[tuple[int, Scalar]] = []
 
-    def visit(node: FuncNode, x: VertexId) -> None:
+    def visit(node: Node, x: VertexId) -> None:
         nonlocal checked, violations, max_res
         if x.level >= f.depth:
             return
@@ -208,9 +185,9 @@ def function_from_level_values(tree: Tree, values_per_level: Sequence[Sequence[V
         if len(vals) != tree.level_size(lvl):
             raise ValidationError(f"level {lvl}: expected {tree.level_size(lvl)} values, got {len(vals)}")
     dim = values_per_level[0][0].dim
-    nodes = [func_leaf(v) for v in values_per_level[depth]]
+    nodes = [leaf(v) for v in values_per_level[depth]]
     for lvl in range(depth - 1, -1, -1):
-        grouped: list[FuncNode] = []
+        grouped: list[Node] = []
         i = 0
         for o, v in enumerate(values_per_level[lvl]):
             k = tree.arity(VertexId(lvl, o))
@@ -237,11 +214,11 @@ def aggregate_upward(tree: Tree, leaf_values: Sequence[Value]) -> HarmonicFuncti
 
 def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
     """Harmonic function equal to psi at its level, constant below, aggregated above."""
-    memo: dict[tuple, FuncNode] = {}
+    memo: dict[tuple, Node] = {}
 
-    def rec(snode: SectorNode, x: VertexId) -> FuncNode:
+    def rec(snode: Node, x: VertexId) -> Node:
         if snode.is_leaf:
-            return func_leaf(snode.value)
+            return snode
         key = (id(snode), tree.pos_key(x))
         hit = memo.get(key)
         if hit is not None:
@@ -271,11 +248,13 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
     """The level-n values of f, viewed as a simple function on the boundary."""
     if not 0 <= n <= f.depth:
         raise ValidationError(f"level {n} outside 0..{f.depth}")
-    memo: dict[tuple[int, int], SectorNode] = {}
+    memo: dict[tuple[int, int], Node] = {}
 
-    def rec(node: FuncNode, remaining: int) -> SectorNode:
-        if remaining == 0 or node.children is None:
-            return sector_leaf(node.value)
+    def rec(node: Node, remaining: int) -> Node:
+        if node.children is None:
+            return node
+        if remaining == 0:
+            return leaf(node.value)
         key = (id(node), remaining)
         hit = memo.get(key)
         if hit is not None:
@@ -313,7 +292,7 @@ def level_profile(
     roots = tuple({id(target.node): target.node for target, _, _ in sweeps}.values())  # each distinct target once
     plan = [(roots.index(target.node), integrand, horizon) for target, integrand, horizon in sweeps]
 
-    def against(value: Value, tnode: SectorNode, x: VertexId, integrand) -> Scalar:
+    def against(value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
         # a value held constant below x, integrated against the target sector
         if tnode.is_leaf:
             return integrand(value, tnode.value)
@@ -327,8 +306,8 @@ def level_profile(
 
     frozen: list[Scalar] = [0] * len(plan)
 
-    def push(into: dict, fnode: FuncNode, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
-        if fnode.is_constant:
+    def push(into: dict, fnode: Node, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
+        if fnode.is_leaf:
             for j, (slot, integrand, horizon) in enumerate(plan):
                 if horizon >= x.level:
                     part = against(fnode.value, tnodes[slot], x, integrand)
@@ -386,9 +365,9 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
             raise ValidationError("combination requires equal depths")
         if g.dim != dim:
             raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {dim}")
-    memo: dict[tuple, FuncNode] = {}
+    memo: dict[tuple, Node] = {}
 
-    def rec(nodes: tuple[FuncNode, ...], x: VertexId) -> FuncNode:
+    def rec(nodes: tuple[Node, ...], x: VertexId) -> Node:
         key = (tuple(map(id, nodes)), tree.pos_key(x))
         hit = memo.get(key)
         if hit is not None:
@@ -397,7 +376,7 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         for a, n in zip(coeffs[1:], nodes[1:]):
             acc = acc + n.value.scale(a)
         if all(n.children is None for n in nodes):
-            out = func_leaf(acc)
+            out = leaf(acc)
         else:
             k = tree.arity(x)
             expanded = [_expand(n, k) for n in nodes]
@@ -432,12 +411,12 @@ def truncate_and_extend(p: HarmonicFunction, h: HarmonicFunction, cut: int) -> H
     if p.dim != h.dim:
         raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {h.dim}")
     tree = p.tree
-    memo: dict[tuple, FuncNode] = {}
+    memo: dict[tuple, Node] = {}
 
-    def rec(np_: FuncNode, nh: FuncNode, x: VertexId) -> FuncNode:
+    def rec(np_: Node, nh: Node, x: VertexId) -> Node:
         diff = np_.value - nh.value
         if x.level == cut or (np_.children is None and nh.children is None):
-            return func_leaf(diff)
+            return leaf(diff)
         key = (id(np_), id(nh), tree.pos_key(x))
         hit = memo.get(key)
         if hit is not None:

@@ -13,10 +13,10 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .boundary import LevelFunction, SectorNode, level_values, sector_leaf, sector_split
+from .boundary import LevelFunction, Node, leaf, level_values, sector_split
 from .density import DensityProfile, csv_rows
 from .errors import ValidationError
-from .harmonic import FuncNode, HarmonicFunction, HarmonicTuple, func_leaf, func_split
+from .harmonic import HarmonicFunction, HarmonicTuple, func_split
 from .scalars import format_scalar, parse_scalar
 from .trees import Tree, tree_from_doc, tree_to_doc
 from .universality import (
@@ -54,9 +54,9 @@ def value_from_doc(doc: Sequence[str]) -> Value:
 # Structure DAGs
 
 
-def dag_to_doc(node: SectorNode | FuncNode) -> dict:
-    """Postorder node list of a sector or function DAG; a sector split has no
-    value and writes "v": null."""
+def dag_to_doc(node: Node) -> dict:
+    """Postorder node list of a level or harmonic function's DAG; a level
+    function's split has no value and writes "v": null."""
     order: list[dict] = []
     index: dict[int, int] = {}
 
@@ -73,9 +73,8 @@ def dag_to_doc(node: SectorNode | FuncNode) -> dict:
     return {"nodes": order, "root": root}
 
 
-def dag_from_doc(doc: dict, leaf, split):
-    """Inverse of dag_to_doc: leaf(value) builds a leaf, split(node doc,
-    children) a split node."""
+def dag_from_doc(doc: dict, split) -> Node:
+    """Inverse of dag_to_doc: split(node doc, children) builds a split node."""
     nodes: list = []
     for nd in doc["nodes"]:
         if nd["c"] is None:
@@ -103,7 +102,7 @@ def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
     if "values" in doc:
         vals = [value_from_doc(v) for v in doc["values"]]
         return LevelFunction.from_values(tree, level, vals)
-    node = dag_from_doc(doc["dag"], sector_leaf, lambda nd, kids: sector_split(kids))
+    node = dag_from_doc(doc["dag"], lambda nd, kids: sector_split(kids))
     return LevelFunction(level, int(doc["dim"]), node)
 
 
@@ -208,11 +207,11 @@ def witness_from_doc(doc: dict) -> Witness:
         dim = int(doc["dim"])
         depth = int(doc["depth"])
 
-        def split(nd: dict, kids: tuple) -> FuncNode:
+        def split(nd: dict, kids: tuple) -> Node:
             return func_split(value_from_doc(nd["v"]), kids)
 
         comps = tuple(
-            HarmonicFunction(tree, depth, dim, dag_from_doc(c, func_leaf, split))
+            HarmonicFunction(tree, depth, dim, dag_from_doc(c, split))
             for c in doc["components"]
         )
         function = HarmonicTuple(comps) if doc["tuple"] else comps[0]

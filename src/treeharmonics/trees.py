@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import gcd, lcm
 from random import Random
 from typing import Iterator, Sequence
@@ -31,6 +32,7 @@ from .scalars import Scalar, format_scalar, parse_scalar
 
 MAX_EXPLICIT_VERTICES = 4_000_000
 MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
+INT64_MAX = (1 << 63) - 1  # largest row numerator an explicit tree stores
 
 
 @dataclass(frozen=True, order=True)
@@ -205,29 +207,19 @@ class UniformTree(Tree):
 class ExplicitTree(Tree):
     """Tree with per-vertex rows held in flat per-level arrays.
 
-    It keeps integer numerators per edge and one denominator per parent row,
-    so a row is rebuilt as fractions only when it is read.  The rows are not
-    re-checked here: build_tree, the only caller, makes every q row positive,
-    every w row nonzero and each sum to one, and check_harmonic relies on the
-    w rows summing to one.
+    It keeps one integer numerator per edge; every row sums to one, so a
+    row's denominator is the sum of its numerators, and a row is rebuilt as
+    fractions only when it is read.  The rows are not re-checked here:
+    build_tree, the only caller, makes every q row positive, every w row
+    nonzero and each sum to one, and check_harmonic relies on the w rows
+    summing to one.
     """
 
-    def __init__(
-        self,
-        child_counts: list[array],
-        parents: list[array],
-        q_edge: list,
-        q_den: list,
-        w_edge: list,
-        w_den: list,
-    ):
+    def __init__(self, child_counts: list[array], q_edge: list, w_edge: list):
         self.depth = len(child_counts)
         self._counts = child_counts          # per level 0..depth-1, per vertex
-        self._parents = parents              # per level 1..depth (index l-1)
         self._q_edge = q_edge                # per level 1..depth, per child vertex
-        self._q_den = q_den                  # per level 0..depth-1, per parent
         self._w_edge = w_edge
-        self._w_den = w_den
         starts: list[array] = []
         sizes = [1]
         for counts in child_counts:
@@ -253,25 +245,23 @@ class ExplicitTree(Tree):
     def parent(self, x: VertexId) -> VertexId:
         if x.level == 0:
             raise ValidationError("root has no parent")
-        return VertexId(x.level - 1, self._parents[x.level - 1][x.offset])
+        return VertexId(x.level - 1, bisect_right(self._starts[x.level - 1], x.offset) - 1)
 
     def child_index(self, x: VertexId) -> int:
         p = self.parent(x)
         return x.offset - self._starts[p.level][p.offset]
 
-    def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
+    def _row(self, edges: list, x: VertexId) -> tuple[Scalar, ...]:
         st = self._starts[x.level][x.offset]
-        k = self._counts[x.level][x.offset]
-        edge = self._q_edge[x.level + 1]
-        den = self._q_den[x.level][x.offset]
-        return tuple(Fraction(edge[st + i], den) for i in range(k))
+        nums = edges[x.level + 1][st : st + self._counts[x.level][x.offset]]
+        den = sum(nums)
+        return tuple(Fraction(n, den) for n in nums)
+
+    def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
+        return self._row(self._q_edge, x)
 
     def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        st = self._starts[x.level][x.offset]
-        k = self._counts[x.level][x.offset]
-        edge = self._w_edge[x.level + 1]
-        den = self._w_den[x.level][x.offset]
-        return tuple(Fraction(edge[st + i], den) for i in range(k))
+        return self._row(self._w_edge, x)
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         if self.is_leaf(x):
@@ -457,28 +447,25 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 "use level-uniform rules for deep trees"
             )
 
-    def gather(rule: dict, what: str):
-        """Per level, the edge numerators (one per child) and the row
-        denominators (one per parent) as arrays; level 0 has no edges."""
+    def gather(rule: dict, what: str) -> list:
+        """Per level, the edge numerators as an array, one per child; level
+        0 has no edges."""
         kind = rule["kind"]
         edge: list = [None]
-        dens: list = []
         if kind == "uniform":
             for row_counts in counts:
                 edge.append(array("q", [1]) * sum(row_counts))
-                dens.append(array("q", row_counts))
         elif kind == "per_level":
             # each level's row is parsed once; every vertex of the level must fit it
             level_rows = [
-                _row_to_ints(_pairs(row), what, f"level {lvl}")
+                _row_to_ints(_pairs(row), what, f"level {lvl}")[0]
                 for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
             ]
-            for lvl, (row_counts, (nums, den)) in enumerate(zip(counts, level_rows)):
+            for lvl, (row_counts, nums) in enumerate(zip(counts, level_rows)):
                 for o, k in enumerate(row_counts):
                     if len(nums) != k:
                         raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(nums)} entries, expected {k}")
                 edge.append(array("q", nums * len(row_counts)))
-                dens.append(array("q", [den]) * len(row_counts))
         elif kind == "explicit":
             table = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
@@ -486,60 +473,56 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 raise ValidationError(f"explicit {what} table incomplete")
             # each distinct row is read once, keyed by its entry texts: a key
             # of values would let a row of true reuse an earlier row of 1
-            read: dict[tuple[str, ...], tuple[list[int], int]] = {}
+            read: dict[tuple[str, ...], list[int]] = {}
             for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
                 level_nums = []
-                level_dens = []
                 for o, (raw, k) in enumerate(zip(raws, row_counts)):
                     if not isinstance(raw, (list, tuple)):
                         raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
                     if len(raw) != k:
                         raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
                     key = tuple(map(str, raw))
-                    row = read.get(key)
-                    if row is None:
-                        row = read[key] = _row_to_ints([_parse_entry(s) for s in key], what, (lvl, o))
-                    level_nums.append(row[0])
-                    level_dens.append(row[1])
+                    nums = read.get(key)
+                    if nums is None:
+                        nums = read[key] = _row_to_ints([_parse_entry(s) for s in key], what, (lvl, o))[0]
+                    level_nums.append(nums)
                 edge.append(array("q", chain.from_iterable(level_nums)))
-                dens.append(array("q", level_dens))
         else:
             mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
+            if mw > INT64_MAX:
+                raise ValidationError(f"{what}_rule 'max_weight' must fit in 64 bits, got {mw}")
             if what == "q":
                 randint = rng.randint
                 for row_counts in counts:
                     # the vertices' rows in order, drawn as one list
-                    nums = [randint(1, mw) for _ in range(sum(row_counts))]
-                    edge.append(array("q", nums))
-                    dens.append(array("q", [sum(nums[e - k : e]) for e, k in zip(accumulate(row_counts), row_counts)]))
+                    edge.append(array("q", [randint(1, mw) for _ in range(sum(row_counts))]))
             else:
-                choice = rng.choice
-                choices = [i for i in range(-mw, mw + 1) if i != 0]
+                randrange = rng.randrange
+
+                def draw() -> int:
+                    # rng.choice over the nonzero integers -mw..mw, without the list
+                    i = randrange(2 * mw)
+                    return i - mw if i < mw else i - mw + 1
+
                 for row_counts in counts:
                     level_nums = []
-                    level_dens = []
                     for k in row_counts:
                         while True:  # redraw a row summing to zero
-                            nums = [choice(choices) for _ in range(k)]
+                            nums = [draw() for _ in range(k)]
                             den = sum(nums)
                             if den:
                                 break
-                        if den < 0:
-                            nums = [-n for n in nums]
-                            den = -den
-                        level_nums.append(nums)
-                        level_dens.append(den)
+                        level_nums.append(nums if den > 0 else [-n for n in nums])
                     edge.append(array("q", chain.from_iterable(level_nums)))
-                    dens.append(array("q", level_dens))
-        return edge, dens
+        return edge
 
-    q_edge, q_den = gather(spec.q_rule, "q")
-    w_edge, w_den = gather(spec.w_rule, "w")
-
-    count_arrays = [array("q", row) for row in counts]
-    parents = [array("q", chain.from_iterable(repeat(o, k) for o, k in enumerate(row))) for row in counts]
-
-    return ExplicitTree(count_arrays, parents, q_edge, q_den, w_edge, w_den)
+    edges = []
+    for rule, what in ((spec.q_rule, "q"), (spec.w_rule, "w")):
+        try:
+            edges.append(gather(rule, what))
+        except OverflowError:
+            raise ValidationError(f"{what}_rule: a row's numerators over its common denominator do not fit in 64 bits") from None
+    return ExplicitTree([array("q", row) for row in counts], *edges)
 
 
 # ----------------------------------------------------------------------
@@ -596,20 +579,21 @@ def tree_to_doc(tree: Tree) -> dict:
         }
     assert isinstance(tree, ExplicitTree)
 
-    # each distinct (numerators, denominator) row is formatted once; rows
-    # that repeat it share its tuple, which canonical_json writes as a list
+    # each distinct row of numerators is formatted once; rows that repeat it
+    # share its tuple, which canonical_json writes as a list
     written: dict[tuple, tuple[str, ...]] = {}
 
-    def rows(edges: list, dens: list) -> list:
+    def rows(edges: list) -> list:
         out = []
         for lvl in range(tree.depth):
             e = edges[lvl + 1]
             level = []
-            for st, k, den in zip(tree._starts[lvl], tree._counts[lvl], dens[lvl]):
-                key = (den, *e[st : st + k])
+            for st, k in zip(tree._starts[lvl], tree._counts[lvl]):
+                key = tuple(e[st : st + k])
                 row = written.get(key)
                 if row is None:
-                    row = written[key] = tuple(_format_entry(num, den) for num in key[1:])
+                    den = sum(key)
+                    row = written[key] = tuple(_format_entry(num, den) for num in key)
                 level.append(row)
             out.append(level)
         return out
@@ -620,8 +604,8 @@ def tree_to_doc(tree: Tree) -> dict:
         "mode": "exact",
         "depth": tree.depth,
         "child_counts": [list(c) for c in tree._counts],
-        "q_rows": rows(tree._q_edge, tree._q_den),
-        "w_rows": rows(tree._w_edge, tree._w_den),
+        "q_rows": rows(tree._q_edge),
+        "w_rows": rows(tree._w_edge),
     }
 
 

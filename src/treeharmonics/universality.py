@@ -37,8 +37,9 @@ from typing import Sequence
 # other per-level primitives: perfbench/spans.py traces them under these names
 from .boundary import (
     LevelFunction,
-    SectorNode,
+    Node,
     _expand,
+    leaf,
     level_scale,
     mismatch_indicator,
     mismatch_integrand,
@@ -54,7 +55,6 @@ from .errors import (
     ValidationError,
 )
 from .harmonic import (
-    FuncNode,
     HarmonicFunction,
     HarmonicTuple,
     RhoResult,
@@ -62,7 +62,6 @@ from .harmonic import (
     add_functions,
     check_harmonic,
     enumerate_harmonics,
-    func_leaf,
     func_split,
     level_function_from_assignment,
     level_profile,
@@ -313,9 +312,9 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
     roots = {id(target.node): target.node for _, _, target in blocks}  # each distinct target once
     slots = {key: i for i, key in enumerate(roots)}
     plan = [(start - 1, end, slots[id(target.node)]) for start, end, target in blocks]
-    memo: dict[tuple, FuncNode] = {}
+    memo: dict[tuple, Node] = {}
 
-    def walk(node: FuncNode, tnodes: tuple[SectorNode, ...], x: VertexId, k: int) -> FuncNode:
+    def walk(node: Node, tnodes: tuple[Node, ...], x: VertexId, k: int) -> Node:
         key = (id(node), tnodes, tree.pos_key(x), k)
         hit = memo.get(key)
         if hit is not None:
@@ -334,10 +333,10 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
                 wstar = tree.w_row(x)[j]
                 # value forced on the absorbing child so the parent's weighted average holds
                 cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
-                kids = tuple(func_leaf(cstar if i == j else t) for i in range(tree.arity(x)))
+                kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
                 break
             # on the target or past block k: hold c until the next block starts
-            node = func_leaf(c)
+            node = leaf(c)
             k += 1
         else:
             memo[key] = node

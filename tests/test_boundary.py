@@ -22,6 +22,8 @@ from treeharmonics import (
     tuple_p_metric,
     tuple_p_metric_by_components,
 )
+from treeharmonics.boundary import _integral
+from treeharmonics.trees import level_measures
 from treeharmonics.values import bounded_metric
 
 from conftest import random_level_function
@@ -193,3 +195,31 @@ def test_tuple_p_metric_width_mismatch(binary4):
     zero = LevelFunction.constant(0, Value.of(0))
     with pytest.raises(DimensionMismatchError):
         tuple_p_metric(binary4, TupleLevelFunction((zero,)), TupleLevelFunction((zero, zero)))
+
+
+def test_integral_of_scaled_integrand_on_one_function(binary4, lopsided3):
+    # both slots hold the same node, yet bounded_metric(u.scale(a), u) is
+    # nonzero wherever u is, so the integral must not short-cut to zero
+    rng = random.Random(9)
+    for tree in (binary4, lopsided3):
+        u = random_level_function(tree, rng, tree.depth, 1)
+        a = Fraction(3, 2)
+
+        def integrand(x, y):
+            return bounded_metric(x.scale(a), y)
+
+        got = _integral(tree, (u.node, u.node), integrand)
+        values = level_values(tree, u)
+        dense = sum(m * integrand(v, v) for m, v in zip(level_measures(tree, tree.depth), values))
+        assert any(v != Value.of(0) for v in values)
+        assert got == dense != 0
+
+
+def test_integral_of_equal_functions_is_the_int_zero(binary4):
+    psi = random_level_function(binary4, random.Random(4), 3, 2)
+    for got in (
+        p_metric(binary4, psi, psi),
+        mismatch_measure(binary4, psi, psi),
+        tuple_p_metric(binary4, TupleLevelFunction((psi, psi)), TupleLevelFunction((psi, psi))),
+    ):
+        assert got == 0 and type(got) is int

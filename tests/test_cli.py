@@ -446,3 +446,41 @@ def test_recursion_error_exits_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     errors = json.loads(capsys.readouterr().err)["errors"]
     assert len(errors) == 1 and "depth 1100" in errors[0]
+
+
+def test_other_exception_exits_three(tmp_path, capsys, monkeypatch):
+    from treeharmonics import cli
+
+    def broken(cfg, out_dir):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.COMMANDS, "build", broken)
+    code = main(["build", "--depth", "3", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["errors"] == ["internal error: KeyError: 'lost'"]
+
+
+_BIG_ROW = [["1/100000000000000000000", "99999999999999999999/100000000000000000000"]]
+
+
+@pytest.mark.parametrize(
+    "tree,rule",
+    [
+        ({"q_rule": {"kind": "explicit", "rows": [_BIG_ROW]}}, "q_rule"),
+        ({"w_rule": {"kind": "explicit", "rows": [_BIG_ROW]}}, "w_rule"),
+        ({"w_rule": {"kind": "per_level", "rows": _BIG_ROW}}, "w_rule"),
+        ({"q_rule": {"kind": "random", "max_weight": 2**63}}, "q_rule"),
+        ({"w_rule": {"kind": "random", "max_weight": 2**63}}, "w_rule"),
+    ],
+    ids=["explicit-q", "explicit-w", "per-level-w", "random-q", "random-w"],
+)
+def test_row_beyond_64_bits_exits_one(tmp_path, capsys, tree, rule):
+    # the random branching makes every rule an explicit tree's edge array
+    tree = {"depth": 1, "branching": {"kind": "random", "max_arity": 2}, **tree}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": tree}), encoding="utf-8")
+    code = main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert len(errors) == 1 and errors[0].startswith(rule) and "64 bits" in errors[0]
+    assert not (tmp_path / "o").exists()

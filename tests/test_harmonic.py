@@ -93,7 +93,7 @@ def test_aggregate_upward_constant():
     tree = two_level_binary()
     c = Value.of(Fraction(7, 3))
     f = aggregate_upward(tree, [c] * 4)
-    assert f.node.is_constant and f.node.value == c
+    assert f.node.is_leaf and f.node.value == c
 
 
 def test_extend_constant_identity_and_commutation(binary4):
@@ -272,3 +272,12 @@ def test_enumeration_emits_harmonic(deep_binary):
         f = enumerate_harmonics(deep_binary, idx)
         assert check_harmonic(f).passed
 
+
+
+def test_level_and_harmonic_constants_share_one_node(binary4):
+    c = Value.of(Fraction(5, 3))
+    psi = LevelFunction.constant(2, c)
+    f = constant_function(binary4, c)
+    assert psi.node is f.node and psi.node.is_leaf
+    assert aggregate_from_level(binary4, psi).node is psi.node
+    assert restrict_to_level(f, 3).node is f.node

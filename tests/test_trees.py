@@ -1,7 +1,9 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -118,7 +120,7 @@ def _explicit_3x3(q_rows, w_rows):
 
 
 def _arrays(tree):
-    return tree._q_edge, tree._q_den, tree._w_edge, tree._w_den
+    return tree._q_edge, tree._w_edge
 
 
 def test_repeated_rows_spelled_differently_read_alike():
@@ -256,6 +258,73 @@ def test_random_tree_children_sum_to_parent():
         for lvl in range(tree.depth + 1):
             assert sum(level_measures(tree, lvl)) == 1
 
+
+
+def test_explicit_parent_inverts_child():
+    tree = build_tree(TreeSpec(depth=4, branching={"kind": "random", "max_arity": 4}, seed=3))
+    for lvl in range(tree.depth):
+        for x in tree.vertices(lvl):
+            for i in range(tree.arity(x)):
+                y = tree.child(x, i)
+                assert tree.parent(y) == x and tree.child_index(y) == i
+
+
+def _reference_random_rows(depth, max_arity, q_weight, w_weight, seed):
+    """The q and w rows a random spec draws, as rng.choice over the list of
+    nonzero weights draws them."""
+    rng = Random(seed)
+    counts, size = [], 1
+    for _ in range(depth):
+        counts.append([rng.randint(2, max_arity) for _ in range(size)])
+        size = sum(counts[-1])
+    q_rows = []
+    for row_counts in counts:
+        nums = [rng.randint(1, q_weight) for _ in range(sum(row_counts))]
+        it = iter(nums)
+        q_rows.append([[next(it) for _ in range(k)] for k in row_counts])
+    choices = [i for i in range(-w_weight, w_weight + 1) if i != 0]
+    w_rows = []
+    for row_counts in counts:
+        level = []
+        for k in row_counts:
+            while True:
+                nums = [rng.choice(choices) for _ in range(k)]
+                if sum(nums):
+                    break
+            level.append(nums)
+        w_rows.append(level)
+    return q_rows, w_rows
+
+
+@pytest.mark.parametrize("w_weight", [1, 5, 9, 30])
+def test_random_w_rule_draws_as_choice_over_the_weights(w_weight):
+    spec = TreeSpec(
+        depth=4,
+        branching={"kind": "random", "max_arity": 3},
+        q_rule={"kind": "random", "max_weight": 7},
+        w_rule={"kind": "random", "max_weight": w_weight},
+        seed=w_weight,
+    )
+    tree = build_tree(spec)
+    q_rows, w_rows = _reference_random_rows(4, 3, 7, w_weight, w_weight)
+    for lvl in range(tree.depth):
+        for x, q, w in zip(tree.vertices(lvl), q_rows[lvl], w_rows[lvl], strict=True):
+            assert tree.q_row(x) == tuple(Fraction(n, sum(q)) for n in q)
+            assert tree.w_row(x) == tuple(Fraction(n, sum(w)) for n in w)
+
+
+def test_huge_random_max_weight_builds_at_once():
+    # no list of 2 * max_weight candidates is built
+    spec = TreeSpec(
+        depth=2,
+        branching={"kind": "random", "max_arity": 2},
+        q_rule={"kind": "random", "max_weight": 10**9},
+        w_rule={"kind": "random", "max_weight": 10**9},
+    )
+    start = time.perf_counter()
+    tree = build_tree(spec)
+    assert time.perf_counter() - start < 1.0
+    assert sum(tree.w_row(tree.root)) == 1
 
 def test_build_is_deterministic():
     spec = TreeSpec(

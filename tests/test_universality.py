@@ -42,11 +42,10 @@ from treeharmonics import (
     zero_function,
 )
 from treeharmonics import universality
-from treeharmonics.boundary import _expand, mismatch_integrand
+from treeharmonics.boundary import _expand, leaf, mismatch_integrand
 from treeharmonics.errors import DimensionMismatchError
 from treeharmonics.harmonic import (
     HarmonicFunction,
-    func_leaf,
     func_split,
     harmonic_from_assignment,
     level_profile,
@@ -423,9 +422,9 @@ def _ref_drive(tree, c, t, x, end, memo):
     """Subtree below a vertex holding value c, driven toward the constant
     target t through level `end`, constant-extended afterwards."""
     if c == t:
-        return func_leaf(c)
+        return leaf(c)
     if x.level >= end:
-        return func_leaf(c)
+        return leaf(c)
     key = (c, t, tree.pos_key(x))
     hit = memo.get(key)
     if hit is not None:
@@ -435,7 +434,7 @@ def _ref_drive(tree, c, t, x, end, memo):
     wstar = ws[j]
     cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
     kids = tuple(
-        _ref_drive(tree, cstar, t, tree.child(x, j), end, memo) if i == j else func_leaf(t)
+        _ref_drive(tree, cstar, t, tree.child(x, j), end, memo) if i == j else leaf(t)
         for i in range(tree.arity(x))
     )
     node = func_split(c, kids)
