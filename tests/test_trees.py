@@ -3,7 +3,6 @@ import random
 import time
 from fractions import Fraction
 from math import lcm
-from random import Random
 
 import pytest
 from hypothesis import given
@@ -272,7 +271,7 @@ def test_explicit_parent_inverts_child():
 def _reference_random_rows(depth, max_arity, q_weight, w_weight, seed):
     """The q and w rows a random spec draws, as rng.choice over the list of
     nonzero weights draws them."""
-    rng = Random(seed)
+    rng = random.Random(seed)
     counts, size = [], 1
     for _ in range(depth):
         counts.append([rng.randint(2, max_arity) for _ in range(size)])
