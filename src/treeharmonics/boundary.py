@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, InvariantError, ValidationError
 from .scalars import Scalar
@@ -75,15 +75,25 @@ def sector_split(children: tuple[Node, ...]) -> Node:
 
 
 def _expand(node, arity: int) -> tuple:
-    """The children of a node; a node without children
-    stands for itself on every child."""
+    """The children of a node; a node without children stands for itself on
+    every child.  A child count unlike the tree's comes from caller input."""
     if node.children is None:
         return (node,) * arity
     if len(node.children) != arity:
-        raise InvariantError(
+        raise ValidationError(
             f"structure has {len(node.children)} children where the tree has {arity}"
         )
     return node.children
+
+
+def _child_groups(tree: Tree, lvl: int, nodes: Sequence[Node]) -> Iterator[tuple[Node, ...]]:
+    """The nodes of level lvl + 1, in offset order, as one tuple of children
+    per vertex of level lvl."""
+    i = 0
+    for x in tree.vertices(lvl):
+        k = tree.arity(x)
+        yield tuple(nodes[i : i + k])
+        i += k
 
 
 @dataclass(frozen=True)
@@ -111,13 +121,7 @@ class LevelFunction:
             raise DimensionMismatchError("values of a level function must share a dimension")
         nodes: list[Node] = [leaf(v) for v in values]
         for lvl in range(level - 1, -1, -1):
-            grouped: list[Node] = []
-            i = 0
-            for x in tree.vertices(lvl):
-                k = tree.arity(x)
-                grouped.append(sector_split(tuple(nodes[i : i + k])))
-                i += k
-            nodes = grouped
+            nodes = [sector_split(kids) for kids in _child_groups(tree, lvl, nodes)]
         return LevelFunction(level, dims.pop(), nodes[0])
 
 
@@ -162,8 +166,6 @@ def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Valu
             r = leaf(fn(a.value, b.value))
         else:
             k = len((a.children or b.children))
-            if a.children is not None and b.children is not None and len(a.children) != len(b.children):
-                raise InvariantError("combined structures disagree on a child count")
             ca, cb = _expand(a, k), _expand(b, k)
             r = sector_split(tuple(rec(x, y) for x, y in zip(ca, cb)))
         memo[key] = r

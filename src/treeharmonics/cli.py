@@ -121,6 +121,15 @@ def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+# (key, least value, may be null) of every integer the commands read
+INTEGER_KEYS = (
+    ("tree.depth", 1, False), ("targets.count", 1, False), ("targets.resolution", 0, False),
+    ("targets.bound", 1, False), ("dim", 1, False), ("growth", 2, False),
+    ("block_length", 1, False), ("count", 1, False), ("cases", 0, False),
+    ("width", 1, True), ("horizon", 1, True), ("warmup", 0, True),
+)
+
+
 def validate_config(cfg: dict) -> None:
     issues = []
     if cfg.get("schema") != "runconfig/1":
@@ -136,10 +145,13 @@ def validate_config(cfg: dict) -> None:
     for name in ("branching", "q_rule", "w_rule"):
         if name in tree and not isinstance(tree[name], dict):
             issues.append(f"tree.{name} must be an object")
-    if not isinstance(tree.get("depth"), int) or tree["depth"] < 1:
-        issues.append("tree.depth must be a positive integer")
-    if not isinstance(targets.get("count"), int) or targets["count"] < 1:
-        issues.append("targets.count must be a positive integer")
+    sections = {"": cfg, "tree": tree, "targets": targets}
+    for key, least, nullable in INTEGER_KEYS:
+        section, _, name = key.rpartition(".")
+        value = sections[section].get(name)
+        if not (value is None and nullable) and (not isinstance(value, int) or value < least):
+            null = " or null" if nullable else ""
+            issues.append(f"{key} must be an integer of at least {least}{null}, got {value!r}")
     if targets.get("epsilon") is not None:
         try:
             eps = Fraction(str(targets["epsilon"]))
@@ -148,16 +160,8 @@ def validate_config(cfg: dict) -> None:
         except (ValueError, ZeroDivisionError):
             issues.append(f"targets.epsilon {targets.get('epsilon')!r} is not a fraction")
     horizon = cfg.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or horizon < 1):
-        issues.append("horizon must be a positive integer")
     if isinstance(horizon, int) and isinstance(tree.get("depth"), int) and horizon > tree["depth"]:
         issues.append("horizon exceeds tree depth")
-    if not isinstance(cfg.get("growth"), int) or cfg["growth"] < 2:
-        issues.append("growth must be an integer >= 2")
-    if not isinstance(cfg.get("block_length"), int) or cfg["block_length"] < 1:
-        issues.append("block_length must be a positive integer")
-    if not isinstance(cfg.get("dim"), int) or cfg["dim"] < 1:
-        issues.append("dim must be a positive integer")
     if issues:
         raise ValidationError("invalid configuration", issues)
 
@@ -181,8 +185,8 @@ def _targets_from_cfg(tree: Tree, cfg: dict):
         tree,
         count=t["count"],
         dim=cfg["dim"],
-        resolution=t.get("resolution", 0),
-        bound=t.get("bound", 1),
+        resolution=t["resolution"],
+        bound=t["bound"],
         epsilon=eps,
     )
 
@@ -319,8 +323,8 @@ def cmd_dense_family(cfg: dict, out_dir: Path) -> None:
         tree,
         count=count,
         dim=cfg["dim"],
-        resolution=cfg["targets"].get("resolution", 0),
-        bound=cfg["targets"].get("bound", 1),
+        resolution=cfg["targets"]["resolution"],
+        bound=cfg["targets"]["bound"],
         growth=cfg["growth"],
         horizon=cfg["horizon"],
         width=max(cfg["width"] or 0, count),

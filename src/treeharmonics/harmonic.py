@@ -29,6 +29,7 @@ from .boundary import (
     LevelFunction,
     Node,
     TupleLevelFunction,
+    _child_groups,
     _expand,
     leaf,
     sector_split,
@@ -119,6 +120,15 @@ class HarmonicityReport:
     samples: tuple[tuple[int, Scalar], ...]  # (level, residual size), first few offenders
 
 
+def _w_average(tree: Tree, x: VertexId, kids: Sequence[Node]) -> Value:
+    """The w-weighted sum of the children's values at x."""
+    ws = tree.w_row(x)
+    acc = kids[0].value.scale(ws[0])
+    for w, c in zip(ws[1:], kids[1:]):
+        acc = acc + c.value.scale(w)
+    return acc
+
+
 def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
     """Recompute every weighted-average residual of a split node; pass iff all
     are zero.  A constant node is certified where it is reached: each w row
@@ -151,10 +161,7 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
         if node.children is None:
             return
         kids = _expand(node, tree.arity(x))
-        ws = tree.w_row(x)
-        acc = kids[0].value.scale(ws[0])
-        for w, c in zip(ws[1:], kids[1:]):
-            acc = acc + c.value.scale(w)
+        acc = _w_average(tree, x, kids)
         residual = sum(abs(a - b) for a, b in zip(node.value.coords, acc.coords))
         if residual:
             violations += 1
@@ -187,13 +194,7 @@ def function_from_level_values(tree: Tree, values_per_level: Sequence[Sequence[V
     dim = values_per_level[0][0].dim
     nodes = [leaf(v) for v in values_per_level[depth]]
     for lvl in range(depth - 1, -1, -1):
-        grouped: list[Node] = []
-        i = 0
-        for o, v in enumerate(values_per_level[lvl]):
-            k = tree.arity(VertexId(lvl, o))
-            grouped.append(func_split(v, tuple(nodes[i : i + k])))
-            i += k
-        nodes = grouped
+        nodes = [func_split(v, kids) for v, kids in zip(values_per_level[lvl], _child_groups(tree, lvl, nodes))]
     return HarmonicFunction(tree, depth, dim, nodes[0])
 
 
@@ -224,11 +225,7 @@ def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
         if hit is not None:
             return hit
         kids = tuple(rec(c, tree.child(x, i)) for i, c in enumerate(snode.children))
-        ws = tree.w_row(x)
-        acc = kids[0].value.scale(ws[0])
-        for w, c in zip(ws[1:], kids[1:]):
-            acc = acc + c.value.scale(w)
-        node = func_split(acc, kids)
+        node = func_split(_w_average(tree, x, kids), kids)
         memo[key] = node
         return node
 
@@ -350,7 +347,8 @@ def restrict_tuple(ft: HarmonicTuple, n: int) -> TupleLevelFunction:
 
 
 def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction]) -> HarmonicFunction:
-    """Vertex-wise linear combination; harmonic because the law is linear."""
+    """Vertex-wise linear combination through the functions' depth, constant
+    below it; harmonic because the law is linear."""
     if len(coeffs) != len(fs):
         raise ValidationError(f"{len(coeffs)} coefficients for {len(fs)} functions")
     if not fs:
@@ -375,7 +373,7 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         acc = nodes[0].value.scale(coeffs[0])
         for a, n in zip(coeffs[1:], nodes[1:]):
             acc = acc + n.value.scale(a)
-        if all(n.children is None for n in nodes):
+        if x.level == depth or all(n.children is None for n in nodes):
             out = leaf(acc)
         else:
             k = tree.arity(x)
@@ -404,31 +402,10 @@ def truncate_and_extend(p: HarmonicFunction, h: HarmonicFunction, cut: int) -> H
     The result is harmonic: above the cut because differences of harmonic
     functions are harmonic, below it because constants are.
     """
-    if p.tree is not h.tree:
-        raise ValidationError("functions live on different trees")
     if not 0 <= cut <= min(p.depth, h.depth):
         raise ValidationError(f"cut level {cut} outside 0..{min(p.depth, h.depth)}")
-    if p.dim != h.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {h.dim}")
-    tree = p.tree
-    memo: dict[tuple, Node] = {}
-
-    def rec(np_: Node, nh: Node, x: VertexId) -> Node:
-        diff = np_.value - nh.value
-        if x.level == cut or (np_.children is None and nh.children is None):
-            return leaf(diff)
-        key = (id(np_), id(nh), tree.pos_key(x))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        k = tree.arity(x)
-        ca, cb = _expand(np_, k), _expand(nh, k)
-        kids = tuple(rec(ca[i], cb[i], tree.child(x, i)) for i in range(k))
-        out = func_split(diff, kids)
-        memo[key] = out
-        return out
-
-    return HarmonicFunction(tree, tree.depth, p.dim, rec(p.node, h.node, tree.root))
+    views = [HarmonicFunction(f.tree, cut, f.dim, f.node) for f in (p, h)]
+    return extend_constant(subtract_functions(*views), p.tree.depth)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .boundary import LevelFunction, Node, leaf, level_values, sector_split
+from .boundary import LevelFunction, Node, leaf, level_values
 from .density import DensityProfile, csv_rows
 from .errors import ValidationError
 from .harmonic import HarmonicFunction, HarmonicTuple, func_split
@@ -29,8 +29,6 @@ from .universality import (
     Witness,
 )
 from .values import Value
-
-DENSE_LEVEL_LIMIT = 4096
 
 
 def canonical_json(doc) -> str:
@@ -55,8 +53,7 @@ def value_from_doc(doc: Sequence[str]) -> Value:
 
 
 def dag_to_doc(node: Node) -> dict:
-    """Postorder node list of a level or harmonic function's DAG; a level
-    function's split has no value and writes "v": null."""
+    """Postorder node list of a harmonic function's DAG."""
     order: list[dict] = []
     index: dict[int, int] = {}
 
@@ -65,7 +62,7 @@ def dag_to_doc(node: Node) -> dict:
             return index[id(n)]
         kids = None if n.children is None else [rec(c) for c in n.children]
         i = len(order)
-        order.append({"v": None if n.value is None else value_to_doc(n.value), "c": kids})
+        order.append({"v": value_to_doc(n.value), "c": kids})
         index[id(n)] = i
         return i
 
@@ -73,14 +70,15 @@ def dag_to_doc(node: Node) -> dict:
     return {"nodes": order, "root": root}
 
 
-def dag_from_doc(doc: dict, split) -> Node:
-    """Inverse of dag_to_doc: split(node doc, children) builds a split node."""
+def dag_from_doc(doc: dict) -> Node:
+    """Inverse of dag_to_doc."""
     nodes: list = []
     for nd in doc["nodes"]:
+        value = value_from_doc(nd["v"])
         if nd["c"] is None:
-            nodes.append(leaf(value_from_doc(nd["v"])))
+            nodes.append(leaf(value))
         else:
-            nodes.append(split(nd, tuple(nodes[i] for i in nd["c"])))
+            nodes.append(func_split(value, tuple(nodes[i] for i in nd["c"])))
     return nodes[doc["root"]]
 
 
@@ -89,21 +87,14 @@ def dag_from_doc(doc: dict, split) -> Node:
 
 
 def level_function_to_doc(tree: Tree, lf: LevelFunction) -> dict:
-    doc: dict = {"level": lf.level, "dim": lf.dim}
-    if tree.level_size(lf.level) <= DENSE_LEVEL_LIMIT:
-        doc["values"] = [value_to_doc(v) for v in level_values(tree, lf)]
-    else:
-        doc["dag"] = dag_to_doc(lf.node)
-    return doc
+    """Per-vertex values of the level: targets lie on levels of at most
+    ENUMERATION_LEVEL_LIMIT vertices."""
+    return {"level": lf.level, "dim": lf.dim, "values": [value_to_doc(v) for v in level_values(tree, lf)]}
 
 
 def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
-    level = int(doc["level"])
-    if "values" in doc:
-        vals = [value_from_doc(v) for v in doc["values"]]
-        return LevelFunction.from_values(tree, level, vals)
-    node = dag_from_doc(doc["dag"], lambda nd, kids: sector_split(kids))
-    return LevelFunction(level, int(doc["dim"]), node)
+    vals = [value_from_doc(v) for v in doc["values"]]
+    return LevelFunction.from_values(tree, int(doc["level"]), vals)
 
 
 def target_to_doc(tree: Tree, t: Target) -> dict:
@@ -206,14 +197,7 @@ def witness_from_doc(doc: dict) -> Witness:
         tree = tree_from_doc(doc["tree"])
         dim = int(doc["dim"])
         depth = int(doc["depth"])
-
-        def split(nd: dict, kids: tuple) -> Node:
-            return func_split(value_from_doc(nd["v"]), kids)
-
-        comps = tuple(
-            HarmonicFunction(tree, depth, dim, dag_from_doc(c, split))
-            for c in doc["components"]
-        )
+        comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c)) for c in doc["components"])
         function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
         targets = tuple(target_from_doc(tree, t) for t in doc["targets"])
         target_components = tuple(int(c) for c in doc["target_components"])
@@ -225,8 +209,11 @@ def witness_from_doc(doc: dict) -> Witness:
         for c in target_components:
             if not 1 <= c <= width:
                 raise ValidationError(f"target_components entry {c} outside the components 1..{width}")
+        kind = doc["kind"]
+        if kind not in ("x", "ufm"):
+            raise ValidationError(f"unknown witness kind {kind!r}; expected 'x' or 'ufm'")
         return Witness(
-            kind=str(doc["kind"]),
+            kind=kind,
             function=function,
             schedule=schedule_from_doc(doc["schedule"]),
             targets=targets,

@@ -227,6 +227,75 @@ def test_certify_bad_target_components_exits_one(tmp_path, capsys, argv, compone
     assert not (tmp_path / "c").exists()
 
 
+def _certify_edited_ufm_witness(tmp_path, capsys, edit):
+    """certify a witness-ufm witness after edit(doc); return its exit code and errors."""
+    out = tmp_path / "o"
+    assert main(["witness-ufm", "--depth", "30", "--block-length", "5", "--out", str(out)]) == 0
+    doc = json.loads(read(out / "witness.json"))
+    edit(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")])
+    assert not (tmp_path / "c").exists()
+    return code, json.loads(capsys.readouterr().err)["errors"]
+
+
+def test_certify_split_with_wrong_child_count_exits_one(tmp_path, capsys):
+    def double_first_split(doc):
+        split = next(nd for nd in doc["components"][0]["nodes"] if nd["c"] is not None)
+        split["c"] = split["c"] * 2
+
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, double_first_split)
+    assert code == 1
+    assert errors == ["structure has 4 children where the tree has 2"]
+
+
+def test_certify_unknown_witness_kind_exits_one(tmp_path, capsys):
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, lambda doc: doc.update(kind="banana"))
+    assert code == 1
+    assert len(errors) == 1 and "'banana'" in errors[0]
+
+
+def test_certify_target_in_dag_form_exits_one(tmp_path, capsys):
+    def dag_form(doc):
+        # the removed form: a postorder node list whose splits carry "v": null
+        # (binary tree, nothing shared); targets are written as "values" only
+        level_doc = doc["targets"][-1]["level_function"]
+        nodes = [{"v": v, "c": None} for v in level_doc.pop("values")]
+        ids = list(range(len(nodes)))
+        while len(ids) > 1:
+            for a, b in zip(ids[::2], ids[1::2]):
+                nodes.append({"v": None, "c": [a, b]})
+            ids = list(range(len(nodes) - len(ids) // 2, len(nodes)))
+        level_doc["dag"] = {"nodes": nodes, "root": ids[0]}
+
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, dag_form)
+    assert code == 1
+    assert errors == ["witness document lacks the key 'values'"]
+
+
+@pytest.mark.parametrize(
+    "command,config,issue",
+    [
+        ("witness-x", {"targets": {"resolution": "x"}}, "targets.resolution must be an integer of at least 0, got 'x'"),
+        ("witness-x", {"targets": {"bound": None}}, "targets.bound must be an integer of at least 1, got None"),
+        ("witness-x", {"width": "3"}, "width must be an integer of at least 1 or null, got '3'"),
+        ("witness-x", {"warmup": "2"}, "warmup must be an integer of at least 0 or null, got '2'"),
+        ("span-check", {"cases": None}, "cases must be an integer of at least 0, got None"),
+        ("dense-family", {"count": "4"}, "count must be an integer of at least 1, got '4'"),
+    ],
+    ids=["resolution-text", "bound-null", "width-text", "warmup-text", "cases-null", "count-text"],
+)
+def test_wrong_typed_config_integer_exits_one(tmp_path, capsys, command, config, issue):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": {"depth": 30}, **config}), encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == [issue]
+    assert not (tmp_path / "o").exists()
+
+
 # sha256 of outputs recorded from the per-level restrict-and-integrate route
 # (the first two) and from block-by-block witness synthesis (the last two);
 # any change to a distance, its type or its formatting changes a digest
@@ -270,6 +339,12 @@ GOLDEN = {
             "report.json": "ce06976d9551de53a1a294f2338a1745c0194cd0bea8671d1db929c082e3b8fb",
             "witness.json": "54285309177a79b8dd990327f64ed472ee65a648dd42b8b099a20eb3c4c5a919",
         },
+    ),
+    # the only command that truncates and extends, recorded while
+    # truncate_and_extend ran its own walk
+    "dense-family": (
+        ["dense-family", "--depth", "30", "--count", "5"],
+        {"report.json": "7fa066f65add90be03726f8d49b0e875a21390fe022d78a4777c4409cb5d25de"},
     ),
 }
 

@@ -27,10 +27,11 @@ from treeharmonics import (
     truncate_and_extend,
     zero_function,
 )
-from treeharmonics.harmonic import diagonal_pair, harmonic_from_assignment
+from treeharmonics.boundary import _expand, leaf
+from treeharmonics.harmonic import diagonal_pair, func_split, harmonic_from_assignment
 from treeharmonics.values import centered_grid
 
-from conftest import random_value
+from conftest import random_level_function, random_value
 
 
 def two_level_binary():
@@ -220,6 +221,43 @@ def test_truncate_and_extend_levels_freeze(binary4):
     j0 = binary4.vertex_count_through(cut)
     rho = pointwise_metric(diff, g)
     assert rho.upper <= Fraction(1, 2**j0)
+
+
+def _reference_truncate_and_extend(p, h, cut):
+    """The root node of (p - h) cut at level `cut`, built by the joint walk
+    truncate_and_extend ran before it was a linear combination of cut views."""
+    tree = p.tree
+    memo = {}
+
+    def rec(np_, nh, x):
+        diff = np_.value - nh.value
+        if x.level == cut or (np_.children is None and nh.children is None):
+            return leaf(diff)
+        key = (id(np_), id(nh), tree.pos_key(x))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        k = tree.arity(x)
+        ca, cb = _expand(np_, k), _expand(nh, k)
+        out = func_split(diff, tuple(rec(ca[i], cb[i], tree.child(x, i)) for i in range(k)))
+        memo[key] = out
+        return out
+
+    return rec(p.node, h.node, tree.root)
+
+
+@pytest.mark.parametrize("name", ["binary4", "ternary3", "lopsided3"])
+def test_truncate_and_extend_matches_reference_walk(request, name):
+    tree = request.getfixturevalue(name)
+    rng = random.Random(22)
+    p, h = random_harmonic(tree, rng), random_harmonic(tree, rng)
+    # constant below level 1, so the walk also meets leaves above the cut
+    shallow = aggregate_from_level(tree, random_level_function(tree, rng, 1, 1))
+    for f, g in ((p, h), (p, shallow), (shallow, p), (p, p)):
+        for cut in range(tree.depth + 1):
+            got = truncate_and_extend(f, g, cut)
+            assert got.depth == tree.depth
+            assert got.node is _reference_truncate_and_extend(f, g, cut), cut
 
 
 def test_enumeration_starts_at_zero(binary4):
