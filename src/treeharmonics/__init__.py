@@ -40,6 +40,7 @@ from .harmonic import (
     enumerate_harmonics,
     extend_constant,
     function_from_level_values,
+    hit_levels,
     level_profile,
     linear_combination,
     pointwise_metric,

@@ -14,10 +14,10 @@ the same node whichever kind of function holds it.
 The probability metric integrates d/(1+d) against the boundary measure; on
 level functions that integral is an exact finite weighted sum evaluated by
 one memoized joint recursion over the structures (_integral).  These metrics
-serve single-level comparisons; the distances of a harmonic function at
-every level up to a horizon come from one forward sweep,
-harmonic.level_profile, which costs O(horizon x frontier width) instead of
-one recursion per level.
+serve single-level comparisons and the tests' exact oracles.  Every level of
+a harmonic function up to a horizon comes from one forward walk in the
+harmonic module instead, folded into exact distances (level_profile) or into
+hit decisions from outward-rounded integer bounds (hit_levels).
 """
 
 from __future__ import annotations

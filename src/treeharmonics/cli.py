@@ -121,9 +121,9 @@ def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-# (key, least value, may be null) of every integer the commands read
+# (key, least value or None for any, may be null) of every integer the commands read, never a bool
 INTEGER_KEYS = (
-    ("tree.depth", 1, False), ("targets.count", 1, False), ("targets.resolution", 0, False),
+    ("seed", None, False), ("tree.depth", 1, False), ("targets.count", 1, False), ("targets.resolution", 0, False),
     ("targets.bound", 1, False), ("dim", 1, False), ("growth", 2, False),
     ("block_length", 1, False), ("count", 1, False), ("cases", 0, False),
     ("width", 1, True), ("horizon", 1, True), ("warmup", 0, True),
@@ -149,9 +149,9 @@ def validate_config(cfg: dict) -> None:
     for key, least, nullable in INTEGER_KEYS:
         section, _, name = key.rpartition(".")
         value = sections[section].get(name)
-        if not (value is None and nullable) and (not isinstance(value, int) or value < least):
-            null = " or null" if nullable else ""
-            issues.append(f"{key} must be an integer of at least {least}{null}, got {value!r}")
+        if not (value is None and nullable) and (type(value) is not int or least is not None and value < least):
+            least_text = "" if least is None else f" of at least {least}"
+            issues.append(f"{key} must be an integer{least_text}{' or null' if nullable else ''}, got {value!r}")
     if targets.get("epsilon") is not None:
         try:
             eps = Fraction(str(targets["epsilon"]))

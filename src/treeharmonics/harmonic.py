@@ -10,12 +10,17 @@ them.  It recomputes the residual at every position of a split node exactly
 and certifies a constant node in one step, since the tree invariant that each
 w row sums to one makes a constant harmonic at every vertex below it.
 
-level_profile gives the boundary distance of every level restriction up to a
-horizon in one forward sweep: it pushes q-mass down the function DAG and the
-DAGs of any number of targets together, one level at a time, and folds pairs
-that can no longer change into a running sum per target and integrand, so
-certifying H levels costs O(H x frontier width) rather than the O(H x DAG) of
-restricting and integrating each level from the root.
+One forward walk serves every level up to a horizon: it pushes q-mass down
+the function DAG and the DAGs of any number of targets together, one level at
+a time, and sets aside the pairs that can no longer change, so H levels cost
+O(H x frontier width) rather than the O(H x DAG) of restricting and
+integrating each level from the root.  level_profile folds it into exact
+distances, whose digits grow quadratically with depth; the witness commands
+use it because they write block-end distances and mismatch logs exactly.
+hit_levels folds it into integer bounds scaled by 2^P, decides d_n < radius
+from them and sums exactly only a level whose bounds straddle the radius;
+certify on a witness file, span-check and double-genericity use it because
+they write hit sets only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .trees import Tree, VertexId
 from .values import Value, bounded_metric, centered_grid
 
 ENUMERATION_LEVEL_LIMIT = 4096  # largest level the diagonal enumerations assign
+P = 128  # fractional bits of the fixed-point bounds hit_levels decides from
 
 
 _FUNC_SPLITS: dict[tuple, Node] = {}
@@ -263,6 +269,66 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
     return LevelFunction(n, f.dim, rec(f.node, n))
 
 
+def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
+    """integrand(value, target value) over the target sector at x, with value
+    held constant below x; zero terms are skipped."""
+    if tnode.is_leaf:
+        return integrand(value, tnode.value)
+    qs = tree.q_row(x)
+    r: Scalar = 0
+    for i, c in enumerate(_expand(tnode, tree.arity(x))):
+        part = _against(tree, value, c, tree.child(x, i), integrand)
+        if part:
+            r = r + qs[i] * part
+    return r
+
+
+def _frontier_walk(f: HarmonicFunction, sweeps: Sequence[tuple]) -> tuple[list[int], Iterator[tuple]]:
+    """Check each sweep's target (first) and horizon (last), and return each
+    sweep's target slot with the walk level_profile and hit_levels fold.  It
+    pushes q-mass down f and the distinct targets together and yields, for
+    each level n = 0, 1, ... to the largest horizon, the entries (function
+    node, target node per slot, vertex, mass) that froze at n, because their
+    function node is constant below, and the frontier at n.
+    """
+    for target, *_, horizon in sweeps:
+        if not 0 <= horizon <= f.depth:
+            raise ValidationError(f"level {horizon} outside 0..{f.depth}")
+        if f.dim != target.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {target.dim}")
+    tree = f.tree
+    roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
+
+    def push(frozen: list, into: dict, fnode: Node, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
+        if fnode.is_leaf:
+            frozen.append((fnode, tnodes, x, mass))
+            return
+        key = (id(fnode), tnodes, tree.pos_key(x))
+        entry = into.get(key)
+        if entry is None:
+            into[key] = [fnode, tnodes, x, mass]
+        else:
+            entry[3] = entry[3] + mass
+
+    def levels() -> Iterator[tuple]:
+        frozen, frontier = [], {}
+        push(frozen, frontier, f.node, roots, tree.root, 1)
+        yield frozen, frontier.values()
+        for _ in range(max((s[-1] for s in sweeps), default=0)):
+            frozen, below = [], {}
+            for fnode, tnodes, x, mass in frontier.values():
+                k = tree.arity(x)
+                fkids = _expand(fnode, k)
+                tkids = [_expand(t, k) for t in tnodes]
+                qs = tree.q_row(x)
+                for i in range(k):
+                    push(frozen, below, fkids[i], tuple(e[i] for e in tkids), tree.child(x, i), mass * qs[i])
+            frontier = below
+            yield frozen, frontier.values()
+
+    return [roots.index(s[0].node) for s in sweeps], levels()
+
+
 def level_profile(
     f: HarmonicFunction,
     sweeps: Sequence[tuple[LevelFunction, Callable[[Value, Value], Scalar], int]],
@@ -273,73 +339,82 @@ def level_profile(
     I_n integrates integrand(value of f at level n, target value) against the
     boundary measure, exactly as the boundary metrics do on
     restrict_to_level(f, n) (zero terms are skipped, so an all-zero distance
-    stays the int 0).  One forward sweep serves every level and triple: the
-    frontier maps (function node, the node of each distinct target, position)
-    to the q-mass of the sectors it covers and moves down one level per step,
-    to the largest horizon.  A pair whose function node is constant never
-    changes below, so its integral joins each triple's frozen sum and leaves
-    the frontier.  The cost is the largest horizon times the frontier width.
+    stays the int 0): a running sum per triple over the frozen entries, plus
+    the level-n frontier.
     """
-    for target, _, horizon in sweeps:
-        if not 0 <= horizon <= f.depth:
-            raise ValidationError(f"level {horizon} outside 0..{f.depth}")
-        if f.dim != target.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {target.dim}")
     tree = f.tree
-    roots = tuple({id(target.node): target.node for target, _, _ in sweeps}.values())  # each distinct target once
-    plan = [(roots.index(target.node), integrand, horizon) for target, integrand, horizon in sweeps]
+    slots, walk = _frontier_walk(f, sweeps)
 
-    def against(value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
-        # a value held constant below x, integrated against the target sector
-        if tnode.is_leaf:
-            return integrand(value, tnode.value)
-        qs = tree.q_row(x)
-        r: Scalar = 0
-        for i, c in enumerate(_expand(tnode, tree.arity(x))):
-            part = against(value, c, tree.child(x, i), integrand)
+    def fold(entries, slot: int, integrand, total: Scalar) -> Scalar:
+        for fnode, tnodes, x, mass in entries:
+            part = _against(tree, fnode.value, tnodes[slot], x, integrand)
             if part:
-                r = r + qs[i] * part
-        return r
+                total = total + mass * part
+        return total
 
-    frozen: list[Scalar] = [0] * len(plan)
-
-    def push(into: dict, fnode: Node, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
-        if fnode.is_leaf:
-            for j, (slot, integrand, horizon) in enumerate(plan):
-                if horizon >= x.level:
-                    part = against(fnode.value, tnodes[slot], x, integrand)
-                    if part:
-                        frozen[j] = frozen[j] + mass * part
-            return
-        key = (id(fnode), tnodes, tree.pos_key(x))
-        entry = into.get(key)
-        if entry is None:
-            into[key] = [fnode, tnodes, x, mass]
-        else:
-            entry[3] = entry[3] + mass
-
-    frontier: dict[tuple, list] = {}
-    push(frontier, f.node, roots, tree.root, 1)
-    out: list[list[Scalar]] = [[] for _ in plan]
-    for n in range(1, max((horizon for _, _, horizon in plan), default=0) + 1):
-        below: dict[tuple, list] = {}
-        for fnode, tnodes, x, mass in frontier.values():
-            k = tree.arity(x)
-            fkids = _expand(fnode, k)
-            tkids = [_expand(t, k) for t in tnodes]
-            qs = tree.q_row(x)
-            for i in range(k):
-                push(below, fkids[i], tuple(e[i] for e in tkids), tree.child(x, i), mass * qs[i])
-        frontier = below
-        for j, (slot, integrand, horizon) in enumerate(plan):
+    frozen: list[Scalar] = [0] * len(sweeps)
+    out: list[list[Scalar]] = [[] for _ in sweeps]
+    for n, (froze, frontier) in enumerate(walk):
+        for j, (slot, (_, integrand, horizon)) in enumerate(zip(slots, sweeps)):
             if n <= horizon:
-                total = frozen[j]
-                for fnode, tnodes, x, mass in frontier.values():
-                    part = against(fnode.value, tnodes[slot], x, integrand)
-                    if part:
-                        total = total + mass * part
-                out[j].append(total)
+                frozen[j] = fold(froze, slot, integrand, frozen[j])
+                if n:
+                    out[j].append(fold(frontier, slot, integrand, frozen[j]))
     return out
+
+
+def hit_levels(f: HarmonicFunction, sweeps: Sequence[tuple[LevelFunction, Scalar, Scalar, int]]) -> list[list[int]]:
+    """The levels n in 1..horizon with bounded_metric(scale * f_n, target) <
+    radius, one list per (target, scale, radius, horizon) sweep.
+
+    The bounds, in units of 2^-P, round outward the coordinates, d/(1+d)
+    (which increases in d) and each term of mass times integrand.  Levels
+    whose bounds straddle the radius are decided by one exact level_profile
+    up to the last of them, so every decision is the exact one.
+    """
+    tree = f.tree
+    slots, walk = _frontier_walk(f, sweeps)
+    one = 1 << P
+
+    def outward(s: Scalar, a: Scalar = 1) -> tuple[int, int]:
+        num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
+        return num // den, -(-num // den)
+
+    def bounds(entries, slot: int, a: Scalar, lo: int, hi: int) -> tuple[int, int]:
+        for fnode, tnodes, x, mass in entries:
+            tnode = tnodes[slot]
+            if tnode.is_leaf:
+                dl = dh = 0
+                for u, v in zip(fnode.value.coords, tnode.value.coords):
+                    (ul, uh), (vl, vh) = outward(u, a), outward(v)
+                    dl += max(ul - vh, vl - uh, 0)
+                    dh += max(uh - vl, vh - ul)
+                tl, th = dl * one // (one + dl), -(-dh * one // (one + dh))
+            else:
+                tl, th = outward(_against(tree, fnode.value.scale(a), tnode, x, bounded_metric))
+            lo += mass.numerator * tl // mass.denominator
+            hi -= -mass.numerator * th // mass.denominator
+        return lo, hi
+
+    frozen = [(0, 0)] * len(sweeps)
+    hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
+    for n, (froze, frontier) in enumerate(walk):
+        for j, (slot, (_, a, radius, horizon)) in enumerate(zip(slots, sweeps)):
+            if n <= horizon:
+                frozen[j] = bounds(froze, slot, a, *frozen[j])
+                if n:
+                    lo, hi = bounds(frontier, slot, a, *frozen[j])
+                    edge = radius.numerator << P
+                    if hi * radius.denominator < edge:
+                        hits[j].append(n)
+                    elif lo * radius.denominator < edge:
+                        undecided[j].append(n)
+    late = [j for j, levels in enumerate(undecided) if levels]
+    scaled = [lambda u, v, a=sweeps[j][1]: bounded_metric(u.scale(a), v) for j in late]
+    exact = level_profile(f, [(sweeps[j][0], g, undecided[j][-1]) for j, g in zip(late, scaled)])
+    for j, d in zip(late, exact):
+        hits[j] = sorted(hits[j] + [n for n in undecided[j] if d[n - 1] < sweeps[j][2]])
+    return hits
 
 
 def restrict_tuple(ft: HarmonicTuple, n: int) -> TupleLevelFunction:

@@ -63,6 +63,7 @@ from .harmonic import (
     check_harmonic,
     enumerate_harmonics,
     func_split,
+    hit_levels,
     level_function_from_assignment,
     level_profile,
     linear_combination,
@@ -535,10 +536,7 @@ def build_ufm_witness(
 
 def hit_set(tree: Tree, f: HarmonicFunction, target: Target, horizon: int) -> list[int]:
     """Exact hit levels: {n : p_metric(level-n restriction, target) < epsilon}."""
-    if horizon > f.depth:
-        raise ValidationError(f"horizon {horizon} exceeds function depth {f.depth}")
-    distances = level_profile(f, [(target.level_function, bounded_metric, horizon)])[0]
-    return [n for n, d in enumerate(distances, 1) if d < target.epsilon]
+    return hit_levels(f, [(target.level_function, 1, target.epsilon, horizon)])[0]
 
 
 @dataclass(frozen=True)
@@ -573,7 +571,8 @@ def certify_hits(
 
     Geometric-kind witnesses are judged on the upper-density surrogate,
     cyclic-kind ones on the lower-density floor.  The distances come from
-    synthesis if they reach the horizon, else from one sweep per component.
+    synthesis if they reach the horizon, else hit_levels decides them in one
+    sweep per component.
     """
     tree = witness.tree
     horizon = witness.schedule.horizon if horizon is None else horizon
@@ -582,15 +581,16 @@ def certify_hits(
         raise ValidationError(f"horizon {horizon} exceeds tree depth {tree.depth}")
     pairs = list(zip(witness.targets, witness.target_components))
     distances = witness.hit_distances
-    if not (distances and 0 <= horizon <= len(distances[0])):
-        swept = {}  # each component's distances, in the order of the targets it certifies
+    if distances and 0 <= horizon <= len(distances[0]):
+        hit_sets = [[n for n, dn in enumerate(d[:horizon], 1) if dn < t.epsilon] for (t, _), d in zip(pairs, distances)]
+    else:
+        swept = {}  # each component's hit sets, in the order of the targets it certifies
         for comp in dict.fromkeys(witness.target_components):
-            sweeps = [(t.level_function, bounded_metric, horizon) for t, c in pairs if c == comp]
-            swept[comp] = iter(level_profile(witness.component_function(comp), sweeps))
-        distances = [next(swept[c]) for _, c in pairs]
+            sweeps = [(t.level_function, 1, t.epsilon, horizon) for t, c in pairs if c == comp]
+            swept[comp] = iter(hit_levels(witness.component_function(comp), sweeps))
+        hit_sets = [next(swept[c]) for _, c in pairs]
     entries = []
-    for (t, comp), d in zip(pairs, distances):
-        hits = [n for n, dn in enumerate(d[:horizon], 1) if dn < t.epsilon]
+    for (t, comp), hits in zip(pairs, hit_sets):
         prof = profile(hits, horizon, min(warmup, horizon - 1))
         upper = empirical_upper_density(prof)
         lower = empirical_lower_density(prof)
@@ -647,7 +647,6 @@ def span_inclusion_check(
         raise ValidationError("need one coefficient per component")
     if coeffs[-1] == 0:
         raise ValidationError("the last coefficient must be nonzero")
-    tree = components[0].tree
     dim = components[0].dim
     if psi.dim != dim:
         raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {dim}")
@@ -656,32 +655,17 @@ def span_inclusion_check(
     delta = epsilon / s
     b = [a if a != 0 else Fraction(1) for a in coeffs]
     combo = linear_combination(coeffs, components)
-    zero_lf = LevelFunction.constant(0, Value.zero(dim))
-    centers = [zero_lf] * (s - 1) + [psi]
-    scaled = [
-        level_profile(f, [(center, lambda u, v, a=a: bounded_metric(u.scale(a), v), horizon)])[0]
-        for f, center, a in zip(components, centers, b)
-    ]
-    combo_distances = level_profile(combo, [(psi, bounded_metric, horizon)])[0]
-    hat_hits: list[int] = []
-    combo_hits: list[int] = []
-    violations: list[int] = []
-    for n in range(1, horizon + 1):
-        ok = all(d[n - 1] < delta for d in scaled)
-        in_combo = combo_distances[n - 1] < epsilon
-        if ok:
-            hat_hits.append(n)
-            if not in_combo:
-                violations.append(n)
-        if in_combo:
-            combo_hits.append(n)
+    centers = [LevelFunction.constant(0, Value.zero(dim))] * (s - 1) + [psi]
+    near = [set(hit_levels(f, [(center, a, delta, horizon)])[0]) for f, center, a in zip(components, centers, b)]
+    hat_hits = tuple(n for n in range(1, horizon + 1) if all(n in h for h in near))
+    combo_hits = tuple(hit_levels(combo, [(psi, 1, epsilon, horizon)])[0])
     return SpanInclusionReport(
         coeffs=tuple(coeffs),
         epsilon=epsilon,
         delta=delta,
-        hat_hits=tuple(hat_hits),
-        combo_hits=tuple(combo_hits),
-        violations=tuple(violations),
+        hat_hits=hat_hits,
+        combo_hits=combo_hits,
+        violations=tuple(n for n in hat_hits if n not in combo_hits),
     )
 
 

@@ -284,8 +284,16 @@ def test_certify_target_in_dag_form_exits_one(tmp_path, capsys):
         ("witness-x", {"warmup": "2"}, "warmup must be an integer of at least 0 or null, got '2'"),
         ("span-check", {"cases": None}, "cases must be an integer of at least 0, got None"),
         ("dense-family", {"count": "4"}, "count must be an integer of at least 1, got '4'"),
+        ("build", {"seed": None}, "seed must be an integer, got None"),
+        ("build", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("witness-x", {"seed": False}, "seed must be an integer, got False"),
+        ("build", {"tree": {"depth": True}}, "tree.depth must be an integer of at least 1, got True"),
+        ("span-check", {"cases": True}, "cases must be an integer of at least 0, got True"),
     ],
-    ids=["resolution-text", "bound-null", "width-text", "warmup-text", "cases-null", "count-text"],
+    ids=[
+        "resolution-text", "bound-null", "width-text", "warmup-text", "cases-null", "count-text",
+        "seed-null", "seed-float", "seed-bool", "depth-bool", "cases-bool",
+    ],
 )
 def test_wrong_typed_config_integer_exits_one(tmp_path, capsys, command, config, issue):
     cfg = tmp_path / "cfg.json"
@@ -294,6 +302,16 @@ def test_wrong_typed_config_integer_exits_one(tmp_path, capsys, command, config,
     assert code == 1
     assert json.loads(capsys.readouterr().err)["errors"] == [issue]
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_builds_one_tree(tmp_path):
+    """A seed may have any sign; the random tree it draws is the same each run."""
+    cfg = tmp_path / "cfg.json"
+    tree = {"depth": 6, "branching": {"kind": "random", "max_arity": 3}, "q_rule": {"kind": "random"}}
+    cfg.write_text(json.dumps({"seed": -7, "tree": tree}), encoding="utf-8")
+    for out in ("a", "b"):
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    assert read(tmp_path / "a" / "tree.json") == read(tmp_path / "b" / "tree.json")
 
 
 # sha256 of outputs recorded from the per-level restrict-and-integrate route
@@ -400,6 +418,31 @@ def test_explicit_tree_outputs_match_recorded_digests(tmp_path):
     assert main(["witness-x", "--config", str(cfg), "--out", str(witness)]) == 0
     assert main(["certify", "--witness", str(witness / "witness.json"), "--out", str(certify)]) == 0
     for name, digest in EXPLICIT_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the outputs of two runs whose hit sets hit_levels decides from
+# integer bounds, recorded while they were decided from exact distances:
+# certify on the witness-ufm-120 witness, and span-check on a depth-60 tree
+# whose skewed w rows give its components coordinates of some 380 bits
+SKEWED_SPAN_CONFIG = {"tree": {"depth": 60, "w_rule": {"kind": "per_level", "rows": [["1/100", "99/100"]] * 60}}}
+BOUNDS_GOLDEN = {
+    "certify/report.json": "b41d7eb7d0142b651e2b95b83c402c47580bf5e5a50e4c30fe0e9391f0314dca",
+    "certify/density_t1.csv": "4da6b5359c29bf70601e606a6a37d4b32a34f2adb35fab70e2699f219408f642",
+    "certify/density_t2.csv": "982ddb845e086e6f4a68a66bb095454657b554d2b7d2010f3bad6f567994f5d5",
+    "certify/density_t3.csv": "ea55320785f20db032c0098ba1fab4f04369a04c8214c16bdc9aa0997dcfc56e",
+    "span/report.json": "fe0d74af7590bfc1f4c3c3b3fdb13e917b487a1d9daecafa5e10a6faabd7da72",
+}
+
+
+def test_bound_decided_outputs_match_recorded_digests(tmp_path):
+    argv, _ = GOLDEN["witness-ufm-120"]
+    assert main(argv + ["--out", str(tmp_path / "witness")]) == 0
+    assert main(["certify", "--witness", str(tmp_path / "witness" / "witness.json"), "--out", str(tmp_path / "certify")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SKEWED_SPAN_CONFIG), encoding="utf-8")
+    assert main(["span-check", "--config", str(cfg), "--cases", "20", "--out", str(tmp_path / "span")]) == 0
+    for name, digest in BOUNDS_GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

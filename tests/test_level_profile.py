@@ -5,16 +5,22 @@ restricting the function to that level and integrating from the root, with
 the same value and the same type (an all-zero distance is the int 0).  A
 sweep over several (target, integrand, horizon) triples must return, for
 each triple, exactly what a sweep over that triple alone returns.
+
+hit_levels must decide every level as the exact comparison of those
+distances with the radius does, and its integer bounds must enclose them.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeharmonics import (
     DimensionMismatchError,
     LevelFunction,
+    Target,
     TreeSpec,
     ValidationError,
     Value,
@@ -23,11 +29,16 @@ from treeharmonics import (
     build_ufm_witness,
     build_x_witness,
     enumerate_targets,
+    harmonic,
+    hit_levels,
+    hit_set,
     level_profile,
     level_scale,
+    linear_combination,
     mismatch_measure,
     p_metric,
     restrict_to_level,
+    span_inclusion_check,
     zero_function,
 )
 from treeharmonics.boundary import mismatch_integrand
@@ -79,6 +90,60 @@ def assert_sweeps_match(f, sweeps):
 def assert_profiles_match(f, targets, horizon):
     assert_sweeps_match(f, [(t, name, horizon) for t in targets for name in INTEGRANDS])
     assert_sweeps_match(f, mixed(targets, horizon))
+    for scale in (1, SCALE):
+        assert_bounds_enclose(f, targets, scale, horizon)
+
+
+def scaled_metric(a):
+    return lambda u, v: bounded_metric(u.scale(a), v)
+
+
+def exact_hits(f, target, scale, radius, horizon):
+    """The exact decision d_n < radius on level_profile's distances."""
+    distances = level_profile(f, [(target, scaled_metric(scale), horizon)])[0]
+    return [n for n, d in enumerate(distances, 1) if d < radius]
+
+
+def assert_bounds_enclose(f, targets, scale, horizon):
+    """lo <= d_n * 2^P <= hi for hit_levels' bounds [lo, hi] at every level n.
+
+    Read through its decisions, one sweep per level: it may call n a hit
+    without the exact distance only when hi * 2^-P lies below the radius,
+    and a miss only when lo * 2^-P does not.  So at radius d_n it leaves n
+    out iff hi >= d_n * 2^P, and at radius (floor(d_n * 2^P) + 1) * 2^-P it
+    takes n in iff lo <= d_n * 2^P.
+    """
+    one = 1 << harmonic.P
+    for target in targets:
+        distances = level_profile(f, [(target, scaled_metric(scale), horizon)])[0]
+        above = [Fraction(d * one // 1 + 1, one) for d in distances]
+        sweeps = [(target, scale, d, n) for n, d in enumerate(distances, 1)]
+        sweeps += [(target, scale, r, n) for n, r in enumerate(above, 1)]
+        got = hit_levels(f, sweeps)
+        for n in range(1, horizon + 1):
+            assert n not in got[n - 1], ("hi below the distance", n)
+            assert n in got[horizon + n - 1], ("lo above the distance", n)
+
+
+class ReadLevels(list):
+    """An exact distance list that records the levels hit_levels reads from
+    it, which are the levels its bounds left undecided."""
+
+    def __init__(self, distances, read):
+        super().__init__(distances)
+        self.read = read
+
+    def __getitem__(self, i):
+        self.read.append(i + 1)
+        return super().__getitem__(i)
+
+
+def record_fallback(monkeypatch):
+    """Make hit_levels' exact fallback report each level it decides."""
+    read: list[int] = []
+    exact = harmonic.level_profile
+    monkeypatch.setattr(harmonic, "level_profile", lambda f, sweeps: [ReadLevels(d, read) for d in exact(f, sweeps)])
+    return read
 
 
 def random_harmonic(tree, rng):
@@ -130,6 +195,8 @@ def test_random_explicit_tree_and_deeper_targets(seed):
     targets = [random_level_function(tree, rng, level, 1) for level in range(4)]
     for t in targets:
         assert_sweeps_match(f, [(t, name, 5) for name in INTEGRANDS])
+    assert_bounds_enclose(f, targets, 1, 5)
+    assert_bounds_enclose(f, targets, SCALE, 5)
     assert_sweeps_match(f, mixed(targets[1:], 5))
     assert_sweeps_match(f, mixed(targets[2:], 5))
 
@@ -149,6 +216,51 @@ def test_scaled_span_integrand(binary6):
         for n in range(1, 7):
             want = p_metric(binary6, level_scale(a, restrict_to_level(f, n)), center)
             assert same(got[n - 1], want), (a, n)
+        assert_bounds_enclose(f, [center], a, 6)
+
+
+def test_radius_at_an_exact_distance_falls_back_to_no_hit(binary6, monkeypatch):
+    rng = random.Random(9)
+    f = random_harmonic(binary6, rng)
+    center = random_level_function(binary6, rng, 2, 1)
+    distances = level_profile(f, [(center, bounded_metric, 6)])[0]
+    assert all((d * 2**harmonic.P).denominator > 1 for d in distances)  # no bound can equal one
+    read = record_fallback(monkeypatch)
+    for n, d in enumerate(distances, 1):
+        got = hit_levels(f, [(center, 1, d, 6)])[0]
+        assert got == [m for m, e in enumerate(distances, 1) if e < d]
+        assert n not in got and read == [n]
+        read.clear()
+
+
+def test_coarse_bounds_fall_back_to_the_same_hits(monkeypatch):
+    """With 2 fractional bits most levels are undecided; the hits stay."""
+    tree = build_tree(
+        TreeSpec(depth=30, branching={"kind": "uniform", "arity": 2}, q_rule=SKEWED, w_rule=SKEWED)
+    )
+    targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 8))
+    witness = build_ufm_witness(tree, targets, block_length=5).function
+    cases = [(witness, [(t.level_function, 1, t.epsilon, 30) for t in targets])]
+    for seed in range(3):
+        tree = build_tree(
+            TreeSpec(
+                depth=5,
+                branching={"kind": "random", "max_arity": 3},
+                q_rule={"kind": "random", "max_weight": 7},
+                w_rule={"kind": "random", "max_weight": 5},
+                seed=seed,
+            )
+        )
+        rng = random.Random(seed)
+        f = random_harmonic(tree, rng)
+        centers = [random_level_function(tree, rng, level, 1) for level in range(4)]
+        cases.append((f, [(t, a, r, 5) for t in centers for a in (1, SCALE) for r in (Fraction(1, 8), Fraction(1, 2))]))
+    want = [[exact_hits(f, *sweep) for sweep in sweeps] for f, sweeps in cases]
+    monkeypatch.setattr(harmonic, "P", 2)
+    read = record_fallback(monkeypatch)
+    assert [hit_levels(f, sweeps) for f, sweeps in cases] == want
+    assert len(read) > sum(horizon for _, sweeps in cases for *_, horizon in sweeps) // 2
+    assert [hit_set(witness.tree, witness, t, 30) for t in targets] == want[0]
 
 
 def test_all_zero_distance_is_int_zero(binary4):
@@ -167,3 +279,45 @@ def test_horizon_and_dimension_validated(binary4):
             level_profile(f, bad)
     with pytest.raises(DimensionMismatchError):
         level_profile(f, [(zero, bounded_metric, 2), (LevelFunction.constant(0, Value.of(0, 0)), bounded_metric, 2)])
+
+
+def exact_span(components, coeffs, psi, epsilon, horizon):
+    """span_inclusion_check's hat hits, combination hits and violations from
+    exact distances."""
+    delta = epsilon / len(components)
+    centers = [LevelFunction.constant(0, Value.of(0))] * (len(components) - 1) + [psi]
+    near = [exact_hits(f, c, a or 1, delta, horizon) for f, c, a in zip(components, centers, coeffs)]
+    hat = tuple(n for n in range(1, horizon + 1) if all(n in h for h in near))
+    combo = tuple(exact_hits(linear_combination(coeffs, components), psi, 1, epsilon, horizon))
+    return hat, combo, tuple(n for n in hat if n not in combo)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    scales=st.lists(st.fractions(-3, 3, max_denominator=6), min_size=2, max_size=2),
+    pick=st.integers(0, 3),
+    radius=st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50),
+)
+def test_random_trees_decide_as_the_exact_sweep(seed, scales, pick, radius):
+    tree = build_tree(
+        TreeSpec(
+            depth=4,
+            branching={"kind": "random", "max_arity": 3},
+            q_rule={"kind": "random", "max_weight": 7},
+            w_rule={"kind": "random", "max_weight": 5},
+            seed=seed,
+        )
+    )
+    rng = random.Random(seed)
+    f, g = random_harmonic(tree, rng), random_harmonic(tree, rng)
+    targets = [random_level_function(tree, rng, level, 1) for level in (0, 1, 2)]
+    for t in targets:
+        for scale in scales:
+            tie = level_profile(f, [(t, scaled_metric(scale), 4)])[0][pick]  # a radius that is a distance
+            for r in (tie, radius):
+                assert hit_levels(f, [(t, scale, r, 4)])[0] == exact_hits(f, t, scale, r, 4), (scale, r)
+        assert hit_set(tree, f, Target(1, t, radius), 4) == exact_hits(f, t, 1, radius, 4)
+    coeffs = (scales[0], scales[1] or Fraction(1))
+    rep = span_inclusion_check([f, g], coeffs, targets[pick % 3], radius, 4)
+    assert (rep.hat_hits, rep.combo_hits, rep.violations) == exact_span([f, g], coeffs, targets[pick % 3], radius, 4)
