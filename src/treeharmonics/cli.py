@@ -281,32 +281,32 @@ def cmd_span_check(cfg: dict, out_dir: Path) -> None:
     components = list(witness.function.components[: len(targets)])
     horizon = witness.schedule.horizon
     rng = Random(cfg["seed"])
-    cases = []
-    any_violation = False
     zero_lf = LevelFunction.constant(0, Value.zero(cfg["dim"]))
+    drawn = []  # (coeffs, psi, psi_ref) per case
     for case_idx in range(cfg["cases"]):
         s = rng.randint(1, min(3, len(components)))
         coeffs = tuple(rng.choice(COEFF_LATTICE) for _ in range(s))
         if case_idx % 2 == 0:
-            psi, psi_ref = zero_lf, "zero"
+            drawn.append((coeffs, zero_lf, "zero"))
         else:
             t = targets[rng.randrange(len(targets))]
-            psi, psi_ref = t.level_function, f"target-{t.index}"
-        eps = Fraction(str(cfg["targets"].get("epsilon") or "1/8"))
-        rep = span_inclusion_check(components[:s], coeffs, psi, eps, horizon)
-        any_violation = any_violation or not rep.ok
-        cases.append(
-            {
-                "coeffs": [format_scalar(c) for c in coeffs],
-                "psi": psi_ref,
-                "epsilon": format_scalar(rep.epsilon),
-                "delta": format_scalar(rep.delta),
-                "hat_hits": list(rep.hat_hits),
-                "combo_hits": list(rep.combo_hits),
-                "violations": list(rep.violations),
-                "ok": rep.ok,
-            }
-        )
+            drawn.append((coeffs, t.level_function, f"target-{t.index}"))
+    eps = Fraction(str(cfg["targets"].get("epsilon") or "1/8"))
+    reports = span_inclusion_check(components, [(c, psi) for c, psi, _ in drawn], eps, horizon)
+    any_violation = not all(rep.ok for rep in reports)
+    cases = [
+        {
+            "coeffs": [format_scalar(c) for c in coeffs],
+            "psi": psi_ref,
+            "epsilon": format_scalar(rep.epsilon),
+            "delta": format_scalar(rep.delta),
+            "hat_hits": list(rep.hat_hits),
+            "combo_hits": list(rep.combo_hits),
+            "violations": list(rep.violations),
+            "ok": rep.ok,
+        }
+        for (coeffs, _, psi_ref), rep in zip(drawn, reports)
+    ]
     report = _report_skeleton("span-check", cfg)
     report["tree"] = _tree_summary(witness.tree)
     report["cases"] = cases

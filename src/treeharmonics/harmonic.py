@@ -11,16 +11,17 @@ and certifies a constant node in one step, since the tree invariant that each
 w row sums to one makes a constant harmonic at every vertex below it.
 
 One forward walk serves every level up to a horizon: it pushes q-mass down
-the function DAG and the DAGs of any number of targets together, one level at
-a time, and sets aside the pairs that can no longer change, so H levels cost
-O(H x frontier width) rather than the O(H x DAG) of restricting and
-integrating each level from the root.  level_profile folds it into exact
+the DAGs of one or more functions and of any number of targets together, one
+level at a time, and sets aside the entries that can no longer change, so H
+levels cost O(H x frontier width) rather than the O(H x DAG) of restricting
+and integrating each level from the root.  level_profile folds it into exact
 distances, whose digits grow quadratically with depth; the witness commands
 use it because they write block-end distances and mismatch logs exactly.
 hit_levels folds it into integer bounds scaled by 2^P, decides d_n < radius
 from them and sums exactly only a level whose bounds straddle the radius;
-certify on a witness file, span-check and double-genericity use it because
-they write hit sets only.
+walking functions jointly, it bounds their linear combinations from the
+component values.  certify on a witness file, span-check and
+double-genericity use it because they write hit sets only.
 """
 
 from __future__ import annotations
@@ -283,46 +284,51 @@ def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> S
     return r
 
 
-def _frontier_walk(f: HarmonicFunction, sweeps: Sequence[tuple]) -> tuple[list[int], Iterator[tuple]]:
+def _frontier_walk(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple]) -> tuple[list[int], Iterator[tuple]]:
     """Check each sweep's target (first) and horizon (last), and return each
     sweep's target slot with the walk level_profile and hit_levels fold.  It
-    pushes q-mass down f and the distinct targets together and yields, for
-    each level n = 0, 1, ... to the largest horizon, the entries (function
-    node, target node per slot, vertex, mass) that froze at n, because their
-    function node is constant below, and the frontier at n.
+    pushes q-mass down the functions fs and the distinct targets together and
+    yields, for each level n = 0, 1, ... to the largest horizon, the entries
+    (function node per function, target node per slot, vertex, mass) that
+    froze at n, because every function node is constant below, and the
+    frontier at n.
     """
-    for target, *_, horizon in sweeps:
-        if not 0 <= horizon <= f.depth:
-            raise ValidationError(f"level {horizon} outside 0..{f.depth}")
-        if f.dim != target.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {target.dim}")
-    tree = f.tree
+    tree = fs[0].tree
+    for g in fs:
+        if g.tree is not tree:
+            raise ValidationError("a joint walk requires functions over one tree")
+        for target, *_, horizon in sweeps:
+            if not 0 <= horizon <= g.depth:
+                raise ValidationError(f"level {horizon} outside 0..{g.depth}")
+            if g.dim != target.dim:
+                raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {target.dim}")
     roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
 
-    def push(frozen: list, into: dict, fnode: Node, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
-        if fnode.is_leaf:
-            frozen.append((fnode, tnodes, x, mass))
+    def push(frozen: list, into: dict, fnodes: tuple, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
+        if all(n.children is None for n in fnodes):
+            frozen.append((fnodes, tnodes, x, mass))
             return
-        key = (id(fnode), tnodes, tree.pos_key(x))
+        key = (fnodes, tnodes, tree.pos_key(x))
         entry = into.get(key)
         if entry is None:
-            into[key] = [fnode, tnodes, x, mass]
+            into[key] = [fnodes, tnodes, x, mass]
         else:
             entry[3] = entry[3] + mass
 
     def levels() -> Iterator[tuple]:
         frozen, frontier = [], {}
-        push(frozen, frontier, f.node, roots, tree.root, 1)
+        push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
         yield frozen, frontier.values()
         for _ in range(max((s[-1] for s in sweeps), default=0)):
             frozen, below = [], {}
-            for fnode, tnodes, x, mass in frontier.values():
+            for fnodes, tnodes, x, mass in frontier.values():
                 k = tree.arity(x)
-                fkids = _expand(fnode, k)
+                fkids = [_expand(n, k) for n in fnodes]
                 tkids = [_expand(t, k) for t in tnodes]
                 qs = tree.q_row(x)
                 for i in range(k):
-                    push(frozen, below, fkids[i], tuple(e[i] for e in tkids), tree.child(x, i), mass * qs[i])
+                    kids = tuple(e[i] for e in fkids), tuple(e[i] for e in tkids)
+                    push(frozen, below, *kids, tree.child(x, i), mass * qs[i])
             frontier = below
             yield frozen, frontier.values()
 
@@ -343,10 +349,10 @@ def level_profile(
     the level-n frontier.
     """
     tree = f.tree
-    slots, walk = _frontier_walk(f, sweeps)
+    slots, walk = _frontier_walk((f,), sweeps)
 
     def fold(entries, slot: int, integrand, total: Scalar) -> Scalar:
-        for fnode, tnodes, x, mass in entries:
+        for (fnode,), tnodes, x, mass in entries:
             part = _against(tree, fnode.value, tnodes[slot], x, integrand)
             if part:
                 total = total + mass * part
@@ -363,35 +369,49 @@ def level_profile(
     return out
 
 
-def hit_levels(f: HarmonicFunction, sweeps: Sequence[tuple[LevelFunction, Scalar, Scalar, int]]) -> list[list[int]]:
-    """The levels n in 1..horizon with bounded_metric(scale * f_n, target) <
-    radius, one list per (target, scale, radius, horizon) sweep.
+def hit_levels(
+    fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple[LevelFunction, Sequence[Scalar], Scalar, int]]
+) -> list[list[int]]:
+    """The levels n in 1..horizon with bounded_metric(a_1 f_1 + a_2 f_2 + ...
+    at level n, target) < radius, one list per (target, coefficients a,
+    radius, horizon) sweep, all decided in one joint walk of the functions fs
+    (missing trailing coefficients are zero).
 
-    The bounds, in units of 2^-P, round outward the coordinates, d/(1+d)
-    (which increases in d) and each term of mass times integrand.  Levels
-    whose bounds straddle the radius are decided by one exact level_profile
-    up to the last of them, so every decision is the exact one.
+    The bounds, in units of 2^-P, round outward each term a_i u_i of a
+    coordinate, d/(1+d) (which increases in d) and each term of mass times
+    integrand; the combined value is formed only against a split target node.
+    Levels whose bounds straddle the radius are decided by one exact
+    level_profile per function up to the last of them, so every decision is
+    the exact one; only there is a combination of two or more functions built.
     """
-    tree = f.tree
-    slots, walk = _frontier_walk(f, sweeps)
-    one = 1 << P
+    tree = fs[0].tree
+    if any(len(s[1]) > len(fs) for s in sweeps):
+        raise ValidationError(f"more coefficients than the {len(fs)} functions")
+    slots, walk = _frontier_walk(fs, sweeps)
+    one, zero = 1 << P, Value.zero(fs[0].dim)
+    nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] for s in sweeps]  # (function, coefficient) terms
 
     def outward(s: Scalar, a: Scalar = 1) -> tuple[int, int]:
         num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
         return num // den, -(-num // den)
 
-    def bounds(entries, slot: int, a: Scalar, lo: int, hi: int) -> tuple[int, int]:
-        for fnode, tnodes, x, mass in entries:
+    def bounds(entries, slot: int, terms: list, lo: int, hi: int) -> tuple[int, int]:
+        for fnodes, tnodes, x, mass in entries:
             tnode = tnodes[slot]
             if tnode.is_leaf:
                 dl = dh = 0
-                for u, v in zip(fnode.value.coords, tnode.value.coords):
-                    (ul, uh), (vl, vh) = outward(u, a), outward(v)
+                for k, v in enumerate(tnode.value.coords):
+                    ul = uh = 0
+                    for i, a in terms:
+                        l, h = outward(fnodes[i].value.coords[k], a)
+                        ul, uh = ul + l, uh + h
+                    vl, vh = outward(v)
                     dl += max(ul - vh, vl - uh, 0)
                     dh += max(uh - vl, vh - ul)
                 tl, th = dl * one // (one + dl), -(-dh * one // (one + dh))
             else:
-                tl, th = outward(_against(tree, fnode.value.scale(a), tnode, x, bounded_metric))
+                value = sum((fnodes[i].value.scale(a) for i, a in terms), zero)
+                tl, th = outward(_against(tree, value, tnode, x, bounded_metric))
             lo += mass.numerator * tl // mass.denominator
             hi -= -mass.numerator * th // mass.denominator
         return lo, hi
@@ -399,21 +419,25 @@ def hit_levels(f: HarmonicFunction, sweeps: Sequence[tuple[LevelFunction, Scalar
     frozen = [(0, 0)] * len(sweeps)
     hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
     for n, (froze, frontier) in enumerate(walk):
-        for j, (slot, (_, a, radius, horizon)) in enumerate(zip(slots, sweeps)):
+        for j, (slot, (_, _, radius, horizon)) in enumerate(zip(slots, sweeps)):
             if n <= horizon:
-                frozen[j] = bounds(froze, slot, a, *frozen[j])
+                frozen[j] = bounds(froze, slot, nonzero[j], *frozen[j])
                 if n:
-                    lo, hi = bounds(frontier, slot, a, *frozen[j])
+                    lo, hi = bounds(frontier, slot, nonzero[j], *frozen[j])
                     edge = radius.numerator << P
                     if hi * radius.denominator < edge:
                         hits[j].append(n)
                     elif lo * radius.denominator < edge:
                         undecided[j].append(n)
-    late = [j for j, levels in enumerate(undecided) if levels]
-    scaled = [lambda u, v, a=sweeps[j][1]: bounded_metric(u.scale(a), v) for j in late]
-    exact = level_profile(f, [(sweeps[j][0], g, undecided[j][-1]) for j, g in zip(late, scaled)])
-    for j, d in zip(late, exact):
-        hits[j] = sorted(hits[j] + [n for n in undecided[j] if d[n - 1] < sweeps[j][2]])
+    late: dict[int, tuple] = {}  # the undecided sweeps by the function an exact sweep walks
+    for j in (j for j, levels in enumerate(undecided) if levels):
+        (i, a), *more = nonzero[j] or [(0, 0)]  # all coefficients zero: f_1 scaled by 0
+        g, a = (linear_combination(sweeps[j][1], fs[: len(sweeps[j][1])]), 1) if more else (fs[i], a)
+        late.setdefault(id(g.node), (g, []))[1].append((j, lambda u, v, a=a: bounded_metric(u.scale(a), v)))
+    for g, scaled in late.values():
+        exact = level_profile(g, [(sweeps[j][0], metric, undecided[j][-1]) for j, metric in scaled])
+        for (j, _), d in zip(scaled, exact):
+            hits[j] = sorted(hits[j] + [n for n in undecided[j] if d[n - 1] < sweeps[j][2]])
     return hits
 
 

@@ -536,7 +536,7 @@ def build_ufm_witness(
 
 def hit_set(tree: Tree, f: HarmonicFunction, target: Target, horizon: int) -> list[int]:
     """Exact hit levels: {n : p_metric(level-n restriction, target) < epsilon}."""
-    return hit_levels(f, [(target.level_function, 1, target.epsilon, horizon)])[0]
+    return hit_levels((f,), [(target.level_function, (1,), target.epsilon, horizon)])[0]
 
 
 @dataclass(frozen=True)
@@ -586,8 +586,8 @@ def certify_hits(
     else:
         swept = {}  # each component's hit sets, in the order of the targets it certifies
         for comp in dict.fromkeys(witness.target_components):
-            sweeps = [(t.level_function, 1, t.epsilon, horizon) for t, c in pairs if c == comp]
-            swept[comp] = iter(hit_levels(witness.component_function(comp), sweeps))
+            sweeps = [(t.level_function, (1,), t.epsilon, horizon) for t, c in pairs if c == comp]
+            swept[comp] = iter(hit_levels((witness.component_function(comp),), sweeps))
         hit_sets = [next(swept[c]) for _, c in pairs]
     entries = []
     for (t, comp), hits in zip(pairs, hit_sets):
@@ -634,39 +634,52 @@ class SpanInclusionReport:
 
 def span_inclusion_check(
     components: Sequence[HarmonicFunction],
-    coeffs: Sequence[Scalar],
-    psi: LevelFunction,
+    cases: Sequence[tuple[Sequence[Scalar], LevelFunction]],
     epsilon: Fraction,
     horizon: int,
-) -> SpanInclusionReport:
-    """Level-by-level verification that membership in the product neighborhood
-    (components 1..s-1 near zero, component s near psi, all at radius
-    epsilon/s after coefficient scaling) forces the linear combination into
-    the epsilon-ball around psi."""
-    if len(components) != len(coeffs) or not components:
-        raise ValidationError("need one coefficient per component")
-    if coeffs[-1] == 0:
-        raise ValidationError("the last coefficient must be nonzero")
-    dim = components[0].dim
-    if psi.dim != dim:
-        raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {dim}")
-    s = len(components)
+) -> list[SpanInclusionReport]:
+    """Level-by-level verification, for each (coeffs, psi) case over the
+    first s = len(coeffs) components, that membership in the product
+    neighborhood (components 1..s-1 near zero, component s near psi, all at
+    radius epsilon/s after coefficient scaling) forces the linear combination
+    into the epsilon-ball around psi.  The distinct sweeps of all cases are
+    decided in one joint walk of the components; no combination is built
+    unless its bounds leave a level undecided."""
+    for coeffs, psi in cases:
+        if not 0 < len(coeffs) <= len(components):
+            raise ValidationError("need one coefficient per component")
+        if coeffs[-1] == 0:
+            raise ValidationError("the last coefficient must be nonzero")
+        if psi.dim != components[0].dim:
+            raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {components[0].dim}")
+    if not cases:
+        return []
+    zero = LevelFunction.constant(0, Value.zero(components[0].dim))
     epsilon = Fraction(epsilon)
-    delta = epsilon / s
-    b = [a if a != 0 else Fraction(1) for a in coeffs]
-    combo = linear_combination(coeffs, components)
-    centers = [LevelFunction.constant(0, Value.zero(dim))] * (s - 1) + [psi]
-    near = [set(hit_levels(f, [(center, a, delta, horizon)])[0]) for f, center, a in zip(components, centers, b)]
-    hat_hits = tuple(n for n in range(1, horizon + 1) if all(n in h for h in near))
-    combo_hits = tuple(hit_levels(combo, [(psi, 1, epsilon, horizon)])[0])
-    return SpanInclusionReport(
-        coeffs=tuple(coeffs),
-        epsilon=epsilon,
-        delta=delta,
-        hat_hits=hat_hits,
-        combo_hits=combo_hits,
-        violations=tuple(n for n in hat_hits if n not in combo_hits),
-    )
+    sweeps: dict[tuple, int] = {}  # (center, coefficients, radius, horizon) -> index, each distinct sweep once
+    plans = []
+    for coeffs, psi in cases:
+        s = len(coeffs)
+        near = [(zero if i < s - 1 else psi, (0,) * i + (a or Fraction(1),), epsilon / s) for i, a in enumerate(coeffs)]
+        combo = (psi, tuple(coeffs), epsilon)
+        plans.append([sweeps.setdefault((*key, horizon), len(sweeps)) for key in (*near, combo)])
+    hits = hit_levels(components[: max(len(coeffs) for coeffs, _ in cases)], list(sweeps))
+    reports = []
+    for (coeffs, _), (*near, combo) in zip(cases, plans):
+        near_hits = [set(hits[j]) for j in near]
+        hat_hits = tuple(n for n in range(1, horizon + 1) if all(n in h for h in near_hits))
+        combo_hits = tuple(hits[combo])
+        reports.append(
+            SpanInclusionReport(
+                coeffs=tuple(coeffs),
+                epsilon=epsilon,
+                delta=epsilon / len(coeffs),
+                hat_hits=hat_hits,
+                combo_hits=combo_hits,
+                violations=tuple(n for n in hat_hits if n not in combo_hits),
+            )
+        )
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -861,7 +874,6 @@ def double_genericity_check(
     and must be pairwise distinct."""
     horizon = tree.depth if horizon is None else horizon
     psi0 = LevelFunction.constant(0, Value.zero(dim))
-    reference = Target(index=0, level_function=psi0, epsilon=REFERENCE_EPSILON)
 
     # the reference ball is non-dense: a constant function sits outside its closure
     far = LevelFunction.constant(0, Value.of(*([3] * dim)))
@@ -884,21 +896,21 @@ def double_genericity_check(
     rng = Random(seed)
     warm_steady = steady_schedule.warmup
 
+    # all combination coefficients are drawn before nonzero_sample's draws
+    combo_coeffs = [tuple(rng.choice(COEFF_LATTICE) for _ in steady_components) for _ in range(COMBO_SAMPLES)]
+    combo_hits = hit_levels(steady_components, [(psi0, c, REFERENCE_EPSILON, horizon) for c in combo_coeffs])
     combos: list[ComboEntry] = []
-    for _ in range(COMBO_SAMPLES):
-        coeffs = tuple(rng.choice(COEFF_LATTICE) for _ in steady_components)
-        combo = linear_combination(coeffs, steady_components)
-        hits = hit_set(tree, combo, reference, horizon)
+    for coeffs, hits in zip(combo_coeffs, combo_hits):
         prof = profile(hits, horizon, min(warm_steady, horizon - 1))
         lower = empirical_lower_density(prof)
         combos.append(
             ComboEntry(coeffs=coeffs, hits=tuple(hits), lower=lower, passed=lower >= LOWER_DENSITY_FLOOR)
         )
 
+    bursts = burst_witness.function.components
+    burst_hits = hit_levels(bursts, [(psi0, (0,) * i + (1,), REFERENCE_EPSILON, horizon) for i in range(len(bursts))])
     dips: list[DipEntry] = []
-    for comp in range(1, burst_witness.function.width + 1):
-        f = burst_witness.function.components[comp - 1]
-        hits = hit_set(tree, f, reference, horizon)
+    for comp, hits in enumerate(burst_hits, 1):
         prof = profile(hits, horizon, min(burst_witness.schedule.warmup, horizon - 1))
         foreign_levels = [
             n
@@ -936,7 +948,7 @@ def double_genericity_check(
     burst_samples = []
     for _ in range(max(2, COMBO_SAMPLES // 2)):
         steady_samples.append(nonzero_sample(steady_components))
-        burst_samples.append(nonzero_sample(burst_witness.function.components))
+        burst_samples.append(nonzero_sample(bursts))
     distinct = all(a.node is not b.node for a in steady_samples for b in burst_samples)
 
     return DoubleGenericityReport(

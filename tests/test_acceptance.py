@@ -303,13 +303,16 @@ def test_criterion_8(deep60, targets3, witness_x):
     components = list(witness_x.function.components)
     zero_lf = LevelFunction.constant(0, Value.zero(1))
     psis = [zero_lf] + [t.level_function for t in targets3]
-    nonvacuous = 0
-    for case in range(20):
+    cases = []
+    for _ in range(20):
         s = rng.randint(1, 3)
         coeffs = [rng.choice(COEFF_LATTICE) for _ in range(s)]
         assert coeffs[-1] != 0  # the lattice contains no zero
-        psi = psis[rng.randrange(len(psis))]
-        rep = span_inclusion_check(components[:s], coeffs, psi, Fraction(1, 8), 60)
+        cases.append((coeffs, psis[rng.randrange(len(psis))]))
+    reports = span_inclusion_check(components, cases, Fraction(1, 8), 60)
+    assert len(reports) == 20
+    nonvacuous = 0
+    for case, rep in enumerate(reports):
         assert rep.violations == (), f"case {case}: violations at {rep.violations}"
         assert set(rep.hat_hits) <= set(rep.combo_hits)
         if rep.hat_hits:

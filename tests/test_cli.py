@@ -505,6 +505,31 @@ def test_span_check_cli(tmp_path):
     assert len(report["cases"]) == 6
 
 
+@pytest.mark.parametrize(
+    "coeffs, psi_dim, issue",
+    [
+        ((), 1, "need one coefficient per component"),
+        ((1, 0), 1, "the last coefficient must be nonzero"),
+        ((1, 1, 1, 1), 1, "need one coefficient per component"),
+        ((1,), 2, "dimension mismatch: 2 vs 1"),
+    ],
+)
+def test_span_check_invalid_case_exits_one(tmp_path, capsys, monkeypatch, coeffs, psi_dim, issue):
+    # an invalid case appended to the drawn ones fails the whole check
+    from fractions import Fraction
+
+    from treeharmonics import LevelFunction, Value, cli
+
+    bad = (tuple(map(Fraction, coeffs)), LevelFunction.constant(0, Value.zero(psi_dim)))
+    check = cli.span_inclusion_check
+    monkeypatch.setattr(cli, "span_inclusion_check", lambda comps, cases, *rest: check(comps, [*cases, bad], *rest))
+    out = tmp_path / "o"
+    code = main(["span-check", "--depth", "20", "--cases", "3", "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": [issue]}
+    assert not (out / "report.json").exists()
+
+
 def test_dense_family_cli(tmp_path):
     out = tmp_path / "o"
     code = main(["dense-family", "--depth", "60", "--count", "5", "--out", str(out)])

@@ -12,6 +12,7 @@ distances with the radius does, and its integer bounds must enclose them.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -117,9 +118,9 @@ def assert_bounds_enclose(f, targets, scale, horizon):
     for target in targets:
         distances = level_profile(f, [(target, scaled_metric(scale), horizon)])[0]
         above = [Fraction(d * one // 1 + 1, one) for d in distances]
-        sweeps = [(target, scale, d, n) for n, d in enumerate(distances, 1)]
-        sweeps += [(target, scale, r, n) for n, r in enumerate(above, 1)]
-        got = hit_levels(f, sweeps)
+        sweeps = [(target, (scale,), d, n) for n, d in enumerate(distances, 1)]
+        sweeps += [(target, (scale,), r, n) for n, r in enumerate(above, 1)]
+        got = hit_levels((f,), sweeps)
         for n in range(1, horizon + 1):
             assert n not in got[n - 1], ("hi below the distance", n)
             assert n in got[horizon + n - 1], ("lo above the distance", n)
@@ -146,8 +147,20 @@ def record_fallback(monkeypatch):
     return read
 
 
-def random_harmonic(tree, rng):
-    return aggregate_upward(tree, [random_value(rng, 1) for _ in range(tree.level_size(tree.depth))])
+def random_harmonic(tree, rng, dim=1):
+    return aggregate_upward(tree, [random_value(rng, dim) for _ in range(tree.level_size(tree.depth))])
+
+
+def random_tree(seed, depth=4):
+    return build_tree(
+        TreeSpec(
+            depth=depth,
+            branching={"kind": "random", "max_arity": 3},
+            q_rule={"kind": "random", "max_weight": 7},
+            w_rule={"kind": "random", "max_weight": 5},
+            seed=seed,
+        )
+    )
 
 
 def test_uniform_binary_witnesses():
@@ -180,15 +193,7 @@ def test_ternary_witness():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_explicit_tree_and_deeper_targets(seed):
-    tree = build_tree(
-        TreeSpec(
-            depth=5,
-            branching={"kind": "random", "max_arity": 3},
-            q_rule={"kind": "random", "max_weight": 7},
-            w_rule={"kind": "random", "max_weight": 5},
-            seed=seed,
-        )
-    )
+    tree = random_tree(seed, 5)
     rng = random.Random(seed)
     f = random_harmonic(tree, rng)
     # targets at levels 0..3 are deeper than the first levels of the sweep
@@ -227,7 +232,7 @@ def test_radius_at_an_exact_distance_falls_back_to_no_hit(binary6, monkeypatch):
     assert all((d * 2**harmonic.P).denominator > 1 for d in distances)  # no bound can equal one
     read = record_fallback(monkeypatch)
     for n, d in enumerate(distances, 1):
-        got = hit_levels(f, [(center, 1, d, 6)])[0]
+        got = hit_levels((f,), [(center, (1,), d, 6)])[0]
         assert got == [m for m, e in enumerate(distances, 1) if e < d]
         assert n not in got and read == [n]
         read.clear()
@@ -240,25 +245,17 @@ def test_coarse_bounds_fall_back_to_the_same_hits(monkeypatch):
     )
     targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 8))
     witness = build_ufm_witness(tree, targets, block_length=5).function
-    cases = [(witness, [(t.level_function, 1, t.epsilon, 30) for t in targets])]
+    cases = [(witness, [(t.level_function, (1,), t.epsilon, 30) for t in targets])]
     for seed in range(3):
-        tree = build_tree(
-            TreeSpec(
-                depth=5,
-                branching={"kind": "random", "max_arity": 3},
-                q_rule={"kind": "random", "max_weight": 7},
-                w_rule={"kind": "random", "max_weight": 5},
-                seed=seed,
-            )
-        )
+        tree = random_tree(seed, 5)
         rng = random.Random(seed)
         f = random_harmonic(tree, rng)
         centers = [random_level_function(tree, rng, level, 1) for level in range(4)]
-        cases.append((f, [(t, a, r, 5) for t in centers for a in (1, SCALE) for r in (Fraction(1, 8), Fraction(1, 2))]))
-    want = [[exact_hits(f, *sweep) for sweep in sweeps] for f, sweeps in cases]
+        cases.append((f, [(t, (a,), r, 5) for t in centers for a in (1, SCALE) for r in (Fraction(1, 8), Fraction(1, 2))]))
+    want = [[exact_hits(f, t, a, r, h) for t, (a,), r, h in sweeps] for f, sweeps in cases]
     monkeypatch.setattr(harmonic, "P", 2)
     read = record_fallback(monkeypatch)
-    assert [hit_levels(f, sweeps) for f, sweeps in cases] == want
+    assert [hit_levels((f,), sweeps) for f, sweeps in cases] == want
     assert len(read) > sum(horizon for _, sweeps in cases for *_, horizon in sweeps) // 2
     assert [hit_set(witness.tree, witness, t, 30) for t in targets] == want[0]
 
@@ -300,15 +297,7 @@ def exact_span(components, coeffs, psi, epsilon, horizon):
     radius=st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50),
 )
 def test_random_trees_decide_as_the_exact_sweep(seed, scales, pick, radius):
-    tree = build_tree(
-        TreeSpec(
-            depth=4,
-            branching={"kind": "random", "max_arity": 3},
-            q_rule={"kind": "random", "max_weight": 7},
-            w_rule={"kind": "random", "max_weight": 5},
-            seed=seed,
-        )
-    )
+    tree = random_tree(seed)
     rng = random.Random(seed)
     f, g = random_harmonic(tree, rng), random_harmonic(tree, rng)
     targets = [random_level_function(tree, rng, level, 1) for level in (0, 1, 2)]
@@ -316,8 +305,127 @@ def test_random_trees_decide_as_the_exact_sweep(seed, scales, pick, radius):
         for scale in scales:
             tie = level_profile(f, [(t, scaled_metric(scale), 4)])[0][pick]  # a radius that is a distance
             for r in (tie, radius):
-                assert hit_levels(f, [(t, scale, r, 4)])[0] == exact_hits(f, t, scale, r, 4), (scale, r)
+                assert hit_levels((f,), [(t, (scale,), r, 4)])[0] == exact_hits(f, t, scale, r, 4), (scale, r)
         assert hit_set(tree, f, Target(1, t, radius), 4) == exact_hits(f, t, 1, radius, 4)
     coeffs = (scales[0], scales[1] or Fraction(1))
-    rep = span_inclusion_check([f, g], coeffs, targets[pick % 3], radius, 4)
+    [rep] = span_inclusion_check([f, g], [(coeffs, targets[pick % 3])], radius, 4)
     assert (rep.hat_hits, rep.combo_hits, rep.violations) == exact_span([f, g], coeffs, targets[pick % 3], radius, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dim=st.sampled_from([1, 2]),
+    coeffs=st.lists(st.fractions(-3, 3, max_denominator=6), min_size=2, max_size=2),
+    pick=st.integers(0, 3),
+    radius=st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50),
+)
+def test_joint_walk_decides_combinations_as_the_exact_sweep(seed, dim, coeffs, pick, radius):
+    """hit_levels((f, g), ...) decides each coefficient vector as the exact
+    sweep of the built combination does, against targets at levels 0 to 2
+    (level 2 reaches split target nodes below the root), at a random radius
+    and at a radius equal to one of the combination's distances, which the
+    bounds cannot decide."""
+    tree = random_tree(seed)
+    rng = random.Random(seed)
+    fs = (random_harmonic(tree, rng, dim), random_harmonic(tree, rng, dim))
+    targets = [random_level_function(tree, rng, level, dim) for level in (0, 1, 2)]
+    vectors = [
+        tuple(coeffs),
+        (0, coeffs[1] or 1),
+        (coeffs[0], 0),
+        (Fraction(-1, 2), Fraction(3, 4)),
+        (Fraction(-2),),  # g's coefficient left out: zero
+        (0, 0),
+    ]
+    sweeps, want = [], []
+    for t in targets:
+        for a in vectors:
+            combo = linear_combination(a + (0,) * (2 - len(a)), fs)
+            tie = level_profile(combo, [(t, bounded_metric, 4)])[0][pick]
+            sweeps += [(t, a, tie, 4), (t, a, radius, 4)]
+            want += [exact_hits(combo, t, 1, tie, 4), exact_hits(combo, t, 1, radius, 4)]
+    assert hit_levels(fs, sweeps) == want
+
+
+def test_combinations_are_built_only_for_undecided_levels(binary6, monkeypatch):
+    rng = random.Random(9)
+    fs = (random_harmonic(binary6, rng), random_harmonic(binary6, rng))
+    center = random_level_function(binary6, rng, 2, 1)
+    a = (Fraction(1, 2), Fraction(-3))
+    distances = level_profile(linear_combination(a, fs), [(center, bounded_metric, 6)])[0]
+    assert all((d * 2**harmonic.P).denominator > 1 for d in distances)  # no bound can equal one
+    built = []
+    combine = harmonic.linear_combination
+    monkeypatch.setattr(harmonic, "linear_combination", lambda c, gs: built.append(tuple(c)) or combine(c, gs))
+    read = record_fallback(monkeypatch)
+    radius = Fraction(1, 3)
+    assert hit_levels(fs, [(center, a, radius, 6)]) == [[n for n, d in enumerate(distances, 1) if d < radius]]
+    assert built == [] and read == []
+    tie = distances[3]
+    got = hit_levels(fs, [(center, a, tie, 6), (center, (0, a[1]), tie, 6)])
+    assert got[0] == [n for n, d in enumerate(distances, 1) if d < tie]
+    assert built == [a] and read[: distances.count(tie)] == [n for n, d in enumerate(distances, 1) if d == tie]
+
+
+def test_joint_walk_validates_its_sweeps(binary4):
+    f = zero_function(binary4, 1)
+    zero = LevelFunction.constant(0, Value.of(0))
+    with pytest.raises(ValidationError):
+        hit_levels((f,), [(zero, (1, 1), Fraction(1, 2), 2)])
+    with pytest.raises(ValidationError):
+        hit_levels((f, zero_function(build_tree(TreeSpec(depth=4, branching={"kind": "uniform", "arity": 2})), 1)), [(zero, (1, 1), Fraction(1, 2), 2)])
+    with pytest.raises(DimensionMismatchError):
+        hit_levels((f, zero_function(binary4, 2)), [(zero, (1, 1), Fraction(1, 2), 2)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    drawn=st.lists(
+        st.tuples(
+            st.lists(st.fractions(-3, 3, max_denominator=4), max_size=2),
+            st.fractions(-3, 3, max_denominator=4).filter(bool),
+            st.integers(0, 2),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    radius=st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50),
+)
+def test_batched_span_check_matches_the_exact_cases(seed, drawn, radius):
+    """One span_inclusion_check over a case list with a duplicate case, s = 1
+    cases and both kinds of psi reports each case as exact_span does, also
+    when coarse bounds leave most levels to the exact fallback."""
+    tree = random_tree(seed)
+    rng = random.Random(seed)
+    components = [random_harmonic(tree, rng) for _ in range(3)]
+    psis = [LevelFunction.constant(0, Value.of(0))] + [random_level_function(tree, rng, level, 1) for level in (1, 2)]
+    cases = [([*head, last], psis[k]) for head, last, k in drawn]
+    last = drawn[0][1]
+    cases += [cases[0], ([last], psis[0]), ([last], psis[2])]
+    want = [exact_span(components[: len(c)], c, psi, radius, 4) for c, psi in cases]
+    for bits in (harmonic.P, 2):
+        with mock.patch.object(harmonic, "P", bits):
+            reports = span_inclusion_check(components, cases, radius, 4)
+        assert [(r.hat_hits, r.combo_hits, r.violations) for r in reports] == want, bits
+        assert [(r.coeffs, r.epsilon, r.delta) for r in reports] == [(tuple(c), radius, radius / len(c)) for c, _ in cases]
+
+
+@pytest.mark.parametrize(
+    "coeffs, psi_dim, error, issue",
+    [
+        ((), 1, ValidationError, "need one coefficient per component"),
+        ((Fraction(1), Fraction(0)), 1, ValidationError, "the last coefficient must be nonzero"),
+        ((Fraction(1),) * 4, 1, ValidationError, "need one coefficient per component"),
+        ((Fraction(1),), 2, DimensionMismatchError, "dimension mismatch: 2 vs 1"),
+    ],
+)
+def test_invalid_span_case_raises(binary4, coeffs, psi_dim, error, issue):
+    rng = random.Random(3)
+    components = [random_harmonic(binary4, rng) for _ in range(3)]
+    zero = LevelFunction.constant(0, Value.of(0))
+    cases = [((Fraction(1),), zero), (coeffs, LevelFunction.constant(0, Value.zero(psi_dim)))]
+    with pytest.raises(error, match=issue):
+        span_inclusion_check(components, cases, Fraction(1, 8), 4)
+    assert span_inclusion_check(components, [], Fraction(1, 8), 4) == []

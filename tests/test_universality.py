@@ -707,7 +707,7 @@ def test_tuple_hits_project_to_component_intersections(deep60, x_witness, three_
 def test_span_single_component_is_direct_membership(deep60, x_witness, three_targets):
     comp = x_witness.function.components[0]
     t = three_targets[0]
-    rep = span_inclusion_check([comp], [Fraction(1)], t.level_function, t.epsilon, 30)
+    [rep] = span_inclusion_check([comp], [([Fraction(1)], t.level_function)], t.epsilon, 30)
     direct = hit_set(deep60, comp, t, 30)
     assert list(rep.hat_hits) == direct
     assert list(rep.combo_hits) == direct
@@ -717,7 +717,7 @@ def test_span_single_component_is_direct_membership(deep60, x_witness, three_tar
 def test_span_inclusion_pair(deep60, x_witness):
     comps = x_witness.function.components[:2]
     zero_lf = LevelFunction.constant(0, Value.zero(1))
-    rep = span_inclusion_check(list(comps), [Fraction(1), Fraction(1)], zero_lf, Fraction(1, 8), 60)
+    [rep] = span_inclusion_check(list(comps), [([Fraction(1), Fraction(1)], zero_lf)], Fraction(1, 8), 60)
     assert rep.ok
     assert rep.hat_hits  # nonvacuous: both components are zero before block one
     assert set(rep.hat_hits) <= set(rep.combo_hits)
@@ -745,13 +745,13 @@ def test_span_zero_last_coefficient_rejected(x_witness):
     comps = list(x_witness.function.components[:2])
     zero_lf = LevelFunction.constant(0, Value.zero(1))
     with pytest.raises(ValidationError):
-        span_inclusion_check(comps, [Fraction(1), Fraction(0)], zero_lf, Fraction(1, 8), 10)
+        span_inclusion_check(comps, [([Fraction(1), Fraction(0)], zero_lf)], Fraction(1, 8), 10)
 
 
 def test_span_zero_coefficient_in_middle_ok(deep60, x_witness):
     comps = list(x_witness.function.components)
     zero_lf = LevelFunction.constant(0, Value.zero(1))
-    rep = span_inclusion_check(comps, [Fraction(0), Fraction(1), Fraction(1)], zero_lf, Fraction(1, 8), 40)
+    [rep] = span_inclusion_check(comps, [([Fraction(0), Fraction(1), Fraction(1)], zero_lf)], Fraction(1, 8), 40)
     assert rep.ok
 
 
