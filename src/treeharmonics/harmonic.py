@@ -326,9 +326,8 @@ def _frontier_walk(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple]) -> t
                 fkids = [_expand(n, k) for n in fnodes]
                 tkids = [_expand(t, k) for t in tnodes]
                 qs = tree.q_row(x)
-                for i in range(k):
-                    kids = tuple(e[i] for e in fkids), tuple(e[i] for e in tkids)
-                    push(frozen, below, *kids, tree.child(x, i), mass * qs[i])
+                for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
+                    push(frozen, below, fchild, tchild, tree.child(x, i), mass * qs[i])
             frontier = below
             yield frozen, frontier.values()
 
