@@ -208,9 +208,11 @@ def _report_skeleton(command: str, cfg: dict) -> dict:
 
 
 def _read_json(path: str, what: str):
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals longer than CPython's digit limit
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise ValidationError(f"cannot read {what}: {exc}")
 
 

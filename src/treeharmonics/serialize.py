@@ -1,9 +1,10 @@
 """Versioned JSON documents and CSV export.
 
-Everything serializes deterministically: canonical JSON uses sorted keys and
-fixed separators, exact scalars print as 'p/q' strings, and structure DAGs
-are emitted in postorder with shared nodes written once.  Identical inputs
-therefore produce byte-identical files.
+Everything serializes deterministically: canonical JSON is the text json.dumps
+writes with sorted keys and an indent of 2, from a writer of its own (json
+encodes with an indent in pure Python), exact scalars print as 'p/q'
+strings, and structure DAGs are emitted in postorder with shared nodes
+written once.  Identical inputs therefore produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Sequence
 
 from .boundary import LevelFunction, Node, leaf, level_values
@@ -32,7 +34,50 @@ from .values import Value
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text json.dumps writes for `doc` with sort_keys=True and indent=2,
+    plus a newline, byte for byte, but not by that call: json runs its
+    pure-Python encoder whenever an indent is set.  This keeps json's type
+    dispatch, its C string escaper and the C-encoded json.dumps for other
+    scalars.  An all-str or all-int list's text is memoized on (id, indent)
+    (the document keeps each list alive), so a shared row is formatted once."""
+    memo: dict[tuple[int, str], str] = {}
+    out: list[str] = []
+    emit = out.append
+
+    def write(o, ind: str) -> None:
+        if not (isinstance(o, (dict, list, tuple)) and o):
+            return emit(json.dumps(o))
+        inner = ind + "  "
+        lead, sep = "\n" + inner, ",\n" + inner
+        if isinstance(o, dict):
+            emit("{")
+            for k, v in sorted(o.items()):
+                # _escape raises json's TypeError on a key that is no str or scalar
+                emit(f"{lead}{_escape(json.dumps(k) if k is None or isinstance(k, (int, float)) else k)}: ")
+                write(v, inner)
+                lead = sep
+            return emit(f"\n{ind}}}")
+        types = set(map(type, o))  # bool is not int here, as in json
+        if types == {str} or types == {int}:
+            text = memo.get((id(o), ind))
+            if text is None:
+                items = map(_escape if str in types else int.__repr__, o)
+                text = memo[id(o), ind] = f"[{lead}{sep.join(items)}\n{ind}]"
+            return emit(text)
+        emit("[")
+        for x in o:
+            emit(lead)
+            text = memo.get((id(x), inner))
+            if text is None:
+                write(x, inner)
+            else:
+                emit(text)
+            lead = sep
+        emit(f"\n{ind}]")
+
+    write(doc, "")
+    emit("\n")
+    return "".join(out)
 
 
 def config_hash(doc) -> str:

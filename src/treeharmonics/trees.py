@@ -580,7 +580,7 @@ def tree_to_doc(tree: Tree) -> dict:
     assert isinstance(tree, ExplicitTree)
 
     # each distinct row of numerators is formatted once; rows that repeat it
-    # share its tuple, which canonical_json writes as a list
+    # share its tuple, whose JSON text canonical_json also writes only once
     written: dict[tuple, tuple[str, ...]] = {}
 
     def rows(edges: list) -> list:

@@ -64,6 +64,22 @@ def test_too_deeply_nested_config_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["errors"]
 
 
+@pytest.mark.parametrize("command,flag,what", [("build", "--config", "config"), ("certify", "--witness", "witness")])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"seed": 1\xff}', b'{"seed": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "int-past-digit-limit"],
+)
+def test_unreadable_json_file_exits_one(tmp_path, capsys, command, flag, what, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code = main([command, flag, str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    [error] = json.loads(capsys.readouterr().err)["errors"]
+    assert error.startswith(f"cannot read {what}: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "config,issue",
     [
@@ -443,6 +459,34 @@ def test_bound_decided_outputs_match_recorded_digests(tmp_path):
     cfg.write_text(json.dumps(SKEWED_SPAN_CONFIG), encoding="utf-8")
     assert main(["span-check", "--config", str(cfg), "--cases", "20", "--out", str(tmp_path / "span")]) == 0
     for name, digest in BOUNDS_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of build's outputs, recorded while canonical_json was json.dumps with
+# indent=2: a uniform tree and a random explicit tree, whose tree.json is all rows
+BUILD_EXPLICIT_CONFIG = {
+    "seed": 2,
+    "tree": {
+        "depth": 8,
+        "branching": {"kind": "random", "max_arity": 3},
+        "q_rule": {"kind": "random"},
+        "w_rule": {"kind": "random"},
+    },
+}
+BUILD_GOLDEN = {
+    "uniform/tree.json": "be4bcaa44138239d2d764510bef7e4dbc226b7ad2a523d0a5ee4a39b3b322adb",
+    "uniform/report.json": "cbc52404ba67437b54af6db9832cbe91696778ce1a9a5fedb0531b2c13fa8b1f",
+    "explicit/tree.json": "7034d026e6aae06ae50e766a8cd033d3aa24467ffeb64c1238aa9884c30a440d",
+    "explicit/report.json": "a47c09d08005acc8eefcc7bc1f5c720284d326ea869a9212701aee00f5ce2d68",
+}
+
+
+def test_build_outputs_match_recorded_digests(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BUILD_EXPLICIT_CONFIG), encoding="utf-8")
+    assert main(["build", "--depth", "8", "--out", str(tmp_path / "uniform")]) == 0
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "explicit")]) == 0
+    for name, digest in BUILD_GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
