@@ -38,7 +38,7 @@ def canonical_json(doc) -> str:
     plus a newline, byte for byte, but not by that call: json runs its
     pure-Python encoder whenever an indent is set.  This keeps json's type
     dispatch, its C string escaper and the C-encoded json.dumps for other
-    scalars.  An all-str or all-int list's text is memoized on (id, indent)
+    scalars.  An all-str list's text is memoized on (id, indent) for the call
     (the document keeps each list alive), so a shared row is formatted once."""
     memo: dict[tuple[int, str], str] = {}
     out: list[str] = []
@@ -58,12 +58,13 @@ def canonical_json(doc) -> str:
                 lead = sep
             return emit(f"\n{ind}}}")
         types = set(map(type, o))  # bool is not int here, as in json
-        if types == {str} or types == {int}:
+        if types == {str}:
             text = memo.get((id(o), ind))
             if text is None:
-                items = map(_escape if str in types else int.__repr__, o)
-                text = memo[id(o), ind] = f"[{lead}{sep.join(items)}\n{ind}]"
+                text = memo[id(o), ind] = f"[{lead}{sep.join(map(_escape, o))}\n{ind}]"
             return emit(text)
+        if types == {int}:
+            return emit(f"[{lead}{sep.join(map(int.__repr__, o))}\n{ind}]")
         emit("[")
         for x in o:
             emit(lead)
