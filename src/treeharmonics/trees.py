@@ -22,10 +22,12 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from random import Random
-from typing import Iterator, Sequence
+from struct import unpack
+from typing import Callable, Iterator, Sequence
 
 from .errors import ValidationError
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -397,11 +399,11 @@ def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
     return [(v.numerator, v.denominator) for v in row]
 
 
-def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | tuple[int, int]) -> tuple[list[int], int]:
+def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | Callable[[], str]) -> tuple[list[int], int]:
     """Integer numerators over the common denominator of a row of reduced
     (numerator, denominator) pairs; raises unless the row is a valid q
     (positive) or w (nonzero) row summing to one.  `where` names the row in
-    the error; a (level, vertex) pair is formatted only then."""
+    the error; a callable is called only then."""
     den = lcm(*(d for _, d in row))
     nums = [n * (den // d) for n, d in row]
     if what == "q" and min(nums, default=1) <= 0:
@@ -413,8 +415,32 @@ def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | tuple[i
     else:
         problem = f"{what} row sums to {Fraction(sum(nums), den)}, not 1"
     if not isinstance(where, str):
-        where = "level {} vertex {}".format(*where)
+        where = where()
     raise ValidationError(f"{where}: {problem}")
+
+
+def _draws_below(rng: Random, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], n >= 1, read from the same
+    words of rng's MT19937 stream.  randrange(n) repeats getrandbits(k), k =
+    n.bit_length(), until a value below n comes up; getrandbits(k) takes
+    ceil(k / 32) 32-bit words, least significant first, and shifts the last
+    right to k bits, so getrandbits(32 * m) is m such words.  Every try takes
+    as many words, so one try per missing value never takes a word too many."""
+    k = n.bit_length()
+    size = -(-k // 32)  # words per try
+    shift = 32 * size - k  # of the last word
+    low = 32 * (size - 1)  # bits of the words before it
+    out: list[int] = []
+    while len(out) < count:
+        m = count - len(out)
+        raw = rng.getrandbits(32 * size * m).to_bytes(4 * size * m, "little")
+        if size == 1:  # w >> shift < n exactly when w < n << shift
+            limit = n << shift
+            out += [w >> shift for w in unpack(f"<{m}I", raw) if w < limit]
+        else:
+            tries = (int.from_bytes(raw[i : i + 4 * size], "little") for i in range(0, len(raw), 4 * size))
+            out += [v for t in tries if (v := t & ((1 << low) - 1) | t >> (low + shift) << low) < n]
+    return out
 
 
 def _build_explicit(spec: TreeSpec) -> ExplicitTree:
@@ -433,11 +459,16 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             table = _spec_list(b["counts"], "branching 'counts'")
             if len(table) != spec.depth or len(_spec_list(table[lvl], "branching 'counts'")) != size:
                 raise ValidationError("explicit branching table incomplete")
-            row = [_spec_int(c, "branching 'counts'", 2) for c in table[lvl]]
+            try:
+                row = list(map(int, table[lvl]))
+            except (TypeError, ValueError, OverflowError):
+                row = [0]
+            if min(row) < 2:  # the first bad count is named
+                row = [_spec_int(c, "branching 'counts'", 2) for c in table[lvl]]
         else:
             lo = _spec_int(b.get("min_arity", 2), "branching 'min_arity'", 2)
             hi = _spec_int(b["max_arity"], "branching 'max_arity'", lo)
-            row = [rng.randint(lo, hi) for _ in range(size)]
+            row = [lo + i for i in _draws_below(rng, hi - lo + 1, size)]  # randint(lo, hi) each
         counts.append(row)
         size = sum(row)
         total += size
@@ -471,49 +502,73 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
             if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
-            # each distinct row is read once, keyed by its entry texts: a key
-            # of values would let a row of true reuse an earlier row of 1
-            read: dict[tuple[str, ...], list[int]] = {}
+            # each distinct row is read once, to the bytes of its numerators
+            read: dict[str | tuple[str, ...], bytes] = {}
+            parse = lru_cache(maxsize=None)(_parse_entry)
             for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
-                level_nums = []
-                for o, (raw, k) in enumerate(zip(raws, row_counts)):
-                    if not isinstance(raw, (list, tuple)):
-                        raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
-                    if len(raw) != k:
-                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
-                    key = tuple(map(str, raw))
-                    nums = read.get(key)
-                    if nums is None:
-                        nums = read[key] = _row_to_ints([_parse_entry(s) for s in key], what, (lvl, o))[0]
-                    level_nums.append(nums)
-                edge.append(array("q", chain.from_iterable(level_nums)))
+                # rows up to the first one that is not a list of the right
+                # length are read first: an earlier bad row is named first
+                good = len(raws)
+                if not all(map(isinstance, raws, repeat((list, tuple)))) or list(map(len, raws)) != row_counts:
+                    good = next(
+                        o for o, (raw, k) in enumerate(zip(raws, row_counts))
+                        if not isinstance(raw, (list, tuple)) or len(raw) != k
+                    )
+                # a row is keyed by its entry texts, joined by commas where no
+                # entry holds one (a key of values would let a row of true
+                # reuse an earlier row of 1)
+                rows = raws[:good]
+                try:
+                    keys = list(map(",".join, rows))
+                    joined = sum(map(str.count, keys, repeat(","))) == sum(row_counts[:good]) - good
+                except TypeError:  # an entry that is not text
+                    joined = False
+                if not joined:
+                    keys = [tuple(map(str, raw)) for raw in rows]
+                for key in dict.fromkeys(keys):
+                    if key not in read:
+                        pairs = list(map(parse, key.split(",") if joined else key))
+                        nums = _row_to_ints(pairs, what, lambda: f"level {lvl} vertex {keys.index(key)}")[0]
+                        read[key] = array("q", nums).tobytes()
+                if good < len(raws):
+                    raw = raws[good]
+                    problem = (
+                        f"has {len(raw)} entries, expected {row_counts[good]}"
+                        if isinstance(raw, (list, tuple)) else f"must be a list, got {raw!r}"
+                    )
+                    raise ValidationError(f"level {lvl} vertex {good}: {what} row {problem}")
+                edge.append(array("q", b"".join(map(read.__getitem__, keys))))
         else:
             mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
             if mw > INT64_MAX:
                 raise ValidationError(f"{what}_rule 'max_weight' must fit in 64 bits, got {mw}")
             if what == "q":
-                randint = rng.randint
                 for row_counts in counts:
-                    # the vertices' rows in order, drawn as one list
-                    edge.append(array("q", [randint(1, mw) for _ in range(sum(row_counts))]))
+                    # the vertices' rows in order, randint(1, mw) each
+                    edge.append(array("q", [1 + i for i in _draws_below(rng, mw, sum(row_counts))]))
             else:
-                randrange = rng.randrange
 
-                def draw() -> int:
+                def draws(count: int) -> list[int]:
                     # rng.choice over the nonzero integers -mw..mw, without the list
-                    i = randrange(2 * mw)
-                    return i - mw if i < mw else i - mw + 1
+                    return [i - mw if i < mw else i - mw + 1 for i in _draws_below(rng, 2 * mw, count)]
 
                 for row_counts in counts:
-                    level_nums = []
+                    need = sum(row_counts)  # values the rows not yet taken need at least
+                    values = draws(need)
+                    level_nums: list[int] = []
+                    at = 0
                     for k in row_counts:
-                        while True:  # redraw a row summing to zero
-                            nums = [draw() for _ in range(k)]
+                        while True:  # a row summing to zero is redrawn from the next values
+                            if at + k > len(values):
+                                values += draws(need - (len(values) - at))
+                            nums = values[at : at + k]
+                            at += k
                             den = sum(nums)
                             if den:
                                 break
-                        level_nums.append(nums if den > 0 else [-n for n in nums])
-                    edge.append(array("q", chain.from_iterable(level_nums)))
+                        need -= k
+                        level_nums += nums if den > 0 else [-n for n in nums]
+                    edge.append(array("q", level_nums))
         return edge
 
     edges = []
@@ -614,8 +669,12 @@ def tree_from_doc(doc: dict) -> Tree:
         raise ValidationError(f"unsupported tree schema {doc.get('schema')!r}")
     if doc.get("mode", "exact") != "exact":
         raise ValidationError(f"unsupported arithmetic mode {doc.get('mode')!r}; the only mode is 'exact'")
-    depth = int(doc["depth"])
-    if doc.get("kind") == "uniform":
+    kind, depth = doc.get("kind"), doc.get("depth")
+    if kind not in ("uniform", "explicit"):
+        raise ValidationError(f"tree 'kind' must be 'uniform' or 'explicit', got {kind!r}")
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValidationError(f"tree 'depth' must be an integer, got {depth!r}")
+    if kind == "uniform":
         spec = TreeSpec(
             depth=depth,
             branching={"kind": "per_level", "arities": doc["arities"]},

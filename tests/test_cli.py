@@ -437,6 +437,34 @@ def test_explicit_tree_outputs_match_recorded_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize(
+    "edit,issue",
+    [
+        ({"kind": "banana"}, "tree 'kind' must be 'uniform' or 'explicit', got 'banana'"),
+        ({"kind": None}, "tree 'kind' must be 'uniform' or 'explicit', got None"),
+        ({"depth": 6.7}, "tree 'depth' must be an integer, got 6.7"),
+        ({"depth": "6"}, "tree 'depth' must be an integer, got '6'"),
+        ({"depth": True}, "tree 'depth' must be an integer, got True"),
+        ({"depth": None}, "tree 'depth' must be an integer, got None"),
+    ],
+    ids=["unknown-kind", "no-kind", "float-depth", "text-depth", "bool-depth", "no-depth"],
+)
+def test_certify_bad_tree_kind_or_depth_exits_one(tmp_path, capsys, edit, issue):
+    # each of these once read as an explicit tree of depth 6 and certified with exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EXPLICIT_CONFIG), encoding="utf-8")
+    assert main(["witness-x", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads(read(tmp_path / "o" / "witness.json"))
+    doc["tree"].update(edit)
+    doc["tree"] = {k: v for k, v in doc["tree"].items() if v is not None}  # None drops the key
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")]) == 1
+    assert json.loads(capsys.readouterr().err)["errors"] == [issue]
+    assert not (tmp_path / "c").exists()
+
+
 # sha256 of the outputs of two runs whose hit sets hit_levels decides from
 # integer bounds, recorded while they were decided from exact distances:
 # certify on the witness-ufm-120 witness, and span-check on a depth-60 tree

@@ -1,11 +1,13 @@
 import json
 import random
 import time
+from array import array
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeharmonics import (
@@ -22,7 +24,7 @@ from treeharmonics import (
 )
 from treeharmonics.scalars import parse_scalar
 from treeharmonics.serialize import canonical_json
-from treeharmonics.trees import _parse_entry, _row_to_ints
+from treeharmonics.trees import INT64_MAX, _draws_below, _parse_entry, _row_to_ints
 
 
 def test_uniform_binary_leaf_count():
@@ -269,8 +271,9 @@ def test_explicit_parent_inverts_child():
 
 
 def _reference_random_rows(depth, max_arity, q_weight, w_weight, seed):
-    """The q and w rows a random spec draws, as rng.choice over the list of
-    nonzero weights draws them."""
+    """The q and w rows a random spec draws, one randint per arity and q
+    entry, and w entries as rng.choice over the list of nonzero weights
+    draws them."""
     rng = random.Random(seed)
     counts, size = [], 1
     for _ in range(depth):
@@ -281,13 +284,21 @@ def _reference_random_rows(depth, max_arity, q_weight, w_weight, seed):
         nums = [rng.randint(1, q_weight) for _ in range(sum(row_counts))]
         it = iter(nums)
         q_rows.append([[next(it) for _ in range(k)] for k in row_counts])
-    choices = [i for i in range(-w_weight, w_weight + 1) if i != 0]
+    choices = [i for i in range(-w_weight, w_weight + 1) if i != 0] if w_weight <= 30 else None
+
+    def draw():
+        if choices is not None:
+            return rng.choice(choices)
+        # too many weights to list: choice(seq) is seq[randbelow(len(seq))]
+        i = rng.randrange(2 * w_weight)
+        return i - w_weight if i < w_weight else i - w_weight + 1
+
     w_rows = []
     for row_counts in counts:
         level = []
         for k in row_counts:
             while True:
-                nums = [rng.choice(choices) for _ in range(k)]
+                nums = [draw() for _ in range(k)]
                 if sum(nums):
                     break
             level.append(nums)
@@ -295,21 +306,33 @@ def _reference_random_rows(depth, max_arity, q_weight, w_weight, seed):
     return q_rows, w_rows
 
 
-@pytest.mark.parametrize("w_weight", [1, 5, 9, 30])
+# past 2**31 a draw's range needs all 32 bits of a word, past 2**32 two words
+@pytest.mark.parametrize("w_weight", [1, 5, 9, 30, 2**31 - 1, 2**31, 2**32, INT64_MAX])
 def test_random_w_rule_draws_as_choice_over_the_weights(w_weight):
+    q_weight = 7 if w_weight <= 30 else w_weight
     spec = TreeSpec(
         depth=4,
         branching={"kind": "random", "max_arity": 3},
-        q_rule={"kind": "random", "max_weight": 7},
+        q_rule={"kind": "random", "max_weight": q_weight},
         w_rule={"kind": "random", "max_weight": w_weight},
         seed=w_weight,
     )
     tree = build_tree(spec)
-    q_rows, w_rows = _reference_random_rows(4, 3, 7, w_weight, w_weight)
+    q_rows, w_rows = _reference_random_rows(4, 3, q_weight, w_weight, w_weight)
     for lvl in range(tree.depth):
         for x, q, w in zip(tree.vertices(lvl), q_rows[lvl], w_rows[lvl], strict=True):
             assert tree.q_row(x) == tuple(Fraction(n, sum(q)) for n in q)
             assert tree.w_row(x) == tuple(Fraction(n, sum(w)) for n in w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 18, 30, 2**32 - 1, 2**32, 2**32 + 1, 2**64])
+def test_bulk_draws_take_the_words_randrange_takes(n):
+    for seed in range(4):
+        for count in (0, 1, 5, 300):
+            oracle, rng = random.Random(seed), random.Random(seed)
+            oracle.random(), rng.random()  # start two words into the stream
+            assert _draws_below(rng, n, count) == [oracle.randrange(n) for _ in range(count)]
+            assert rng.getstate() == oracle.getstate()
 
 
 def test_huge_random_max_weight_builds_at_once():
@@ -416,6 +439,30 @@ def test_tree_doc_with_float_mode_rejected(binary4):
     doc["mode"] = "float"
     with pytest.raises(ValidationError):
         tree_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "key,value,issue",
+    [
+        ("kind", "banana", "tree 'kind' must be 'uniform' or 'explicit', got 'banana'"),
+        ("kind", None, "tree 'kind' must be 'uniform' or 'explicit', got None"),
+        ("depth", 3.7, "tree 'depth' must be an integer, got 3.7"),
+        ("depth", 3.0, "tree 'depth' must be an integer, got 3.0"),
+        ("depth", "3", "tree 'depth' must be an integer, got '3'"),
+        ("depth", True, "tree 'depth' must be an integer, got True"),
+        ("depth", None, "tree 'depth' must be an integer, got None"),
+    ],
+)
+def test_tree_doc_with_bad_kind_or_depth_rejected(lopsided3, binary4, key, value, issue):
+    for tree in (lopsided3, binary4):
+        doc = tree_to_doc(tree)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValidationError) as exc:
+            tree_from_doc(doc)
+        assert exc.value.issues == [issue]
 
 
 def test_uniform_tree_accepts_int_rows():
@@ -526,3 +573,88 @@ OTHER_FORMS = {
 def test_entry_parser_on_other_forms(entry):
     assert_rows_read_alike([entry, "1/4"])
     assert_rows_read_alike(["1/4", entry, "-1/2"])
+
+
+def per_vertex_rows(table, counts, what):
+    """The explicit row reader as it was, one vertex at a time: each row is
+    checked and keyed by its entry texts where it occurs, and a new key is
+    read then.  It is the oracle of the level-at-a-time reader."""
+    read = {}
+    edge = [None]
+    for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
+        level_nums = []
+        for o, (raw, k) in enumerate(zip(raws, row_counts)):
+            if not isinstance(raw, (list, tuple)):
+                raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
+            if len(raw) != k:
+                raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
+            key = tuple(map(str, raw))
+            nums = read.get(key)
+            if nums is None:
+                nums = read[key] = _row_to_ints([_parse_entry(s) for s in key], what, f"level {lvl} vertex {o}")[0]
+            level_nums.append(nums)
+        edge.append(array("q", chain.from_iterable(level_nums)))
+    return edge
+
+
+# rows that read as valid q and w rows, in several spellings and containers
+VALID_ROWS = {
+    2: [["1/2", "1/2"], ("1/2", "1/2"), ["2/4", "0.5"], ["1/3", "2/3"], ("1/4", "3/4")],
+    3: [["1/3", "1/3", "1/3"], ("1/4", "1/4", "1/2"), ["1/4", "0.25", "2/4"]],
+}
+# entries that are valid only for some rows, not text, or hold a comma; a row
+# of ("1/4,1/4", "1/2") joins to the text of the valid ("1/4", "1/4", "1/2")
+ENTRIES = ["1/2", "1/4", "3/4", "1/3", "2/3", "-1/2", "1", "0", "1/4,1/4", " 1/2", "x", 1, 0, True, 0.5, ["1/2"]]
+
+
+@st.composite
+def explicit_tables(draw):
+    """Per-vertex child counts and one table over them: mostly valid rows,
+    repeated, with rows of the wrong length, rows that are not lists and rows
+    that do not sum to one mixed in."""
+    counts, size = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        counts.append([draw(st.integers(2, 3)) for _ in range(size)])
+        size = sum(counts[-1])
+    table = []
+    for row_counts in counts:
+        level = []
+        for k in row_counts:
+            pick = draw(st.integers(0, 9))
+            if pick < 7:
+                level.append(draw(st.sampled_from(VALID_ROWS[k])))
+            elif pick == 7:
+                level.append(draw(st.sampled_from([5, "ab", None, {"1/2": 0}])))
+            else:
+                row = draw(st.lists(st.sampled_from(ENTRIES), min_size=k - 1, max_size=k + 1))
+                level.append(tuple(row) if draw(st.booleans()) else row)
+        table.append(level)
+    return counts, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_tables(), st.sampled_from(["q", "w"]))
+def test_level_reader_matches_per_vertex_reader(counts_table, what):
+    counts, table = counts_table
+    try:
+        want = per_vertex_rows(table, counts, what)
+    except ValidationError as exc:
+        want = ("error", exc.issues)
+    spec = TreeSpec(depth=len(counts), branching={"kind": "explicit", "counts": counts}, **{f"{what}_rule": {"kind": "explicit", "rows": table}})
+    try:
+        tree = build_tree(spec)
+        got = tree._q_edge if what == "q" else tree._w_edge
+    except ValidationError as exc:
+        got = ("error", exc.issues)
+    assert got == want
+
+
+def test_row_with_a_comma_entry_does_not_reuse_a_joined_row():
+    # both rows join to "1/4,1/4,1/2"; the second must be read, not reused
+    spec = TreeSpec(
+        depth=2,
+        branching={"kind": "explicit", "counts": [[3], [2, 2, 2]]},
+        q_rule={"kind": "explicit", "rows": [[["1/4", "1/4", "1/2"]], [["1/2", "1/2"], ["1/4,1/4", "1/2"], ["1/2", "1/2"]]]},
+    )
+    with pytest.raises(ValidationError, match="cannot parse scalar '1/4,1/4'"):
+        build_tree(spec)
