@@ -422,24 +422,20 @@ def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | Callabl
 def _draws_below(rng: Random, n: int, count: int) -> list[int]:
     """[rng.randrange(n) for _ in range(count)], n >= 1, read from the same
     words of rng's MT19937 stream.  randrange(n) repeats getrandbits(k), k =
-    n.bit_length(), until a value below n comes up; getrandbits(k) takes
-    ceil(k / 32) 32-bit words, least significant first, and shifts the last
-    right to k bits, so getrandbits(32 * m) is m such words.  Every try takes
-    as many words, so one try per missing value never takes a word too many."""
+    n.bit_length(), until a value below n comes up; for k <= 32 a try is one
+    32-bit word shifted right by 32 - k, and getrandbits(32 * m) is m words,
+    least significant first.  One try per missing value never takes a word
+    too many."""
     k = n.bit_length()
-    size = -(-k // 32)  # words per try
-    shift = 32 * size - k  # of the last word
-    low = 32 * (size - 1)  # bits of the words before it
+    if k > 32:
+        return [rng.randrange(n) for _ in range(count)]
+    shift = 32 - k
+    limit = n << shift  # w >> shift < n exactly when w < limit
     out: list[int] = []
     while len(out) < count:
         m = count - len(out)
-        raw = rng.getrandbits(32 * size * m).to_bytes(4 * size * m, "little")
-        if size == 1:  # w >> shift < n exactly when w < n << shift
-            limit = n << shift
-            out += [w >> shift for w in unpack(f"<{m}I", raw) if w < limit]
-        else:
-            tries = (int.from_bytes(raw[i : i + 4 * size], "little") for i in range(0, len(raw), 4 * size))
-            out += [v for t in tries if (v := t & ((1 << low) - 1) | t >> (low + shift) << low) < n]
+        # unpacked inline, so the m words are freed once they are read
+        out += [w >> shift for w in unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little")) if w < limit]
     return out
 
 
@@ -502,8 +498,10 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
             if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
-            # each distinct row is read once, to the bytes of its numerators
-            read: dict[str | tuple[str, ...], bytes] = {}
+            # each distinct row is read once, to the bytes of its numerators,
+            # keyed by its entry texts: a key of values would let a row of
+            # true reuse an earlier row of 1
+            read: dict[tuple[str, ...], bytes] = {}
             parse = lru_cache(maxsize=None)(_parse_entry)
             for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
                 # rows up to the first one that is not a list of the right
@@ -514,22 +512,15 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                         o for o, (raw, k) in enumerate(zip(raws, row_counts))
                         if not isinstance(raw, (list, tuple)) or len(raw) != k
                     )
-                # a row is keyed by its entry texts, joined by commas where no
-                # entry holds one (a key of values would let a row of true
-                # reuse an earlier row of 1)
-                rows = raws[:good]
-                try:
-                    keys = list(map(",".join, rows))
-                    joined = sum(map(str.count, keys, repeat(","))) == sum(row_counts[:good]) - good
-                except TypeError:  # an entry that is not text
-                    joined = False
-                if not joined:
-                    keys = [tuple(map(str, raw)) for raw in rows]
+                keys = [tuple(map(str, raw)) for raw in raws[:good]]
+                overflow = None  # raised once every row of the level is checked
                 for key in dict.fromkeys(keys):
                     if key not in read:
-                        pairs = list(map(parse, key.split(",") if joined else key))
-                        nums = _row_to_ints(pairs, what, lambda: f"level {lvl} vertex {keys.index(key)}")[0]
-                        read[key] = array("q", nums).tobytes()
+                        nums = _row_to_ints(list(map(parse, key)), what, lambda: f"level {lvl} vertex {keys.index(key)}")[0]
+                        try:
+                            read[key] = array("q", nums).tobytes()
+                        except OverflowError as exc:
+                            overflow = exc
                 if good < len(raws):
                     raw = raws[good]
                     problem = (
@@ -537,6 +528,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                         if isinstance(raw, (list, tuple)) else f"must be a list, got {raw!r}"
                     )
                     raise ValidationError(f"level {lvl} vertex {good}: {what} row {problem}")
+                if overflow:
+                    raise overflow
                 edge.append(array("q", b"".join(map(read.__getitem__, keys))))
         else:
             mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)

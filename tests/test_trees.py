@@ -602,16 +602,20 @@ VALID_ROWS = {
     2: [["1/2", "1/2"], ("1/2", "1/2"), ["2/4", "0.5"], ["1/3", "2/3"], ("1/4", "3/4")],
     3: [["1/3", "1/3", "1/3"], ("1/4", "1/4", "1/2"), ["1/4", "0.25", "2/4"]],
 }
-# entries that are valid only for some rows, not text, or hold a comma; a row
-# of ("1/4,1/4", "1/2") joins to the text of the valid ("1/4", "1/4", "1/2")
-ENTRIES = ["1/2", "1/4", "3/4", "1/3", "2/3", "-1/2", "1", "0", "1/4,1/4", " 1/2", "x", 1, 0, True, 0.5, ["1/2"]]
+# valid rows with a numerator past INT64_MAX over the row's common denominator
+OVERFLOWING_ROWS = {
+    2: [["1/9223372036854775809", "9223372036854775808/9223372036854775809"]],
+    3: [["9223372036854775808/9223372036854775809", "1/18446744073709551618", "1/18446744073709551618"]],
+}
+# entries that are valid only for some rows, not text, or not a scalar
+ENTRIES = ["1/2", "1/4", "3/4", "1/3", "2/3", "-1/2", "1", "0", "1/9223372036854775808", "1/4,1/4", " 1/2", "x", 1, 0, True, 0.5, ["1/2"]]
 
 
 @st.composite
 def explicit_tables(draw):
     """Per-vertex child counts and one table over them: mostly valid rows,
-    repeated, with rows of the wrong length, rows that are not lists and rows
-    that do not sum to one mixed in."""
+    repeated, with rows whose numerators overflow, rows of the wrong length,
+    rows that are not lists and rows that do not sum to one mixed in."""
     counts, size = [], 1
     for _ in range(draw(st.integers(1, 3))):
         counts.append([draw(st.integers(2, 3)) for _ in range(size)])
@@ -621,8 +625,10 @@ def explicit_tables(draw):
         level = []
         for k in row_counts:
             pick = draw(st.integers(0, 9))
-            if pick < 7:
+            if pick < 6:
                 level.append(draw(st.sampled_from(VALID_ROWS[k])))
+            elif pick == 6:
+                level.append(draw(st.sampled_from(OVERFLOWING_ROWS[k])))
             elif pick == 7:
                 level.append(draw(st.sampled_from([5, "ab", None, {"1/2": 0}])))
             else:
@@ -640,6 +646,8 @@ def test_level_reader_matches_per_vertex_reader(counts_table, what):
         want = per_vertex_rows(table, counts, what)
     except ValidationError as exc:
         want = ("error", exc.issues)
+    except OverflowError:  # as build_tree reports it
+        want = ("error", [f"{what}_rule: a row's numerators over its common denominator do not fit in 64 bits"])
     spec = TreeSpec(depth=len(counts), branching={"kind": "explicit", "counts": counts}, **{f"{what}_rule": {"kind": "explicit", "rows": table}})
     try:
         tree = build_tree(spec)
@@ -648,13 +656,3 @@ def test_level_reader_matches_per_vertex_reader(counts_table, what):
         got = ("error", exc.issues)
     assert got == want
 
-
-def test_row_with_a_comma_entry_does_not_reuse_a_joined_row():
-    # both rows join to "1/4,1/4,1/2"; the second must be read, not reused
-    spec = TreeSpec(
-        depth=2,
-        branching={"kind": "explicit", "counts": [[3], [2, 2, 2]]},
-        q_rule={"kind": "explicit", "rows": [[["1/4", "1/4", "1/2"]], [["1/2", "1/2"], ["1/4,1/4", "1/2"], ["1/2", "1/2"]]]},
-    )
-    with pytest.raises(ValidationError, match="cannot parse scalar '1/4,1/4'"):
-        build_tree(spec)
