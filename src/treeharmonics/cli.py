@@ -86,32 +86,25 @@ def merge_config(cfg: dict, override: dict) -> dict:
     return cfg
 
 
-# (flag, config path): a flag that is given overrides the config entry at its path
-FLAG_PATHS = (
-    ("depth", ("tree", "depth")),
-    ("seed", ("seed",)),
-    ("dim", ("dim",)),
-    ("width", ("width",)),
-    ("horizon", ("horizon",)),
-    ("warmup", ("warmup",)),
-    ("growth", ("growth",)),
-    ("out", ("out",)),
-    ("block_length", ("block_length",)),
-    ("count", ("count",)),
-    ("cases", ("cases",)),
-    ("targets", ("targets", "count")),
-    ("resolution", ("targets", "resolution")),
-    ("bound", ("targets", "bound")),
-    ("epsilon", ("targets", "epsilon")),
+# (flag, config key, least value or None for any, may be null) of every
+# integer the commands read, never a bool; a flag that is given overrides its key
+INTEGER_KEYS = (
+    ("--seed", "seed", None, False), ("--depth", "tree.depth", 1, False), ("--targets", "targets.count", 1, False),
+    ("--resolution", "targets.resolution", 0, False), ("--bound", "targets.bound", 1, False), ("--dim", "dim", 1, False),
+    ("--growth", "growth", 2, False), ("--block-length", "block_length", 1, False), ("--count", "count", 1, False),
+    ("--cases", "cases", 0, False), ("--width", "width", 1, True), ("--horizon", "horizon", 1, True),
+    ("--warmup", "warmup", 0, True),
 )
+OWN_FLAGS = {"--cases": "span-check", "--count": "dense-family"}  # flags of one subcommand only
 
 
 def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Write every given flag into cfg in place.  A flag whose section is not
     an object is dropped; validate_config reports that section."""
-    given = [(path, getattr(args, flag, None)) for flag, path in FLAG_PATHS]
+    given = [(key.split("."), getattr(args, flag[2:].replace("-", "_"), None)) for flag, key, *_ in INTEGER_KEYS]
+    given += [(["out"], args.out), (["targets", "epsilon"], args.epsilon)]
     if args.arity is not None:
-        given.append((("tree", "branching"), {"kind": "uniform", "arity": args.arity}))
+        given.append((["tree", "branching"], {"kind": "uniform", "arity": args.arity}))
     for (*parents, key), val in given:
         node = cfg
         for name in parents:
@@ -119,15 +112,6 @@ def apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
         if val is not None and isinstance(node, dict):
             node[key] = val
     return cfg
-
-
-# (key, least value or None for any, may be null) of every integer the commands read, never a bool
-INTEGER_KEYS = (
-    ("seed", None, False), ("tree.depth", 1, False), ("targets.count", 1, False), ("targets.resolution", 0, False),
-    ("targets.bound", 1, False), ("dim", 1, False), ("growth", 2, False),
-    ("block_length", 1, False), ("count", 1, False), ("cases", 0, False),
-    ("width", 1, True), ("horizon", 1, True), ("warmup", 0, True),
-)
 
 
 def validate_config(cfg: dict) -> None:
@@ -146,7 +130,7 @@ def validate_config(cfg: dict) -> None:
         if name in tree and not isinstance(tree[name], dict):
             issues.append(f"tree.{name} must be an object")
     sections = {"": cfg, "tree": tree, "targets": targets}
-    for key, least, nullable in INTEGER_KEYS:
+    for _, key, least, nullable in INTEGER_KEYS:
         section, _, name = key.rpartition(".")
         value = sections[section].get(name)
         if not (value is None and nullable) and (type(value) is not int or least is not None and value < least):
@@ -170,9 +154,9 @@ def _tree_from_cfg(cfg: dict) -> Tree:
     t = cfg["tree"]
     spec = TreeSpec(
         depth=t["depth"],
-        branching=t.get("branching", {"kind": "uniform", "arity": 2}),
-        q_rule=t.get("q_rule", {"kind": "uniform"}),
-        w_rule=t.get("w_rule", {"kind": "uniform"}),
+        branching=t["branching"],
+        q_rule=t["q_rule"],
+        w_rule=t["w_rule"],
         seed=cfg["seed"],
     )
     return build_tree(spec)
@@ -419,34 +403,22 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=str, help="JSON config file (runconfig/1)")
-    common.add_argument("--depth", type=int)
     common.add_argument("--arity", type=int)
-    common.add_argument("--dim", type=int)
-    common.add_argument("--width", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--horizon", type=int)
-    common.add_argument("--warmup", type=int)
-    common.add_argument("--growth", type=int)
-    common.add_argument("--block-length", dest="block_length", type=int)
-    common.add_argument("--targets", type=int, help="number of enumerated targets")
-    common.add_argument("--resolution", type=int)
-    common.add_argument("--bound", type=int)
     common.add_argument("--epsilon", type=str)
     common.add_argument("--out", type=str)
+    for flag, *_ in INTEGER_KEYS:
+        if flag not in OWN_FLAGS:
+            common.add_argument(flag, type=int, help="number of enumerated targets" if flag == "--targets" else None)
 
     parser = _Parser(
         prog="treeharmonics",
         description="Construct weighted trees, synthesize harmonic witnesses, certify hit densities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("build", "witness-x", "witness-ufm", "double-genericity"):
-        sub.add_parser(name, parents=[common])
-    p = sub.add_parser("span-check", parents=[common])
-    p.add_argument("--cases", type=int)
-    p = sub.add_parser("dense-family", parents=[common])
-    p.add_argument("--count", type=int)
-    p = sub.add_parser("certify", parents=[common])
-    p.add_argument("--witness", type=str, required=True)
+    parsers = {name: sub.add_parser(name, parents=[common]) for name in (*COMMANDS, "certify")}
+    for flag, name in OWN_FLAGS.items():
+        parsers[name].add_argument(flag, type=int)
+    parsers["certify"].add_argument("--witness", type=str, required=True)
     return parser
 
 

@@ -10,17 +10,19 @@ them.  It recomputes the residual at every position of a split node exactly
 and certifies a constant node in one step, since the tree invariant that each
 w row sums to one makes a constant harmonic at every vertex below it.
 
-One forward walk serves every level up to a horizon: it pushes q-mass down
-the DAGs of one or more functions and of any number of targets together, one
-level at a time, and sets aside the entries that can no longer change, so H
-levels cost O(H x frontier width) rather than the O(H x DAG) of restricting
-and integrating each level from the root.  level_profile folds it into exact
-distances, whose digits grow quadratically with depth; the witness commands
-use it because they write block-end distances and mismatch logs exactly.
-hit_levels folds it into integer bounds scaled by 2^P, decides d_n < radius
-from them and sums exactly only a level whose bounds straddle the radius;
-walking functions jointly, it bounds their linear combinations from the
-component values.  certify on a witness file, span-check and
+One forward sweep, _sweep, serves every level up to a horizon: it pushes
+q-mass down the DAGs of one or more functions and of any number of targets
+together, one level at a time, sets aside the entries that can no longer
+change, and keeps one running total per sweep, so H levels cost O(H x
+frontier width) rather than the O(H x DAG) of restricting and integrating
+each level from the root.  Its two callers supply only a fold.
+level_profile folds exact distances, whose digits grow quadratically with
+depth; the witness commands use it because they write block-end distances
+and mismatch logs exactly.  hit_levels folds integer bounds scaled by 2^P,
+decides d_n < radius from them as each level comes and sums exactly only a
+level whose bounds straddle the radius; walking functions jointly, it bounds
+their linear combinations from the component values.  certify on a witness
+file (every target in one joint walk of the components), span-check and
 double-genericity use it because they write hit sets only.
 """
 
@@ -284,14 +286,18 @@ def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> S
     return r
 
 
-def _frontier_walk(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple]) -> tuple[list[int], Iterator[tuple]]:
-    """Check each sweep's target (first) and horizon (last), and return each
-    sweep's target slot with the walk level_profile and hit_levels fold.  It
-    pushes q-mass down the functions fs and the distinct targets together and
-    yields, for each level n = 0, 1, ... to the largest horizon, the entries
-    (function node per function, target node per slot, vertex, mass) that
-    froze at n, because every function node is constant below, and the
-    frontier at n.
+def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callable, start) -> Iterator[tuple]:
+    """Walk the functions fs and the distinct sweep targets (each sweep's
+    first item) together to the largest horizon (its last), and yield
+    (sweep index, level n, total) for n = 1..horizon of each sweep.
+
+    The walk pushes q-mass down the DAGs one level at a time.  An entry
+    (function node per function, target node per distinct target, vertex,
+    mass) freezes once every function node is constant below it.  Each sweep
+    keeps a running total, from start, of fold(frozen entries, its target's
+    slot, sweep index, total) at levels 0..n; its level-n total folds the
+    level-n frontier into that.  Nothing is kept of a level once it is
+    yielded.
     """
     tree = fs[0].tree
     for g in fs:
@@ -303,6 +309,7 @@ def _frontier_walk(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple]) -> t
             if g.dim != target.dim:
                 raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {target.dim}")
     roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
+    slots = [roots.index(s[0].node) for s in sweeps]
 
     def push(frozen: list, into: dict, fnodes: tuple, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
         if all(n.children is None for n in fnodes):
@@ -315,23 +322,23 @@ def _frontier_walk(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple]) -> t
         else:
             entry[3] = entry[3] + mass
 
-    def levels() -> Iterator[tuple]:
-        frozen, frontier = [], {}
-        push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
-        yield frozen, frontier.values()
-        for _ in range(max((s[-1] for s in sweeps), default=0)):
-            frozen, below = [], {}
-            for fnodes, tnodes, x, mass in frontier.values():
-                k = tree.arity(x)
-                fkids = [_expand(n, k) for n in fnodes]
-                tkids = [_expand(t, k) for t in tnodes]
-                qs = tree.q_row(x)
-                for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
-                    push(frozen, below, fchild, tchild, tree.child(x, i), mass * qs[i])
-            frontier = below
-            yield frozen, frontier.values()
-
-    return [roots.index(s[0].node) for s in sweeps], levels()
+    frozen, frontier = [], {}
+    push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
+    totals = [fold(frozen, slot, j, start) for j, slot in enumerate(slots)]
+    for n in range(1, max((s[-1] for s in sweeps), default=0) + 1):
+        frozen, below = [], {}
+        for fnodes, tnodes, x, mass in frontier.values():
+            k = tree.arity(x)
+            fkids = [_expand(node, k) for node in fnodes]
+            tkids = [_expand(t, k) for t in tnodes]
+            qs = tree.q_row(x)
+            for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
+                push(frozen, below, fchild, tchild, tree.child(x, i), mass * qs[i])
+        frontier = below
+        for j, (slot, sweep) in enumerate(zip(slots, sweeps)):
+            if n <= sweep[-1]:
+                totals[j] = fold(frozen, slot, j, totals[j])
+                yield j, n, fold(frontier.values(), slot, j, totals[j])
 
 
 def level_profile(
@@ -344,27 +351,21 @@ def level_profile(
     I_n integrates integrand(value of f at level n, target value) against the
     boundary measure, exactly as the boundary metrics do on
     restrict_to_level(f, n) (zero terms are skipped, so an all-zero distance
-    stays the int 0): a running sum per triple over the frozen entries, plus
-    the level-n frontier.
+    stays the int 0): _sweep's running sums of exact terms.
     """
     tree = f.tree
-    slots, walk = _frontier_walk((f,), sweeps)
 
-    def fold(entries, slot: int, integrand, total: Scalar) -> Scalar:
+    def fold(entries, slot: int, j: int, total: Scalar) -> Scalar:
+        integrand = sweeps[j][1]
         for (fnode,), tnodes, x, mass in entries:
             part = _against(tree, fnode.value, tnodes[slot], x, integrand)
             if part:
                 total = total + mass * part
         return total
 
-    frozen: list[Scalar] = [0] * len(sweeps)
     out: list[list[Scalar]] = [[] for _ in sweeps]
-    for n, (froze, frontier) in enumerate(walk):
-        for j, (slot, (_, integrand, horizon)) in enumerate(zip(slots, sweeps)):
-            if n <= horizon:
-                frozen[j] = fold(froze, slot, integrand, frozen[j])
-                if n:
-                    out[j].append(fold(frontier, slot, integrand, frozen[j]))
+    for j, _, total in _sweep((f,), sweeps, fold, 0):
+        out[j].append(total)
     return out
 
 
@@ -379,14 +380,14 @@ def hit_levels(
     The bounds, in units of 2^-P, round outward each term a_i u_i of a
     coordinate, d/(1+d) (which increases in d) and each term of mass times
     integrand; the combined value is formed only against a split target node.
-    Levels whose bounds straddle the radius are decided by one exact
-    level_profile per function up to the last of them, so every decision is
-    the exact one; only there is a combination of two or more functions built.
+    Each level is decided as _sweep yields its bounds.  Levels whose bounds
+    straddle the radius are decided by one exact level_profile per function
+    up to the last of them, so every decision is the exact one; only there
+    is a combination of two or more functions built.
     """
     tree = fs[0].tree
     if any(len(s[1]) > len(fs) for s in sweeps):
         raise ValidationError(f"more coefficients than the {len(fs)} functions")
-    slots, walk = _frontier_walk(fs, sweeps)
     one, zero = 1 << P, Value.zero(fs[0].dim)
     nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] for s in sweeps]  # (function, coefficient) terms
 
@@ -394,14 +395,15 @@ def hit_levels(
         num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
         return num // den, -(-num // den)
 
-    def bounds(entries, slot: int, terms: list, lo: int, hi: int) -> tuple[int, int]:
+    def bounds(entries, slot: int, j: int, total: tuple[int, int]) -> tuple[int, int]:
+        lo, hi = total
         for fnodes, tnodes, x, mass in entries:
             tnode = tnodes[slot]
             if tnode.is_leaf:
                 dl = dh = 0
                 for k, v in enumerate(tnode.value.coords):
                     ul = uh = 0
-                    for i, a in terms:
+                    for i, a in nonzero[j]:
                         l, h = outward(fnodes[i].value.coords[k], a)
                         ul, uh = ul + l, uh + h
                     vl, vh = outward(v)
@@ -409,25 +411,20 @@ def hit_levels(
                     dh += max(uh - vl, vh - ul)
                 tl, th = dl * one // (one + dl), -(-dh * one // (one + dh))
             else:
-                value = sum((fnodes[i].value.scale(a) for i, a in terms), zero)
+                value = sum((fnodes[i].value.scale(a) for i, a in nonzero[j]), zero)
                 tl, th = outward(_against(tree, value, tnode, x, bounded_metric))
             lo += mass.numerator * tl // mass.denominator
             hi -= -mass.numerator * th // mass.denominator
         return lo, hi
 
-    frozen = [(0, 0)] * len(sweeps)
     hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
-    for n, (froze, frontier) in enumerate(walk):
-        for j, (slot, (_, _, radius, horizon)) in enumerate(zip(slots, sweeps)):
-            if n <= horizon:
-                frozen[j] = bounds(froze, slot, nonzero[j], *frozen[j])
-                if n:
-                    lo, hi = bounds(frontier, slot, nonzero[j], *frozen[j])
-                    edge = radius.numerator << P
-                    if hi * radius.denominator < edge:
-                        hits[j].append(n)
-                    elif lo * radius.denominator < edge:
-                        undecided[j].append(n)
+    for j, n, (lo, hi) in _sweep(fs, sweeps, bounds, (0, 0)):
+        radius = sweeps[j][2]
+        edge = radius.numerator << P
+        if hi * radius.denominator < edge:
+            hits[j].append(n)
+        elif lo * radius.denominator < edge:
+            undecided[j].append(n)
     late: dict[int, tuple] = {}  # the undecided sweeps by the function an exact sweep walks
     for j in (j for j, levels in enumerate(undecided) if levels):
         (i, a), *more = nonzero[j] or [(0, 0)]  # all coefficients zero: f_1 scaled by 0

@@ -86,6 +86,14 @@ def config_hash(doc) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
+def _int(value, name: str) -> int:
+    """An integer of a witness document: a JSON integer, never a bool, a float
+    or a text; else a ValidationError naming its key."""
+    if type(value) is not int:
+        raise ValidationError(f"witness {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def value_to_doc(v: Value) -> list[str]:
     return [format_scalar(c) for c in v.coords]
 
@@ -124,8 +132,8 @@ def dag_from_doc(doc: dict) -> Node:
         if nd["c"] is None:
             nodes.append(leaf(value))
         else:
-            nodes.append(func_split(value, tuple(nodes[i] for i in nd["c"])))
-    return nodes[doc["root"]]
+            nodes.append(func_split(value, tuple(nodes[_int(i, "components.nodes.c")] for i in nd["c"])))
+    return nodes[_int(doc["root"], "components.root")]
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +148,7 @@ def level_function_to_doc(tree: Tree, lf: LevelFunction) -> dict:
 
 def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
     vals = [value_from_doc(v) for v in doc["values"]]
-    return LevelFunction.from_values(tree, int(doc["level"]), vals)
+    return LevelFunction.from_values(tree, _int(doc["level"], "targets.level_function.level"), vals)
 
 
 def target_to_doc(tree: Tree, t: Target) -> dict:
@@ -153,7 +161,7 @@ def target_to_doc(tree: Tree, t: Target) -> dict:
 
 def target_from_doc(tree: Tree, doc: dict) -> Target:
     return Target(
-        index=int(doc["index"]),
+        index=_int(doc["index"], "targets.index"),
         level_function=level_function_from_doc(tree, doc["level_function"]),
         epsilon=Fraction(doc["epsilon"]),
     )
@@ -174,16 +182,16 @@ def schedule_to_doc(s: Schedule) -> dict:
 
 def schedule_from_doc(doc: dict) -> Schedule:
     return Schedule(
-        kind=str(doc["kind"]),
-        width=int(doc["width"]),
-        horizon=int(doc["horizon"]),
-        warmup=int(doc["warmup"]),
+        kind=doc["kind"],
+        width=_int(doc["width"], "schedule.width"),
+        horizon=_int(doc["horizon"], "schedule.horizon"),
+        warmup=_int(doc["warmup"], "schedule.warmup"),
         blocks=tuple(
             ScheduleBlock(
-                component=int(b["component"]),
-                target_index=int(b["target"]),
-                start=int(b["start"]),
-                end=int(b["end"]),
+                component=_int(b["component"], "schedule.blocks.component"),
+                target_index=_int(b["target"], "schedule.blocks.target"),
+                start=_int(b["start"], "schedule.blocks.start"),
+                end=_int(b["end"], "schedule.blocks.end"),
             )
             for b in doc["blocks"]
         ),
@@ -203,11 +211,11 @@ def block_log_to_doc(log: BlockLog) -> dict:
 
 def block_log_from_doc(doc: dict) -> BlockLog:
     return BlockLog(
-        component=int(doc["component"]),
-        target_index=int(doc["target"]),
-        start=int(doc["start"]),
-        end=int(doc["end"]),
-        mismatch=tuple((int(lvl), parse_scalar(m)) for lvl, m in doc["mismatch"]),
+        component=_int(doc["component"], "logs.component"),
+        target_index=_int(doc["target"], "logs.target"),
+        start=_int(doc["start"], "logs.start"),
+        end=_int(doc["end"], "logs.end"),
+        mismatch=tuple((_int(lvl, "logs.mismatch"), parse_scalar(m)) for lvl, m in doc["mismatch"]),
         terminal_p=parse_scalar(doc["terminal_p"]),
     )
 
@@ -241,13 +249,14 @@ def witness_from_doc(doc: dict) -> Witness:
         raise ValidationError(f"unsupported witness schema {schema!r}")
     try:
         tree = tree_from_doc(doc["tree"])
-        dim = int(doc["dim"])
-        depth = int(doc["depth"])
+        dim, depth, is_tuple = _int(doc["dim"], "dim"), _int(doc["depth"], "depth"), doc["tuple"]
+        if type(is_tuple) is not bool:
+            raise ValidationError(f"witness 'tuple' must be true or false, got {is_tuple!r}")
         comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c)) for c in doc["components"])
-        function = HarmonicTuple(comps) if doc["tuple"] else comps[0]
+        function = HarmonicTuple(comps) if is_tuple else comps[0]
         targets = tuple(target_from_doc(tree, t) for t in doc["targets"])
-        target_components = tuple(int(c) for c in doc["target_components"])
-        width = len(comps) if doc["tuple"] else 1
+        target_components = tuple(_int(c, "target_components") for c in doc["target_components"])
+        width = len(comps) if is_tuple else 1
         if len(target_components) != len(targets):
             raise ValidationError(
                 f"target_components lists {len(target_components)} entries for {len(targets)} targets"
@@ -258,10 +267,13 @@ def witness_from_doc(doc: dict) -> Witness:
         kind = doc["kind"]
         if kind not in ("x", "ufm"):
             raise ValidationError(f"unknown witness kind {kind!r}; expected 'x' or 'ufm'")
+        schedule = schedule_from_doc(doc["schedule"])
+        if schedule.kind != kind:
+            raise ValidationError(f"witness schedule kind {schedule.kind!r} does not match its kind {kind!r}")
         return Witness(
             kind=kind,
             function=function,
-            schedule=schedule_from_doc(doc["schedule"]),
+            schedule=schedule,
             targets=targets,
             target_components=target_components,
             logs=tuple(block_log_from_doc(l) for l in doc["logs"]),

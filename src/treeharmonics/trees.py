@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from random import Random
 from struct import unpack
@@ -341,6 +341,16 @@ def _spec_list(value, name: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{name} must be a list, got {value!r}")
     return value
+
+
+def _doc_ints(rows, name: str) -> None:
+    """Raise unless every entry of the lists in rows is a JSON integer, never a
+    bool, a float or a text; one C-level pass, since an explicit tree document
+    holds a child count per vertex.  Anything else in rows is left to _spec_list."""
+    lists = [r for r in rows if isinstance(r, list)] if isinstance(rows, list) else []
+    if not set(map(type, chain.from_iterable(lists))) <= {int}:
+        bad = next(c for c in chain.from_iterable(lists) if type(c) is not int)
+        raise ValidationError(f"tree {name!r} must hold integers, got {bad!r}")
 
 
 def _level_arities(spec: TreeSpec) -> list[int]:
@@ -668,6 +678,7 @@ def tree_from_doc(doc: dict) -> Tree:
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValidationError(f"tree 'depth' must be an integer, got {depth!r}")
     if kind == "uniform":
+        _doc_ints([doc["arities"]], "arities")
         spec = TreeSpec(
             depth=depth,
             branching={"kind": "per_level", "arities": doc["arities"]},
@@ -675,6 +686,7 @@ def tree_from_doc(doc: dict) -> Tree:
             w_rule={"kind": "per_level", "rows": doc["w_rows"]},
         )
     else:
+        _doc_ints(doc["child_counts"], "child_counts")
         spec = TreeSpec(
             depth=depth,
             branching={"kind": "explicit", "counts": doc["child_counts"]},

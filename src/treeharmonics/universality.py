@@ -571,8 +571,8 @@ def certify_hits(
 
     Geometric-kind witnesses are judged on the upper-density surrogate,
     cyclic-kind ones on the lower-density floor.  The distances come from
-    synthesis if they reach the horizon, else hit_levels decides them in one
-    sweep per component.
+    synthesis if they reach the horizon, else hit_levels decides every
+    target in one joint walk of the components.
     """
     tree = witness.tree
     horizon = witness.schedule.horizon if horizon is None else horizon
@@ -584,11 +584,9 @@ def certify_hits(
     if distances and 0 <= horizon <= len(distances[0]):
         hit_sets = [[n for n, dn in enumerate(d[:horizon], 1) if dn < t.epsilon] for (t, _), d in zip(pairs, distances)]
     else:
-        swept = {}  # each component's hit sets, in the order of the targets it certifies
-        for comp in dict.fromkeys(witness.target_components):
-            sweeps = [(t.level_function, (1,), t.epsilon, horizon) for t, c in pairs if c == comp]
-            swept[comp] = iter(hit_levels((witness.component_function(comp),), sweeps))
-        hit_sets = [next(swept[c]) for _, c in pairs]
+        fs = [witness.component_function(c) for c in range(1, max(witness.target_components, default=0) + 1)]
+        sweeps = [(t.level_function, (0,) * (c - 1) + (1,), t.epsilon, horizon) for t, c in pairs]
+        hit_sets = hit_levels(fs, sweeps) if sweeps else []
     entries = []
     for (t, comp), hits in zip(pairs, hit_sets):
         prof = profile(hits, horizon, min(warmup, horizon - 1))

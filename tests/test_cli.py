@@ -699,3 +699,155 @@ def test_row_beyond_64_bits_exits_one(tmp_path, capsys, tree, rule):
     errors = json.loads(capsys.readouterr().err)["errors"]
     assert len(errors) == 1 and errors[0].startswith(rule) and "64 bits" in errors[0]
     assert not (tmp_path / "o").exists()
+
+
+# sha256 of certify's report on the witness-x --depth 120 witness, recorded
+# while certify walked each component on its own: a uniform x-kind witness
+# whose three targets are certified on three components
+X_CERTIFY_GOLDEN = "264365f6a361d127a418cb33c8c2e9452779175356255227a793038292a42da1"
+
+
+def test_x_witness_certify_matches_recorded_digest(tmp_path):
+    assert main(["witness-x", "--depth", "120", "--out", str(tmp_path / "w")]) == 0
+    assert main(["certify", "--witness", str(tmp_path / "w" / "witness.json"), "--out", str(tmp_path / "c")]) == 0
+    assert hashlib.sha256((tmp_path / "c" / "report.json").read_bytes()).hexdigest() == X_CERTIFY_GOLDEN
+
+
+def _set(doc, path, value):
+    *parents, key = path
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,error",
+    [
+        (("schedule", "warmup"), 9.7, "witness 'schedule.warmup' must be an integer, got 9.7"),
+        (("schedule", "horizon"), "30", "witness 'schedule.horizon' must be an integer, got '30'"),
+        (("schedule", "width"), True, "witness 'schedule.width' must be an integer, got True"),
+        (("dim",), 1.9, "witness 'dim' must be an integer, got 1.9"),
+        (("target_components",), [1.5, 1, 1], "witness 'target_components' must be an integer, got 1.5"),
+        (("targets", 0, "index"), "1", "witness 'targets.index' must be an integer, got '1'"),
+        (("targets", 0, "level_function", "level"), 0.5, "witness 'targets.level_function.level' must be an integer, got 0.5"),
+        (("logs", 0, "start"), 2.5, "witness 'logs.start' must be an integer, got 2.5"),
+        (("schedule", "blocks", 0, "end"), 9.9, "witness 'schedule.blocks.end' must be an integer, got 9.9"),
+        (("components", 0, "root"), True, "witness 'components.root' must be an integer, got True"),
+        (("tuple",), "no", "witness 'tuple' must be true or false, got 'no'"),
+        (("tree", "arities", 0), 2.0, "tree 'arities' must hold integers, got 2.0"),
+    ],
+    ids=[
+        "warmup-float", "horizon-text", "width-bool", "dim-float", "target-component-float", "target-index-text",
+        "target-level-float", "log-start-float", "block-end-float", "root-bool", "tuple-text", "arity-float",
+    ],
+)
+def test_certify_witness_with_lenient_field_exits_one(tmp_path, capsys, path, value, error):
+    # each of these once read through int() or truthiness and certified with exit 0
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, lambda doc: _set(doc, path, value))
+    assert code == 1
+    assert errors == [error]
+
+
+@pytest.mark.parametrize(
+    "path,value,error",
+    [
+        (("schedule", "kind"), "ufm", "witness schedule kind 'ufm' does not match its kind 'x'"),
+        (("tree", "child_counts", 0, 0), 2.7, "tree 'child_counts' must hold integers, got 2.7"),
+        (("tree", "child_counts", 1, 0), "3", "tree 'child_counts' must hold integers, got '3'"),
+    ],
+    ids=["schedule-kind", "count-float", "count-text"],
+)
+def test_certify_explicit_witness_with_lenient_field_exits_one(tmp_path, capsys, path, value, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EXPLICIT_CONFIG), encoding="utf-8")
+    assert main(["witness-x", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads(read(tmp_path / "o" / "witness.json"))
+    _set(doc, path, value)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["certify", "--witness", str(broken), "--out", str(tmp_path / "c")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": [error]}
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (lambda doc: doc.update(schema="witness/2"), "unsupported witness schema 'witness/2'"),
+        (lambda doc: doc.update(components=5), "malformed witness document: 'int' object is not iterable"),
+    ],
+    ids=["schema", "malformed"],
+)
+def test_certify_unsupported_or_malformed_witness_exits_one(tmp_path, capsys, edit, error):
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert errors == [error]
+
+
+@pytest.mark.parametrize(
+    "argv,config,error",
+    [
+        ([], {"schema": "runconfig/2"}, "unsupported config schema 'runconfig/2'"),
+        (["--epsilon", "3/2"], {}, "targets.epsilon must lie in (0,1)"),
+        (["--epsilon", "abc"], {}, "targets.epsilon 'abc' is not a fraction"),
+        (["--depth", "10", "--horizon", "20"], {}, "horizon exceeds tree depth"),
+    ],
+    ids=["schema", "epsilon-outside", "epsilon-text", "horizon-past-depth"],
+)
+def test_invalid_run_config_exits_one(tmp_path, capsys, argv, config, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["witness-x", "--config", str(cfg), *argv, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": [error]}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flag", [("build", "--cases"), ("span-check", "--count"), ("dense-family", "--cases")])
+def test_flag_of_another_subcommand_exits_one(tmp_path, capsys, command, flag):
+    code = main([command, flag, "3", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": [f"unrecognized arguments: {flag} 3"]}
+
+
+def test_span_check_violation_exits_three(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from treeharmonics import cli
+
+    check = cli.span_inclusion_check
+
+    def violated(*args):
+        first, *rest = check(*args)
+        return [replace(first, violations=(1,)), *rest]
+
+    monkeypatch.setattr(cli, "span_inclusion_check", violated)
+    out = tmp_path / "o"
+    assert main(["span-check", "--depth", "20", "--cases", "3", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"errors": ["span inclusion violated; see report.json"]}
+    report = json.loads(read(out / "report.json"))
+    assert report["all_ok"] is False
+    assert [case["ok"] for case in report["cases"]] == [False, True, True]
+
+
+def test_dense_family_miss_exits_three(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from treeharmonics import cli
+
+    family = cli.dense_family
+
+    def missed(*args, **kwargs):
+        result = family(*args, **kwargs)
+        first, *rest = result.members
+        return replace(result, members=(replace(first, bound=Fraction(0)), *rest))
+
+    monkeypatch.setattr(cli, "dense_family", missed)
+    out = tmp_path / "o"
+    assert main(["dense-family", "--depth", "30", "--count", "3", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"errors": ["a dense-family member missed its pointwise bound"]}
+    report = json.loads(read(out / "report.json"))
+    assert report["all_certified"] is False
+    assert [m["certified"] for m in report["members"]] == [False, True, True]
