@@ -22,9 +22,8 @@ hit decisions from outward-rounded integer bounds (hit_levels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, InvariantError, ValidationError
 from .scalars import Scalar
@@ -96,8 +95,7 @@ def _child_groups(tree: Tree, lvl: int, nodes: Sequence[Node]) -> Iterator[tuple
         i += k
 
 
-@dataclass(frozen=True)
-class LevelFunction:
+class LevelFunction(NamedTuple):
     """A simple function measurable at `level`: constant on each level sector."""
 
     level: int
@@ -258,8 +256,7 @@ def mismatch_indicator(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
     return sector_zip(psi, phi, lambda a, b: zero if a == b else one)
 
 
-@dataclass(frozen=True)
-class TupleLevelFunction:
+class TupleLevelFunction(NamedTuple):
     """A finite-width tuple of level functions, one per product coordinate."""
 
     components: tuple[LevelFunction, ...]

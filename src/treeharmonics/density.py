@@ -7,31 +7,34 @@ setup transient of a schedule before judging densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class _DensityProfile(NamedTuple):
     horizon: int
     warmup: int
     counts: tuple[int, ...]  # cumulative hit counts c_1..c_horizon
 
-    def __post_init__(self):
-        if self.horizon < 1:
+
+class DensityProfile(_DensityProfile):
+    __slots__ = ()
+
+    def __new__(cls, horizon: int, warmup: int, counts: tuple[int, ...]):
+        if horizon < 1:
             raise ValidationError("horizon must be at least 1")
-        if not 0 <= self.warmup < self.horizon:
+        if not 0 <= warmup < horizon:
             raise ValidationError("warmup must satisfy 0 <= warmup < horizon")
-        if len(self.counts) != self.horizon:
+        if len(counts) != horizon:
             raise ValidationError("counts must cover 1..horizon")
         prev = 0
-        for n, c in enumerate(self.counts, start=1):
+        for n, c in enumerate(counts, start=1):
             if c < prev or c > n:
                 raise ValidationError("counts must be non-decreasing with c_n <= n")
             prev = c
+        return super().__new__(cls, horizon, warmup, counts)
 
     def ratio(self, n: int) -> Fraction:
         if not 1 <= n <= self.horizon:

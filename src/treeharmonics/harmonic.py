@@ -28,9 +28,8 @@ double-genericity use it because they write hit sets only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boundary import (
     MAX_LEVEL_VALUES,
@@ -66,8 +65,7 @@ def func_split(value: Value, children: tuple[Node, ...]) -> Node:
     return node
 
 
-@dataclass(frozen=True)
-class HarmonicFunction:
+class HarmonicFunction(NamedTuple):
     """Values on all vertices through `depth`, satisfying the weighted-average law."""
 
     tree: Tree
@@ -85,8 +83,7 @@ class HarmonicFunction:
         return node.value
 
 
-@dataclass(frozen=True)
-class HarmonicTuple:
+class HarmonicTuple(NamedTuple):
     """A finite-width tuple of harmonic functions over one tree."""
 
     components: tuple[HarmonicFunction, ...]
@@ -120,8 +117,7 @@ def constant_function(tree: Tree, value: Value) -> HarmonicFunction:
 # Harmonicity checking
 
 
-@dataclass(frozen=True)
-class HarmonicityReport:
+class HarmonicityReport(NamedTuple):
     passed: bool
     checked: int  # DAG positions certified: distinct (node, pos_key) pairs above f.depth
     violations: int
@@ -507,8 +503,7 @@ def truncate_and_extend(p: HarmonicFunction, h: HarmonicFunction, cut: int) -> H
 # Pointwise-convergence metric
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(NamedTuple):
     """Truncated vertex-enumeration metric plus a certified tail bound.
 
     The true value lies in [partial, partial + tail_bound]; the tail bound is

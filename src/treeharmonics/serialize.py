@@ -94,6 +94,13 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _index(value, size: int, name: str) -> int:
+    """A position among `size` entries: an integer of a witness document in 0..size-1."""
+    if not 0 <= _int(value, name) < size:
+        raise ValidationError(f"witness {name!r} must lie in 0..{size - 1}, got {value!r}")
+    return value
+
+
 def value_to_doc(v: Value) -> list[str]:
     return [format_scalar(c) for c in v.coords]
 
@@ -125,15 +132,16 @@ def dag_to_doc(node: Node) -> dict:
 
 
 def dag_from_doc(doc: dict) -> Node:
-    """Inverse of dag_to_doc."""
+    """Inverse of dag_to_doc: only its postorder form, each child an earlier node."""
     nodes: list = []
     for nd in doc["nodes"]:
         value = value_from_doc(nd["v"])
         if nd["c"] is None:
             nodes.append(leaf(value))
         else:
-            nodes.append(func_split(value, tuple(nodes[_int(i, "components.nodes.c")] for i in nd["c"])))
-    return nodes[_int(doc["root"], "components.root")]
+            kids = tuple(nodes[_index(i, len(nodes), "components.nodes.c")] for i in nd["c"])
+            nodes.append(func_split(value, kids))
+    return nodes[_index(doc["root"], len(nodes), "components.root")]
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +263,8 @@ def witness_from_doc(doc: dict) -> Witness:
         comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c)) for c in doc["components"])
         function = HarmonicTuple(comps) if is_tuple else comps[0]
         targets = tuple(target_from_doc(tree, t) for t in doc["targets"])
+        if not targets:
+            raise ValidationError("witness lists no targets; at least one target required")
         target_components = tuple(_int(c, "target_components") for c in doc["target_components"])
         width = len(comps) if is_tuple else 1
         if len(target_components) != len(targets):

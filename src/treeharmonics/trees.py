@@ -20,14 +20,13 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from random import Random
 from struct import unpack
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -37,8 +36,9 @@ MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
 INT64_MAX = (1 << 63) - 1  # largest row numerator an explicit tree stores
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class VertexId(NamedTuple):
+    """A vertex by level and offset; ordered as the tuple (level, offset)."""
+
     level: int
     offset: int
 
@@ -281,9 +281,10 @@ class ExplicitTree(Tree):
 # ----------------------------------------------------------------------
 # Specs and construction
 
+UNIFORM_RULE = {"kind": "uniform"}  # the default q and w rule, shared: build_tree only reads rules
 
-@dataclass(frozen=True)
-class TreeSpec:
+
+class TreeSpec(NamedTuple):
     """Declarative tree description; building is deterministic given the seed.
 
     branching: {"kind": "uniform", "arity": k}
@@ -299,8 +300,8 @@ class TreeSpec:
 
     depth: int
     branching: dict
-    q_rule: dict = field(default_factory=lambda: {"kind": "uniform"})
-    w_rule: dict = field(default_factory=lambda: {"kind": "uniform"})
+    q_rule: dict = UNIFORM_RULE
+    w_rule: dict = UNIFORM_RULE
     seed: int = 0
 
 

@@ -28,10 +28,9 @@ certified, never an infinite-horizon class membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # level_scale is unused here but stays importable from this module, as do the
 # other per-level primitives: perfbench/spans.py traces them under these names
@@ -86,17 +85,21 @@ X_WARMUP = 5  # levels an x-kind witness skips before its densities count
 # Targets
 
 
-@dataclass(frozen=True)
-class Target:
-    """A neighborhood to hit: a level function with a radius below one."""
-
+class _Target(NamedTuple):
     index: int
     level_function: LevelFunction
     epsilon: Fraction
 
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValidationError(f"target epsilon must lie in (0,1), got {self.epsilon}")
+
+class Target(_Target):
+    """A neighborhood to hit: a level function with a radius below one."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, level_function: LevelFunction, epsilon: Fraction):
+        if not 0 < epsilon < 1:
+            raise ValidationError(f"target epsilon must lie in (0,1), got {epsilon}")
+        return super().__new__(cls, index, level_function, epsilon)
 
     @property
     def level(self) -> int:
@@ -140,16 +143,14 @@ def enumerate_targets(
 # Schedules
 
 
-@dataclass(frozen=True)
-class ScheduleBlock:
+class ScheduleBlock(NamedTuple):
     component: int      # 1-based tuple slot owning this block
     target_index: int   # 1-based position in the witness target list
     start: int          # approximation level
     end: int            # last level written (inclusive)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     kind: str           # "x" (geometric blocks) or "ufm" (fixed cyclic blocks)
     width: int
     horizon: int
@@ -352,8 +353,7 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
     return HarmonicFunction(tree, f.depth, f.dim, walk(f.node, tuple(roots.values()), tree.root, 0))
 
 
-@dataclass(frozen=True)
-class MismatchReport:
+class MismatchReport(NamedTuple):
     level: int
     measure: Scalar
     corrected_measure: Scalar
@@ -400,8 +400,7 @@ def refine_mismatch(
 # Witness construction
 
 
-@dataclass(frozen=True)
-class BlockLog:
+class BlockLog(NamedTuple):
     component: int
     target_index: int
     start: int
@@ -410,8 +409,7 @@ class BlockLog:
     terminal_p: Scalar
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str
     function: HarmonicFunction | HarmonicTuple
     schedule: Schedule
@@ -419,7 +417,7 @@ class Witness:
     target_components: tuple[int, ...]  # component certifying each target
     logs: tuple[BlockLog, ...]
     # each target's distances on its certifying component, levels 1..horizon; none if read from a file
-    hit_distances: tuple[list[Scalar], ...] = field(default=(), compare=False, repr=False)
+    hit_distances: tuple[list[Scalar], ...] = ()
 
     @property
     def tree(self) -> Tree:
@@ -539,8 +537,7 @@ def hit_set(tree: Tree, f: HarmonicFunction, target: Target, horizon: int) -> li
     return hit_levels((f,), [(target.level_function, (1,), target.epsilon, horizon)])[0]
 
 
-@dataclass(frozen=True)
-class TargetHits:
+class TargetHits(NamedTuple):
     target_index: int
     component: int
     hits: tuple[int, ...]
@@ -550,8 +547,7 @@ class TargetHits:
     verdict: str
 
 
-@dataclass(frozen=True)
-class HitReport:
+class HitReport(NamedTuple):
     kind: str
     horizon: int
     warmup: int
@@ -616,8 +612,7 @@ def certify_hits(
 # Span inclusion
 
 
-@dataclass(frozen=True)
-class SpanInclusionReport:
+class SpanInclusionReport(NamedTuple):
     coeffs: tuple[Scalar, ...]
     epsilon: Fraction
     delta: Fraction
@@ -684,8 +679,7 @@ def span_inclusion_check(
 # Dense family
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     index: int
     cut_level: int
     prefix_terms: int
@@ -698,8 +692,7 @@ class FamilyMember:
         return self.rho.upper < self.bound
 
 
-@dataclass(frozen=True)
-class DenseFamilyResult:
+class DenseFamilyResult(NamedTuple):
     members: tuple[FamilyMember, ...]
     witness: Witness
 
@@ -821,24 +814,21 @@ def _family_ufm_schedule(
     return schedule
 
 
-@dataclass(frozen=True)
-class ComboEntry:
+class ComboEntry(NamedTuple):
     coeffs: tuple[Scalar, ...]
     hits: tuple[int, ...]
     lower: Fraction
     passed: bool
 
 
-@dataclass(frozen=True)
-class DipEntry:
+class DipEntry(NamedTuple):
     component: int
     hits: tuple[int, ...]
     min_foreign_ratio: Fraction
     passed: bool
 
 
-@dataclass(frozen=True)
-class DoubleGenericityReport:
+class DoubleGenericityReport(NamedTuple):
     reference_epsilon: Fraction
     far_distance: Fraction
     steady_witness: Witness

@@ -9,15 +9,14 @@ product metric weights component k by 2^-k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar, make_scalar
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     """A point of the value space: an immutable vector of scalars."""
 
     coords: tuple[Scalar, ...]
@@ -54,8 +53,7 @@ def _check_dims(u: Value, v: Value) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
 
 
-@dataclass(frozen=True)
-class TupleValue:
+class TupleValue(NamedTuple):
     """A truncated point of the countable product of the value space."""
 
     components: tuple[Value, ...]

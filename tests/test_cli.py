@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,18 @@ def test_build_writes_tree_and_report(tmp_path):
     assert report["schema"] == "report/1"
     assert report["command"] == "build"
     assert "config_hash" in report
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are NamedTuples: importing dataclasses (and the inspect, ast
+    # and dis it pulls in) and generating its methods cost each command's start-up
+    import treeharmonics
+
+    root = str(Path(treeharmonics.__file__).resolve().parent.parent)
+    probe = "import sys, treeharmonics.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": root}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):
@@ -733,16 +749,23 @@ def _set(doc, path, value):
         (("logs", 0, "start"), 2.5, "witness 'logs.start' must be an integer, got 2.5"),
         (("schedule", "blocks", 0, "end"), 9.9, "witness 'schedule.blocks.end' must be an integer, got 9.9"),
         (("components", 0, "root"), True, "witness 'components.root' must be an integer, got True"),
+        (("components", 0, "root"), -1, "witness 'components.root' must lie in 0..101, got -1"),
+        (("components", 0, "root"), 102, "witness 'components.root' must lie in 0..101, got 102"),
+        (("components", 0, "nodes", 97, "c"), [-6, -6], "witness 'components.nodes.c' must lie in 0..96, got -6"),
+        (("components", 0, "nodes", 97, "c"), [96, 97], "witness 'components.nodes.c' must lie in 0..96, got 97"),
         (("tuple",), "no", "witness 'tuple' must be true or false, got 'no'"),
         (("tree", "arities", 0), 2.0, "tree 'arities' must hold integers, got 2.0"),
     ],
     ids=[
         "warmup-float", "horizon-text", "width-bool", "dim-float", "target-component-float", "target-index-text",
-        "target-level-float", "log-start-float", "block-end-float", "root-bool", "tuple-text", "arity-float",
+        "target-level-float", "log-start-float", "block-end-float", "root-bool", "root-negative", "root-past-end",
+        "child-negative", "child-self", "tuple-text", "arity-float",
     ],
 )
 def test_certify_witness_with_lenient_field_exits_one(tmp_path, capsys, path, value, error):
-    # each of these once read through int() or truthiness and certified with exit 0
+    # each of these once read through int(), truthiness or Python's negative
+    # list indices and certified with exit 0; an index past the end exited 1
+    # as a "malformed witness document"
     code, errors = _certify_edited_ufm_witness(tmp_path, capsys, lambda doc: _set(doc, path, value))
     assert code == 1
     assert errors == [error]
@@ -776,8 +799,10 @@ def test_certify_explicit_witness_with_lenient_field_exits_one(tmp_path, capsys,
     [
         (lambda doc: doc.update(schema="witness/2"), "unsupported witness schema 'witness/2'"),
         (lambda doc: doc.update(components=5), "malformed witness document: 'int' object is not iterable"),
+        # once certified with exit 0 and "all_pass": true over no entries
+        (lambda doc: doc.update(targets=[], target_components=[]), "witness lists no targets; at least one target required"),
     ],
-    ids=["schema", "malformed"],
+    ids=["schema", "malformed", "no-targets"],
 )
 def test_certify_unsupported_or_malformed_witness_exits_one(tmp_path, capsys, edit, error):
     code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)
@@ -812,15 +837,13 @@ def test_flag_of_another_subcommand_exits_one(tmp_path, capsys, command, flag):
 
 
 def test_span_check_violation_exits_three(tmp_path, capsys, monkeypatch):
-    from dataclasses import replace
-
     from treeharmonics import cli
 
     check = cli.span_inclusion_check
 
     def violated(*args):
         first, *rest = check(*args)
-        return [replace(first, violations=(1,)), *rest]
+        return [first._replace(violations=(1,)), *rest]
 
     monkeypatch.setattr(cli, "span_inclusion_check", violated)
     out = tmp_path / "o"
@@ -832,7 +855,6 @@ def test_span_check_violation_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def test_dense_family_miss_exits_three(tmp_path, capsys, monkeypatch):
-    from dataclasses import replace
     from fractions import Fraction
 
     from treeharmonics import cli
@@ -842,7 +864,7 @@ def test_dense_family_miss_exits_three(tmp_path, capsys, monkeypatch):
     def missed(*args, **kwargs):
         result = family(*args, **kwargs)
         first, *rest = result.members
-        return replace(result, members=(replace(first, bound=Fraction(0)), *rest))
+        return result._replace(members=(first._replace(bound=Fraction(0)), *rest))
 
     monkeypatch.setattr(cli, "dense_family", missed)
     out = tmp_path / "o"
