@@ -143,15 +143,15 @@ def validate_config(cfg: dict) -> None:
                 issues.append("targets.epsilon must lie in (0,1)")
         except (ValueError, ZeroDivisionError):
             issues.append(f"targets.epsilon {targets.get('epsilon')!r} is not a fraction")
-    horizon = cfg.get("horizon")
-    if isinstance(horizon, int) and isinstance(tree.get("depth"), int) and horizon > tree["depth"]:
-        issues.append("horizon exceeds tree depth")
     if issues:
         raise ValidationError("invalid configuration", issues)
 
 
 def _tree_from_cfg(cfg: dict) -> Tree:
+    """The configured tree, whose depth the horizon must not exceed."""
     t = cfg["tree"]
+    if cfg["horizon"] is not None and cfg["horizon"] > t["depth"]:
+        raise ValidationError("horizon exceeds tree depth")
     spec = TreeSpec(
         depth=t["depth"],
         branching=t["branching"],
@@ -175,22 +175,6 @@ def _targets_from_cfg(tree: Tree, cfg: dict):
     )
 
 
-def _tree_summary(tree: Tree) -> dict:
-    shown = min(tree.depth, 64)
-    return {
-        "depth": tree.depth,
-        "mode": "exact",
-        "kind": type(tree).__name__,
-        "level_sizes": [str(tree.level_size(n)) for n in range(shown + 1)],
-    }
-
-
-def _report_skeleton(command: str, cfg: dict) -> dict:
-    # the output path does not influence results, so it stays out of the hash
-    hashed = {k: v for k, v in cfg.items() if k != "out"}
-    return {"schema": SCHEMA, "command": command, "config_hash": config_hash(hashed)}
-
-
 def _read_json(path: str, what: str):
     # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
     # literals longer than CPython's digit limit
@@ -205,21 +189,36 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _write_hits(out_dir: Path, report: dict, tree: Tree, hits: HitReport) -> None:
-    """Write report.json with the tree summary and the hit report, and one
-    density CSV per target."""
-    report["tree"] = _tree_summary(tree)
-    report["hits"] = hit_report_to_doc(hits)
+def _write_report(out_dir: Path, command: str, cfg: dict, tree: Tree, **fields) -> None:
+    """Write report.json: the schema, the command, the config hash, a summary
+    of the tree and the command's own fields."""
+    # the output path does not influence results, so it stays out of the hash
+    hashed = {k: v for k, v in cfg.items() if k != "out"}
+    summary = {
+        "depth": tree.depth,
+        "mode": "exact",
+        "kind": type(tree).__name__,
+        "level_sizes": [str(tree.level_size(n)) for n in range(min(tree.depth, 64) + 1)],
+    }
+    report = {"schema": SCHEMA, "command": command, "config_hash": config_hash(hashed), "tree": summary, **fields}
     _write(out_dir, "report.json", canonical_json(report))
+
+
+def _write_hits(out_dir: Path, command: str, cfg: dict, tree: Tree, hits: HitReport, **fields) -> None:
+    """Write report.json with the hit report and the command's fields, and one
+    density CSV per target."""
+    _write_report(out_dir, command, cfg, tree, hits=hit_report_to_doc(hits), **fields)
     for entry in hits.entries:
         _write(out_dir, f"density_t{entry.target_index}.csv", density_csv(entry.profile))
 
 
-def _emit_witness_outputs(out_dir: Path, witness: Witness, report: dict) -> None:
-    report["schedule"] = schedule_to_doc(witness.schedule)
-    report["targets"] = [target_to_doc(witness.tree, t) for t in witness.targets]
-    report["logs"] = [block_log_to_doc(log) for log in witness.logs]
-    _write_hits(out_dir, report, witness.tree, certify_hits(witness))
+def _emit_witness_outputs(out_dir: Path, command: str, cfg: dict, witness: Witness) -> None:
+    _write_hits(
+        out_dir, command, cfg, witness.tree, certify_hits(witness),
+        schedule=schedule_to_doc(witness.schedule),
+        targets=[target_to_doc(witness.tree, t) for t in witness.targets],
+        logs=[block_log_to_doc(log) for log in witness.logs],
+    )
     _write(out_dir, "witness.json", canonical_json(witness_to_doc(witness)))
 
 
@@ -238,14 +237,12 @@ def _x_witness(cfg: dict) -> Witness:
 
 def cmd_build(cfg: dict, out_dir: Path) -> None:
     tree = _tree_from_cfg(cfg)
-    report = _report_skeleton("build", cfg)
-    report["tree"] = _tree_summary(tree)
     _write(out_dir, "tree.json", canonical_json(tree_to_doc(tree)))
-    _write(out_dir, "report.json", canonical_json(report))
+    _write_report(out_dir, "build", cfg, tree)
 
 
 def cmd_witness_x(cfg: dict, out_dir: Path) -> None:
-    _emit_witness_outputs(out_dir, _x_witness(cfg), _report_skeleton("witness-x", cfg))
+    _emit_witness_outputs(out_dir, "witness-x", cfg, _x_witness(cfg))
 
 
 def cmd_witness_ufm(cfg: dict, out_dir: Path) -> None:
@@ -258,7 +255,7 @@ def cmd_witness_ufm(cfg: dict, out_dir: Path) -> None:
         horizon=cfg["horizon"],
         warmup=cfg["warmup"],
     )
-    _emit_witness_outputs(out_dir, witness, _report_skeleton("witness-ufm", cfg))
+    _emit_witness_outputs(out_dir, "witness-ufm", cfg, witness)
 
 
 def cmd_span_check(cfg: dict, out_dir: Path) -> None:
@@ -293,11 +290,7 @@ def cmd_span_check(cfg: dict, out_dir: Path) -> None:
         }
         for (coeffs, _, psi_ref), rep in zip(drawn, reports)
     ]
-    report = _report_skeleton("span-check", cfg)
-    report["tree"] = _tree_summary(witness.tree)
-    report["cases"] = cases
-    report["all_ok"] = not any_violation
-    _write(out_dir, "report.json", canonical_json(report))
+    _write_report(out_dir, "span-check", cfg, witness.tree, cases=cases, all_ok=not any_violation)
     if any_violation:
         raise InvariantError("span inclusion violated; see report.json")
 
@@ -315,9 +308,7 @@ def cmd_dense_family(cfg: dict, out_dir: Path) -> None:
         horizon=cfg["horizon"],
         width=max(cfg["width"] or 0, count),
     )
-    report = _report_skeleton("dense-family", cfg)
-    report["tree"] = _tree_summary(tree)
-    report["members"] = [
+    members = [
         {
             "index": m.index,
             "cut_level": m.cut_level,
@@ -329,8 +320,7 @@ def cmd_dense_family(cfg: dict, out_dir: Path) -> None:
         }
         for m in result.members
     ]
-    report["all_certified"] = result.all_certified
-    _write(out_dir, "report.json", canonical_json(report))
+    _write_report(out_dir, "dense-family", cfg, tree, members=members, all_certified=result.all_certified)
     if not result.all_certified:
         raise InvariantError("a dense-family member missed its pointwise bound")
 
@@ -345,34 +335,34 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
         block_length=cfg["block_length"],
         growth=cfg["growth"],
     )
-    report = _report_skeleton("double-genericity", cfg)
-    report["tree"] = _tree_summary(tree)
-    report["reference"] = {
-        "epsilon": format_scalar(report_data.reference_epsilon),
-        "far_distance": format_scalar(report_data.far_distance),
-        "non_dense": True,
-    }
-    report["steady_combos"] = [
-        {
-            "coeffs": [format_scalar(c) for c in e.coeffs],
-            "hit_count": len(e.hits),
-            "lower": format_scalar(e.lower),
-            "passed": e.passed,
-        }
-        for e in report_data.steady_combos
-    ]
-    report["burst_dips"] = [
-        {
-            "component": e.component,
-            "hit_count": len(e.hits),
-            "min_foreign_ratio": format_scalar(e.min_foreign_ratio),
-            "passed": e.passed,
-        }
-        for e in report_data.burst_dips
-    ]
-    report["intersection_distinct"] = report_data.intersection_distinct
-    report["all_pass"] = report_data.all_pass
-    _write(out_dir, "report.json", canonical_json(report))
+    _write_report(
+        out_dir, "double-genericity", cfg, tree,
+        reference={
+            "epsilon": format_scalar(report_data.reference_epsilon),
+            "far_distance": format_scalar(report_data.far_distance),
+            "non_dense": True,
+        },
+        steady_combos=[
+            {
+                "coeffs": [format_scalar(c) for c in e.coeffs],
+                "hit_count": len(e.hits),
+                "lower": format_scalar(e.lower),
+                "passed": e.passed,
+            }
+            for e in report_data.steady_combos
+        ],
+        burst_dips=[
+            {
+                "component": e.component,
+                "hit_count": len(e.hits),
+                "min_foreign_ratio": format_scalar(e.min_foreign_ratio),
+                "passed": e.passed,
+            }
+            for e in report_data.burst_dips
+        ],
+        intersection_distinct=report_data.intersection_distinct,
+        all_pass=report_data.all_pass,
+    )
 
 
 def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:
@@ -380,7 +370,7 @@ def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:
     horizon = cfg["horizon"] or witness.schedule.horizon
     warmup = witness.schedule.warmup if cfg["warmup"] is None else cfg["warmup"]
     hits = certify_hits(witness, horizon=horizon, warmup=warmup)
-    _write_hits(out_dir, _report_skeleton("certify", cfg), witness.tree, hits)
+    _write_hits(out_dir, "certify", cfg, witness.tree, hits)
 
 
 COMMANDS = {
@@ -422,6 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(errors: list[str], code: int) -> int:
+    """Print errors as a JSON object on stderr and return the exit code."""
+    print(json.dumps({"errors": errors}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -440,25 +436,18 @@ def main(argv=None) -> int:
             COMMANDS[args.command](cfg, out_dir)
         return 0
     except ValidationError as exc:
-        print(json.dumps({"errors": exc.issues}, sort_keys=True), file=sys.stderr)
-        return 1
+        return _fail(exc.issues, 1)
     except InfeasibleScheduleError as exc:
-        print(json.dumps({"errors": [str(exc)]}, sort_keys=True), file=sys.stderr)
-        return 2
+        return _fail([str(exc)], 2)
     except InvariantError as exc:
-        print(json.dumps({"errors": [str(exc)]}, sort_keys=True), file=sys.stderr)
-        return 3
+        return _fail([str(exc)], 3)
     except RecursionError:
         # the DAG walks recurse about once per tree level
         tree = "the witness tree" if args.command == "certify" else f"a tree of depth {cfg['tree']['depth']}"
-        message = f"recursion limit exceeded on {tree}; the DAG walks cannot go this deep"
-        print(json.dumps({"errors": [message]}, sort_keys=True), file=sys.stderr)
-        return 3
+        return _fail([f"recursion limit exceeded on {tree}; the DAG walks cannot go this deep"], 3)
     except Exception as exc:
         # the last resort: every outcome is one of the documented exit codes
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        print(json.dumps({"errors": [message]}, sort_keys=True), file=sys.stderr)
-        return 3
+        return _fail([f"internal error: {type(exc).__name__}: {exc}"], 3)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .boundary import (
 from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import Value, bounded_metric, centered_grid
+from .values import Value, base_metric, bounded_metric, centered_grid, weighted_sum
 
 ENUMERATION_LEVEL_LIMIT = 4096  # largest level the diagonal enumerations assign
 P = 128  # fractional bits of the fixed-point bounds hit_levels decides from
@@ -125,15 +125,6 @@ class HarmonicityReport(NamedTuple):
     samples: tuple[tuple[int, Scalar], ...]  # (level, residual size), first few offenders
 
 
-def _w_average(tree: Tree, x: VertexId, kids: Sequence[Node]) -> Value:
-    """The w-weighted sum of the children's values at x."""
-    ws = tree.w_row(x)
-    acc = kids[0].value.scale(ws[0])
-    for w, c in zip(ws[1:], kids[1:]):
-        acc = acc + c.value.scale(w)
-    return acc
-
-
 def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
     """Recompute every weighted-average residual of a split node; pass iff all
     are zero.  A constant node is certified where it is reached: each w row
@@ -166,8 +157,8 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
         if node.children is None:
             return
         kids = _expand(node, tree.arity(x))
-        acc = _w_average(tree, x, kids)
-        residual = sum(abs(a - b) for a, b in zip(node.value.coords, acc.coords))
+        acc = weighted_sum(tree.w_row(x), [c.value for c in kids])
+        residual = base_metric(node.value, acc)
         if residual:
             violations += 1
             if len(samples) < 8:
@@ -230,7 +221,7 @@ def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
         if hit is not None:
             return hit
         kids = tuple(rec(c, tree.child(x, i)) for i, c in enumerate(snode.children))
-        node = func_split(_w_average(tree, x, kids), kids)
+        node = func_split(weighted_sum(tree.w_row(x), [c.value for c in kids]), kids)
         memo[key] = node
         return node
 
@@ -376,16 +367,19 @@ def hit_levels(
     The bounds, in units of 2^-P, round outward each term a_i u_i of a
     coordinate, d/(1+d) (which increases in d) and each term of mass times
     integrand; the combined value is formed only against a split target node.
-    Each level is decided as _sweep yields its bounds.  Levels whose bounds
-    straddle the radius are decided by one exact level_profile per function
-    up to the last of them, so every decision is the exact one; only there
-    is a combination of two or more functions built.
+    Each level is decided as _sweep yields its bounds.  The levels of a
+    sweep whose bounds straddle the radius are decided by one exact
+    level_profile walk of that sweep up to the last of them, so every
+    decision is the exact one; only there is a combination of two or more
+    functions built.
     """
     tree = fs[0].tree
     if any(len(s[1]) > len(fs) for s in sweeps):
         raise ValidationError(f"more coefficients than the {len(fs)} functions")
-    one, zero = 1 << P, Value.zero(fs[0].dim)
-    nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] for s in sweeps]  # (function, coefficient) terms
+    one = 1 << P
+    # (function, coefficient) terms; all coefficients zero: f_1 scaled by 0
+    nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] or [(0, 0)] for s in sweeps]
+    scales = [[a for _, a in terms] for terms in nonzero]
 
     def outward(s: Scalar, a: Scalar = 1) -> tuple[int, int]:
         num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
@@ -407,7 +401,7 @@ def hit_levels(
                     dh += max(uh - vl, vh - ul)
                 tl, th = dl * one // (one + dl), -(-dh * one // (one + dh))
             else:
-                value = sum((fnodes[i].value.scale(a) for i, a in nonzero[j]), zero)
+                value = weighted_sum(scales[j], [fnodes[i].value for i, _ in nonzero[j]])
                 tl, th = outward(_against(tree, value, tnode, x, bounded_metric))
             lo += mass.numerator * tl // mass.denominator
             hi -= -mass.numerator * th // mass.denominator
@@ -421,15 +415,12 @@ def hit_levels(
             hits[j].append(n)
         elif lo * radius.denominator < edge:
             undecided[j].append(n)
-    late: dict[int, tuple] = {}  # the undecided sweeps by the function an exact sweep walks
-    for j in (j for j, levels in enumerate(undecided) if levels):
-        (i, a), *more = nonzero[j] or [(0, 0)]  # all coefficients zero: f_1 scaled by 0
-        g, a = (linear_combination(sweeps[j][1], fs[: len(sweeps[j][1])]), 1) if more else (fs[i], a)
-        late.setdefault(id(g.node), (g, []))[1].append((j, lambda u, v, a=a: bounded_metric(u.scale(a), v)))
-    for g, scaled in late.values():
-        exact = level_profile(g, [(sweeps[j][0], metric, undecided[j][-1]) for j, metric in scaled])
-        for (j, _), d in zip(scaled, exact):
-            hits[j] = sorted(hits[j] + [n for n in undecided[j] if d[n - 1] < sweeps[j][2]])
+    for j, levels in enumerate(undecided):
+        if levels:
+            (i, a), *more = nonzero[j]
+            g, a = (linear_combination(sweeps[j][1], fs[: len(sweeps[j][1])]), 1) if more else (fs[i], a)
+            d = level_profile(g, [(sweeps[j][0], lambda u, v: bounded_metric(u.scale(a), v), levels[-1])])[0]
+            hits[j] = sorted(hits[j] + [n for n in levels if d[n - 1] < sweeps[j][2]])
     return hits
 
 
@@ -461,9 +452,7 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         hit = memo.get(key)
         if hit is not None:
             return hit
-        acc = nodes[0].value.scale(coeffs[0])
-        for a, n in zip(coeffs[1:], nodes[1:]):
-            acc = acc + n.value.scale(a)
+        acc = weighted_sum(coeffs, [n.value for n in nodes])
         if x.level == depth or all(n.children is None for n in nodes):
             out = leaf(acc)
         else:

@@ -50,10 +50,13 @@ class Tree:
     """Shared interface of the two backings."""
 
     depth: int
+    _sizes: tuple[int, ...]  # vertex count of each level 0..depth
 
     # --- structure ----------------------------------------------------
     def level_size(self, n: int) -> int:
-        raise NotImplementedError
+        if not 0 <= n <= self.depth:
+            raise ValidationError(f"level {n} outside 0..{self.depth}")
+        return self._sizes[n]
 
     def arity(self, x: VertexId) -> int:
         raise NotImplementedError
@@ -74,7 +77,8 @@ class Tree:
         raise NotImplementedError
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        """Index and probability of the minimum-q child, ties to the smallest offset."""
+        """Index and probability of the minimum-q child of x, ties to the
+        smallest offset; x is no leaf (min_child_probability checks that)."""
         raise NotImplementedError
 
     def pos_key(self, x: VertexId):
@@ -125,16 +129,6 @@ class Tree:
     def vertex_count_through(self, n: int) -> int:
         return sum(self.level_size(k) for k in range(n + 1))
 
-    def sector_measure(self, x: VertexId) -> Scalar:
-        """Boundary measure of the sector below x: product of q along the root path."""
-        self.require_vertex(x)
-        m: Scalar = Fraction(1)
-        v = self.root
-        for i in self.path_indices(x):
-            m = m * self.q_row(v)[i]
-            v = self.child(v, i)
-        return m
-
 
 class UniformTree(Tree):
     """Tree whose arity and q/w rows depend only on the level."""
@@ -169,11 +163,6 @@ class UniformTree(Tree):
             min(range(len(row)), key=lambda i: row[i]) for row in self.q_rows
         )
 
-    def level_size(self, n: int) -> int:
-        if not 0 <= n <= self.depth:
-            raise ValidationError(f"level {n} outside 0..{self.depth}")
-        return self._sizes[n]
-
     def arity(self, x: VertexId) -> int:
         if x.level >= self.depth:
             raise ValidationError(f"leaf vertex {x} has no children")
@@ -197,8 +186,6 @@ class UniformTree(Tree):
         return self.w_rows[x.level]
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        if self.is_leaf(x):
-            raise ValidationError("leaf vertex has no children")
         i = self._min_child[x.level]
         return i, self.q_rows[x.level][i]
 
@@ -231,11 +218,6 @@ class ExplicitTree(Tree):
         self._starts = starts
         self._sizes = tuple(sizes)
 
-    def level_size(self, n: int) -> int:
-        if not 0 <= n <= self.depth:
-            raise ValidationError(f"level {n} outside 0..{self.depth}")
-        return self._sizes[n]
-
     def arity(self, x: VertexId) -> int:
         if x.level >= self.depth:
             raise ValidationError(f"leaf vertex {x} has no children")
@@ -266,8 +248,6 @@ class ExplicitTree(Tree):
         return self._row(self._w_edge, x)
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        if self.is_leaf(x):
-            raise ValidationError("leaf vertex has no children")
         st = self._starts[x.level][x.offset]
         k = self._counts[x.level][x.offset]
         edge = self._q_edge[x.level + 1]
@@ -328,13 +308,11 @@ def build_tree(spec: TreeSpec) -> Tree:
 
 
 def _spec_int(value, name: str, least: int) -> int:
-    """A branching or rule integer of at least `least`, read as int() reads it; else a ValidationError naming it."""
-    try:
-        if int(value) >= least:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    """A branching or rule integer of at least `least`, never a bool, a float
+    or a text; else a ValidationError naming it."""
+    if type(value) is not int or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def _spec_list(value, name: str) -> list:
@@ -466,12 +444,9 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             table = _spec_list(b["counts"], "branching 'counts'")
             if len(table) != spec.depth or len(_spec_list(table[lvl], "branching 'counts'")) != size:
                 raise ValidationError("explicit branching table incomplete")
-            try:
-                row = list(map(int, table[lvl]))
-            except (TypeError, ValueError, OverflowError):
-                row = [0]
-            if min(row) < 2:  # the first bad count is named
-                row = [_spec_int(c, "branching 'counts'", 2) for c in table[lvl]]
+            row = table[lvl]
+            if not set(map(type, row)) <= {int} or min(row) < 2:  # the first bad count is named
+                row = [_spec_int(c, "branching 'counts'", 2) for c in row]
         else:
             lo = _spec_int(b.get("min_arity", 2), "branching 'min_arity'", 2)
             hi = _spec_int(b["max_arity"], "branching 'max_arity'", lo)
@@ -590,7 +565,13 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
 
 def sector_measure(tree: Tree, x: VertexId) -> Scalar:
     """Boundary measure of the sector below x: product of q along the root path."""
-    return tree.sector_measure(x)
+    tree.require_vertex(x)
+    m: Scalar = Fraction(1)
+    v = tree.root
+    for i in tree.path_indices(x):
+        m = m * tree.q_row(v)[i]
+        v = tree.child(v, i)
+    return m
 
 
 def level_measures(tree: Tree, n: int) -> list[Scalar]:

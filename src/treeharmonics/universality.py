@@ -73,7 +73,7 @@ from .harmonic import (
 )
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import Value, bounded_metric, centered_grid
+from .values import Value, bounded_metric, centered_grid, weighted_sum
 
 UPPER_DENSITY_THRESHOLD = Fraction(3, 4)
 LOWER_DENSITY_FLOOR = Fraction(1, 20)
@@ -175,7 +175,8 @@ def min_block_length(epsilon: Fraction) -> int:
     return refinement_levels(epsilon) + 2
 
 
-def _validate_schedule(schedule: Schedule, tree: Tree, targets: Sequence[Target]) -> None:
+def _validate_schedule(schedule: Schedule, tree: Tree, targets: Sequence[Target]) -> Schedule:
+    """The schedule, once it is checked against the tree and the targets."""
     if schedule.horizon > tree.depth:
         raise InfeasibleScheduleError(
             f"horizon {schedule.horizon} exceeds tree depth {tree.depth}"
@@ -201,6 +202,7 @@ def _validate_schedule(schedule: Schedule, tree: Tree, targets: Sequence[Target]
                     f"needs at least {min_block_length(t.epsilon)} levels"
                 )
             prev_end = b.end
+    return schedule
 
 
 def x_schedule(
@@ -247,8 +249,7 @@ def x_schedule(
                 )
             )
     schedule = Schedule(kind="x", width=width, horizon=horizon, warmup=warmup, blocks=tuple(blocks))
-    _validate_schedule(schedule, tree, targets)
-    return schedule
+    return _validate_schedule(schedule, tree, targets)
 
 
 def ufm_schedule(
@@ -282,9 +283,7 @@ def ufm_schedule(
         )
         for j in range(1, n_blocks + 1)
     )
-    schedule = Schedule(kind="ufm", width=1, horizon=horizon, warmup=warmup, blocks=blocks)
-    _validate_schedule(schedule, tree, targets)
-    return schedule
+    return _validate_schedule(Schedule(kind="ufm", width=1, horizon=horizon, warmup=warmup, blocks=blocks), tree, targets)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +332,9 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
             if c != t and x.level < end:
                 j, _ = tree.min_child(x)
                 wstar = tree.w_row(x)[j]
-                # value forced on the absorbing child so the parent's weighted average holds
-                cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
+                # value forced on the absorbing child so the parent's weighted
+                # average holds: (c - (1 - wstar) t) / wstar
+                cstar = weighted_sum((1 / wstar, 1 - 1 / wstar), (c, t))
                 kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
                 break
             # on the target or past block k: hold c until the next block starts
@@ -803,15 +803,8 @@ def _family_ufm_schedule(
             else:
                 t_idx = 2 + ((phase - 1 + comp - 1) % nonzero)
             blocks.append(ScheduleBlock(component=comp, target_index=t_idx, start=start, end=end))
-    schedule = Schedule(
-        kind="ufm",
-        width=width,
-        horizon=horizon,
-        warmup=cycle * block_length,
-        blocks=tuple(blocks),
-    )
-    _validate_schedule(schedule, tree, targets)
-    return schedule
+    schedule = Schedule(kind="ufm", width=width, horizon=horizon, warmup=cycle * block_length, blocks=tuple(blocks))
+    return _validate_schedule(schedule, tree, targets)
 
 
 class ComboEntry(NamedTuple):

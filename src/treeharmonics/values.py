@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar, make_scalar
@@ -41,11 +41,18 @@ class Value(NamedTuple):
         _check_dims(self, other)
         return Value(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Value":
-        return Value(tuple(-a for a in self.coords))
-
     def scale(self, a: Scalar) -> "Value":
         return Value(tuple(a * c for c in self.coords))
+
+
+def weighted_sum(coeffs: Sequence[Scalar], values: Sequence[Value]) -> Value:
+    """The sum of a * v over paired coefficients and values, at least one
+    pair: the first term scaled, then each further one added, so no zero
+    vector is built to start from."""
+    acc = values[0].scale(coeffs[0])
+    for a, v in zip(coeffs[1:], values[1:]):
+        acc = acc + v.scale(a)
+    return acc
 
 
 def _check_dims(u: Value, v: Value) -> None:

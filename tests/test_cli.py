@@ -321,10 +321,58 @@ def test_certify_target_in_dag_form_exits_one(tmp_path, capsys):
         ("witness-x", {"seed": False}, "seed must be an integer, got False"),
         ("build", {"tree": {"depth": True}}, "tree.depth must be an integer of at least 1, got True"),
         ("span-check", {"cases": True}, "cases must be an integer of at least 0, got True"),
+        # tree-spec integers: each of these was once read with int() and built a tree
+        (
+            "build",
+            {"tree": {"branching": {"kind": "uniform", "arity": 2.9}}},
+            "branching 'arity' must be an integer of at least 2, got 2.9",
+        ),
+        (
+            "build",
+            {"tree": {"branching": {"kind": "uniform", "arity": "3"}}},
+            "branching 'arity' must be an integer of at least 2, got '3'",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 4, "branching": {"kind": "per_level", "arities": [2, 3.5, 2, 2]}}},
+            "branching 'arities' must be an integer of at least 2, got 3.5",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 2, "branching": {"kind": "explicit", "counts": [[2], [2.9, "3"]]}}},
+            "branching 'counts' must be an integer of at least 2, got 2.9",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 2, "branching": {"kind": "explicit", "counts": [[2], [2, "3"]]}}},
+            "branching 'counts' must be an integer of at least 2, got '3'",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 3, "branching": {"kind": "random", "max_arity": 3.7}}},
+            "branching 'max_arity' must be an integer of at least 2, got 3.7",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 3, "branching": {"kind": "random", "max_arity": 3, "min_arity": "2"}}},
+            "branching 'min_arity' must be an integer of at least 2, got '2'",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 3, "q_rule": {"kind": "random", "max_weight": 9.9}}},
+            "q_rule 'max_weight' must be an integer of at least 1, got 9.9",
+        ),
+        (
+            "build",
+            {"tree": {"depth": 3, "w_rule": {"kind": "random", "max_weight": True}}},
+            "w_rule 'max_weight' must be an integer of at least 1, got True",
+        ),
     ],
     ids=[
         "resolution-text", "bound-null", "width-text", "warmup-text", "cases-null", "count-text",
         "seed-null", "seed-float", "seed-bool", "depth-bool", "cases-bool",
+        "arity-float", "arity-text", "arities-float", "counts-float", "counts-text", "max-arity-float",
+        "min-arity-text", "max-weight-float", "max-weight-bool",
     ],
 )
 def test_wrong_typed_config_integer_exits_one(tmp_path, capsys, command, config, issue):
@@ -422,6 +470,20 @@ def test_certify_horizons_match_recorded_digests(tmp_path):
         out = tmp_path / f"c{horizon}"
         assert main(["certify", "--witness", str(tmp_path / "w" / "witness.json"), "--horizon", horizon, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest, horizon
+
+
+def test_certify_horizon_is_checked_against_the_witness_tree(tmp_path, capsys):
+    # the config's tree keeps its default depth of 60; the witness's tree has depth 64
+    assert main(["witness-ufm", "--depth", "64", "--block-length", "5", "--out", str(tmp_path / "w")]) == 0
+    witness = str(tmp_path / "w" / "witness.json")
+    assert main(["certify", "--witness", witness, "--horizon", "62", "--out", str(tmp_path / "c")]) == 0
+    assert main(["certify", "--witness", witness, "--depth", "64", "--horizon", "62", "--out", str(tmp_path / "d")]) == 0
+    hits = [json.loads(read(tmp_path / out / "report.json"))["hits"] for out in ("c", "d")]
+    assert hits[0] == hits[1] and hits[0]["horizon"] == 62
+    capsys.readouterr()
+    assert main(["certify", "--witness", witness, "--horizon", "65", "--out", str(tmp_path / "e")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": ["horizon 65 exceeds tree depth 64"]}
+    assert not (tmp_path / "e").exists()
 
 
 # sha256 of an explicit-tree witness and its certify report, recorded before

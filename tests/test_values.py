@@ -15,6 +15,7 @@ from treeharmonics import (
     dense_grid,
     tuple_metric,
 )
+from treeharmonics.values import weighted_sum
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -96,6 +97,31 @@ def test_tuple_metric_translation_invariance(a, b, s):
     v = TupleValue((Value((b[0],)), Value((b[1],))))
     shift = TupleValue((Value((s,)), Value((s,))))
     assert tuple_metric(u + shift, v + shift) == tuple_metric(u, v)
+
+
+def _terms(dim):
+    """1-4 (coefficient, dim-vector) pairs."""
+    return st.lists(st.tuples(small_fractions, st.tuples(*[small_fractions] * dim)), min_size=1, max_size=4)
+
+
+@given(st.integers(1, 3).flatmap(_terms))
+def test_weighted_sum_is_the_coordinate_wise_sum(terms):
+    # zero, negative and fractional coefficients; oracle: plain Fraction arithmetic per coordinate
+    coeffs = [a for a, _ in terms]
+    got = weighted_sum(coeffs, [Value(v) for _, v in terms])
+    assert got.coords == tuple(sum(a * v[k] for a, v in terms) for k in range(len(terms[0][1])))
+    assert all(type(c) is Fraction for c in got.coords)
+
+
+@given(small_fractions.filter(bool), st.tuples(small_fractions, small_fractions), st.tuples(small_fractions, small_fractions))
+def test_weighted_sum_gives_the_absorbing_child_value(w, c, t):
+    # the value _run_blocks forces on the absorbing child of weight w (signed,
+    # since w rows are), as the kernel computes it and as written in the law
+    got = weighted_sum((1 / w, 1 - 1 / w), (Value(c), Value(t)))
+    assert got == (Value(c) - Value(t).scale(1 - w)).scale(1 / w)
+    assert got.coords == tuple((ck - (1 - w) * tk) / w for ck, tk in zip(c, t))
+    # the parent's weighted average holds: w * absorbing + (1 - w) * target = c
+    assert weighted_sum((w, 1 - w), (got, Value(t))) == Value(c)
 
 
 def test_dense_grid_resolution_zero():
