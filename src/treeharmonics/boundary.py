@@ -108,8 +108,6 @@ class LevelFunction(NamedTuple):
 
     @staticmethod
     def from_values(tree: Tree, level: int, values: Sequence[Value]) -> "LevelFunction":
-        if not 0 <= level <= tree.depth:
-            raise ValidationError(f"level {level} outside 0..{tree.depth}")
         if len(values) != tree.level_size(level):
             raise ValidationError(
                 f"expected {tree.level_size(level)} values at level {level}, got {len(values)}"

@@ -27,9 +27,6 @@ from .serialize import (
     config_hash,
     density_csv,
     hit_report_to_doc,
-    schedule_to_doc,
-    block_log_to_doc,
-    target_to_doc,
     tree_to_doc,
     witness_from_doc,
     witness_to_doc,
@@ -37,7 +34,6 @@ from .serialize import (
 from .trees import Tree, TreeSpec, build_tree
 from .universality import (
     COEFF_LATTICE,
-    X_WARMUP,
     HitReport,
     Witness,
     build_ufm_witness,
@@ -213,13 +209,11 @@ def _write_hits(out_dir: Path, command: str, cfg: dict, tree: Tree, hits: HitRep
 
 
 def _emit_witness_outputs(out_dir: Path, command: str, cfg: dict, witness: Witness) -> None:
-    _write_hits(
-        out_dir, command, cfg, witness.tree, certify_hits(witness),
-        schedule=schedule_to_doc(witness.schedule),
-        targets=[target_to_doc(witness.tree, t) for t in witness.targets],
-        logs=[block_log_to_doc(log) for log in witness.logs],
-    )
-    _write(out_dir, "witness.json", canonical_json(witness_to_doc(witness)))
+    """Write witness.json, then report.json, which repeats its schedule, targets and logs."""
+    doc = witness_to_doc(witness)
+    _write(out_dir, "witness.json", canonical_json(doc))
+    sections = {key: doc[key] for key in ("schedule", "targets", "logs")}
+    _write_hits(out_dir, command, cfg, witness.tree, certify_hits(witness), **sections)
 
 
 def _x_witness(cfg: dict) -> Witness:
@@ -231,7 +225,7 @@ def _x_witness(cfg: dict) -> Witness:
         growth=cfg["growth"],
         width=cfg["width"],
         horizon=cfg["horizon"],
-        warmup=X_WARMUP if cfg["warmup"] is None else cfg["warmup"],
+        warmup=cfg["warmup"],
     )
 
 
@@ -297,16 +291,15 @@ def cmd_span_check(cfg: dict, out_dir: Path) -> None:
 
 def cmd_dense_family(cfg: dict, out_dir: Path) -> None:
     tree = _tree_from_cfg(cfg)
-    count = cfg["count"]
     result = dense_family(
         tree,
-        count=count,
+        count=cfg["count"],
         dim=cfg["dim"],
         resolution=cfg["targets"]["resolution"],
         bound=cfg["targets"]["bound"],
         growth=cfg["growth"],
         horizon=cfg["horizon"],
-        width=max(cfg["width"] or 0, count),
+        width=cfg["width"],
     )
     members = [
         {
@@ -367,9 +360,7 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
 
 def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:
     witness = witness_from_doc(_read_json(witness_path, "witness"))
-    horizon = cfg["horizon"] or witness.schedule.horizon
-    warmup = witness.schedule.warmup if cfg["warmup"] is None else cfg["warmup"]
-    hits = certify_hits(witness, horizon=horizon, warmup=warmup)
+    hits = certify_hits(witness, horizon=cfg["horizon"], warmup=cfg["warmup"])
     _write_hits(out_dir, "certify", cfg, witness.tree, hits)
 
 

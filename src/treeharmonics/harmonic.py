@@ -458,10 +458,10 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         else:
             k = tree.arity(x)
             expanded = [_expand(n, k) for n in nodes]
-            kids = tuple(
-                rec(tuple(e[i] for e in expanded), tree.child(x, i)) for i in range(k)
-            )
-            out = func_split(acc, kids)
+            kids = []
+            for i in range(k):  # a loop, not a generator: one frame per level
+                kids.append(rec(tuple(e[i] for e in expanded), tree.child(x, i)))
+            out = func_split(acc, tuple(kids))
         memo[key] = out
         return out
 

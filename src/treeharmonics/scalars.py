@@ -34,7 +34,19 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(s: str) -> Fraction:
+    """An exact scalar from its text; a JSON number is no scalar text."""
+    if type(s) is not str:
+        raise ValidationError(f"cannot parse scalar {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse scalar {s!r}") from exc
+
+
+def read_int(value, name: str, least: int | None = None) -> int:
+    """An integer of a document: a JSON integer, never a bool, a float or a
+    text, and at least `least` if one is given; else a ValidationError naming it."""
+    if type(value) is not int or least is not None and value < least:
+        least_text = "" if least is None else f" of at least {least}"
+        raise ValidationError(f"{name} must be an integer{least_text}, got {value!r}")
+    return value

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Sequence
 
 from .boundary import LevelFunction, Node, leaf, level_values
 from .density import DensityProfile, csv_rows
-from .errors import ValidationError
+from .errors import InfeasibleScheduleError, ValidationError
 from .harmonic import HarmonicFunction, HarmonicTuple, func_split
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar, read_int
 from .trees import Tree, tree_from_doc, tree_to_doc
 from .universality import (
     BlockLog,
@@ -29,6 +28,7 @@ from .universality import (
     Target,
     TargetHits,
     Witness,
+    _validate_schedule,
 )
 from .values import Value
 
@@ -87,11 +87,8 @@ def config_hash(doc) -> str:
 
 
 def _int(value, name: str) -> int:
-    """An integer of a witness document: a JSON integer, never a bool, a float
-    or a text; else a ValidationError naming its key."""
-    if type(value) is not int:
-        raise ValidationError(f"witness {name!r} must be an integer, got {value!r}")
-    return value
+    """An integer of a witness document, named by its key."""
+    return read_int(value, f"witness {name!r}")
 
 
 def _index(value, size: int, name: str) -> int:
@@ -105,7 +102,10 @@ def value_to_doc(v: Value) -> list[str]:
     return [format_scalar(c) for c in v.coords]
 
 
-def value_from_doc(doc: Sequence[str]) -> Value:
+def value_from_doc(doc: Sequence[str], dim: int) -> Value:
+    """A value of `dim` scalars; a list of any other length is rejected."""
+    if type(doc) is not list or len(doc) != dim:
+        raise ValidationError(f"witness values must hold 'dim' = {dim} scalars, got {doc!r}")
     return Value(tuple(parse_scalar(s) for s in doc))
 
 
@@ -121,7 +121,9 @@ def dag_to_doc(node: Node) -> dict:
     def rec(n) -> int:
         if id(n) in index:
             return index[id(n)]
-        kids = None if n.children is None else [rec(c) for c in n.children]
+        kids = None if n.children is None else []
+        for c in n.children or ():  # a loop, not a comprehension: one frame per level
+            kids.append(rec(c))
         i = len(order)
         order.append({"v": value_to_doc(n.value), "c": kids})
         index[id(n)] = i
@@ -131,11 +133,12 @@ def dag_to_doc(node: Node) -> dict:
     return {"nodes": order, "root": root}
 
 
-def dag_from_doc(doc: dict) -> Node:
-    """Inverse of dag_to_doc: only its postorder form, each child an earlier node."""
+def dag_from_doc(doc: dict, dim: int) -> Node:
+    """Inverse of dag_to_doc: only its postorder form, each child an earlier
+    node, each value of `dim` scalars."""
     nodes: list = []
     for nd in doc["nodes"]:
-        value = value_from_doc(nd["v"])
+        value = value_from_doc(nd["v"], dim)
         if nd["c"] is None:
             nodes.append(leaf(value))
         else:
@@ -154,8 +157,8 @@ def level_function_to_doc(tree: Tree, lf: LevelFunction) -> dict:
     return {"level": lf.level, "dim": lf.dim, "values": [value_to_doc(v) for v in level_values(tree, lf)]}
 
 
-def level_function_from_doc(tree: Tree, doc: dict) -> LevelFunction:
-    vals = [value_from_doc(v) for v in doc["values"]]
+def level_function_from_doc(tree: Tree, doc: dict, dim: int) -> LevelFunction:
+    vals = [value_from_doc(v, dim) for v in doc["values"]]
     return LevelFunction.from_values(tree, _int(doc["level"], "targets.level_function.level"), vals)
 
 
@@ -167,11 +170,11 @@ def target_to_doc(tree: Tree, t: Target) -> dict:
     }
 
 
-def target_from_doc(tree: Tree, doc: dict) -> Target:
+def target_from_doc(tree: Tree, doc: dict, dim: int) -> Target:
     return Target(
         index=_int(doc["index"], "targets.index"),
-        level_function=level_function_from_doc(tree, doc["level_function"]),
-        epsilon=Fraction(doc["epsilon"]),
+        level_function=level_function_from_doc(tree, doc["level_function"], dim),
+        epsilon=parse_scalar(doc["epsilon"]),
     )
 
 
@@ -260,11 +263,15 @@ def witness_from_doc(doc: dict) -> Witness:
         dim, depth, is_tuple = _int(doc["dim"], "dim"), _int(doc["depth"], "depth"), doc["tuple"]
         if type(is_tuple) is not bool:
             raise ValidationError(f"witness 'tuple' must be true or false, got {is_tuple!r}")
-        comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c)) for c in doc["components"])
+        if dim < 1:
+            raise ValidationError(f"witness 'dim' must be at least 1, got {dim}")
+        comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c, dim)) for c in doc["components"])
         function = HarmonicTuple(comps) if is_tuple else comps[0]
-        targets = tuple(target_from_doc(tree, t) for t in doc["targets"])
+        targets = tuple(target_from_doc(tree, t, dim) for t in doc["targets"])
         if not targets:
             raise ValidationError("witness lists no targets; at least one target required")
+        if len({t.index for t in targets}) != len(targets):
+            raise ValidationError(f"witness target indices {[t.index for t in targets]} must be distinct")
         target_components = tuple(_int(c, "target_components") for c in doc["target_components"])
         width = len(comps) if is_tuple else 1
         if len(target_components) != len(targets):
@@ -280,6 +287,12 @@ def witness_from_doc(doc: dict) -> Witness:
         schedule = schedule_from_doc(doc["schedule"])
         if schedule.kind != kind:
             raise ValidationError(f"witness schedule kind {schedule.kind!r} does not match its kind {kind!r}")
+        if schedule.width != width:
+            raise ValidationError(f"witness schedule width {schedule.width} does not match its {width} components")
+        try:
+            _validate_schedule(schedule, tree, targets)
+        except InfeasibleScheduleError as exc:  # a malformed file, not an infeasible request
+            raise ValidationError(f"witness schedule: {exc}") from exc
         return Witness(
             kind=kind,
             function=function,

@@ -29,7 +29,7 @@ from struct import unpack
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar, read_int
 
 MAX_EXPLICIT_VERTICES = 4_000_000
 MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
@@ -307,14 +307,6 @@ def build_tree(spec: TreeSpec) -> Tree:
     return _build_explicit(spec)
 
 
-def _spec_int(value, name: str, least: int) -> int:
-    """A branching or rule integer of at least `least`, never a bool, a float
-    or a text; else a ValidationError naming it."""
-    if type(value) is not int or value < least:
-        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def _spec_list(value, name: str) -> list:
     """A branching or rule field that must be a list; else a ValidationError naming it."""
     if not isinstance(value, (list, tuple)):
@@ -335,8 +327,8 @@ def _doc_ints(rows, name: str) -> None:
 def _level_arities(spec: TreeSpec) -> list[int]:
     b = spec.branching
     if b["kind"] == "uniform":
-        return [_spec_int(b["arity"], "branching 'arity'", 2)] * spec.depth
-    arities = [_spec_int(a, "branching 'arities'", 2) for a in _spec_list(b["arities"], "branching 'arities'")]
+        return [read_int(b["arity"], "branching 'arity'", 2)] * spec.depth
+    arities = [read_int(a, "branching 'arities'", 2) for a in _spec_list(b["arities"], "branching 'arities'")]
     if len(arities) != spec.depth:
         raise ValidationError("per_level branching must list one arity per level")
     return arities
@@ -446,10 +438,10 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 raise ValidationError("explicit branching table incomplete")
             row = table[lvl]
             if not set(map(type, row)) <= {int} or min(row) < 2:  # the first bad count is named
-                row = [_spec_int(c, "branching 'counts'", 2) for c in row]
+                row = [read_int(c, "branching 'counts'", 2) for c in row]
         else:
-            lo = _spec_int(b.get("min_arity", 2), "branching 'min_arity'", 2)
-            hi = _spec_int(b["max_arity"], "branching 'max_arity'", lo)
+            lo = read_int(b.get("min_arity", 2), "branching 'min_arity'", 2)
+            hi = read_int(b["max_arity"], "branching 'max_arity'", lo)
             row = [lo + i for i in _draws_below(rng, hi - lo + 1, size)]  # randint(lo, hi) each
         counts.append(row)
         size = sum(row)
@@ -518,7 +510,7 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                     raise overflow
                 edge.append(array("q", b"".join(map(read.__getitem__, keys))))
         else:
-            mw = _spec_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
+            mw = read_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
             if mw > INT64_MAX:
                 raise ValidationError(f"{what}_rule 'max_weight' must fit in 64 bits, got {mw}")
             if what == "q":
@@ -576,8 +568,6 @@ def sector_measure(tree: Tree, x: VertexId) -> Scalar:
 
 def level_measures(tree: Tree, n: int) -> list[Scalar]:
     """Sector measures of every vertex at level n; they sum to 1 exactly."""
-    if not 0 <= n <= tree.depth:
-        raise ValidationError(f"level {n} outside 0..{tree.depth}")
     if tree.level_size(n) > MAX_LEVEL_MEASURES:
         raise ValidationError(f"level {n} has {tree.level_size(n)} vertices; too large to materialize")
     measures: list[Scalar] = [Fraction(1)]
@@ -657,8 +647,7 @@ def tree_from_doc(doc: dict) -> Tree:
     kind, depth = doc.get("kind"), doc.get("depth")
     if kind not in ("uniform", "explicit"):
         raise ValidationError(f"tree 'kind' must be 'uniform' or 'explicit', got {kind!r}")
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise ValidationError(f"tree 'depth' must be an integer, got {depth!r}")
+    read_int(depth, "tree 'depth'")
     if kind == "uniform":
         _doc_ints([doc["arities"]], "arities")
         spec = TreeSpec(

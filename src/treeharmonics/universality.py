@@ -183,6 +183,11 @@ def _validate_schedule(schedule: Schedule, tree: Tree, targets: Sequence[Target]
         )
     if not 0 <= schedule.warmup < schedule.horizon:
         raise ValidationError("warmup must satisfy 0 <= warmup < horizon")
+    for b in schedule.blocks:
+        if not 1 <= b.component <= schedule.width:
+            raise ValidationError(f"block {b} names a component outside 1..{schedule.width}")
+        if not 1 <= b.target_index <= len(targets):
+            raise ValidationError(f"block {b} names a target outside 1..{len(targets)}")
     for c in range(1, schedule.width + 1):
         prev_end = 0
         for b in schedule.component_blocks(c):
@@ -211,7 +216,7 @@ def x_schedule(
     growth: int,
     width: int,
     horizon: int,
-    warmup: int = X_WARMUP,
+    warmup: int | None = None,
 ) -> Schedule:
     """Geometric block boundaries anchored at the horizon, targets cycling per
     component so that component i's final block is assigned target i."""
@@ -248,6 +253,7 @@ def x_schedule(
                     end=boundaries[k],
                 )
             )
+    warmup = X_WARMUP if warmup is None else warmup
     schedule = Schedule(kind="x", width=width, horizon=horizon, warmup=warmup, blocks=tuple(blocks))
     return _validate_schedule(schedule, tree, targets)
 
@@ -344,9 +350,10 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
             memo[key] = node
             return node
         tkids = [_expand(tn, len(kids)) for tn in tnodes]
-        out = func_split(node.value, tuple(
-            walk(kid, tuple(e[i] for e in tkids), tree.child(x, i), k) for i, kid in enumerate(kids)
-        ))
+        walked = []
+        for i, kid in enumerate(kids):  # a loop, not a generator: one frame per level
+            walked.append(walk(kid, tuple(e[i] for e in tkids), tree.child(x, i), k))
+        out = func_split(node.value, tuple(walked))
         memo[key] = out
         return out
 
@@ -503,7 +510,7 @@ def build_x_witness(
     growth: int = 5,
     width: int | None = None,
     horizon: int | None = None,
-    warmup: int = X_WARMUP,
+    warmup: int | None = None,
 ) -> Witness:
     """Tuple witness on geometric blocks; one component per target, extra
     components stay identically zero so tuple-metric tails vanish."""
@@ -717,10 +724,8 @@ def dense_family(
     pointwise gap, and return h_n + (p_n - h_n truncated and extended)."""
     if count < 1:
         raise ValidationError("family size must be at least 1")
-    width = count if width is None else width
-    if width < count:
-        raise ValidationError(f"tuple width {width} below requested family size {count}")
     x_targets = enumerate_targets(tree, count=3, dim=dim, resolution=resolution, bound=bound, epsilon=Fraction(1, 8))
+    width = max(width or 0, count, len(x_targets))
     witness = build_x_witness(tree, x_targets, growth=growth, width=width, horizon=horizon)
     members = []
     for n in range(1, count + 1):

@@ -935,3 +935,119 @@ def test_dense_family_miss_exits_three(tmp_path, capsys, monkeypatch):
     report = json.loads(read(out / "report.json"))
     assert report["all_certified"] is False
     assert [m["certified"] for m in report["members"]] == [False, True, True]
+
+
+def _edit_values(edit):
+    """An edit that replaces every DAG node's value list v by edit(v)."""
+
+    def apply(doc):
+        for node in doc["components"][0]["nodes"]:
+            node["v"] = edit(node["v"])
+
+    return apply
+
+
+def _dim_zero(doc):
+    doc["dim"] = 0
+    _edit_values(lambda v: [])(doc)
+    for t in doc["targets"]:
+        t["level_function"]["values"] = [[]]
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        # the bounds fold read only as many coordinates as the target has, so
+        # this certified to the intact witness's report
+        (_edit_values(lambda v: v + ["5"]), "witness values must hold 'dim' = 1 scalars, got ['31491009', '5']"),
+        # exited 3 with "internal error: IndexError: tuple index out of range"
+        (_edit_values(lambda v: []), "witness values must hold 'dim' = 1 scalars, got []"),
+        (_edit_values(lambda v: [0.0]), "cannot parse scalar 0.0"),
+        (lambda doc: doc["targets"][0].update(epsilon=0.125), "cannot parse scalar 0.125"),
+        # wrote one density_t1.csv and three report entries for target 1
+        (lambda doc: [t.update(index=1) for t in doc["targets"]], "witness target indices [1, 1, 1] must be distinct"),
+        # certified a hit at every level
+        (_dim_zero, "witness 'dim' must be at least 1, got 0"),
+    ],
+    ids=["value-too-long", "value-empty", "value-number", "epsilon-number", "target-indices-repeat", "dim-zero"],
+)
+def test_certify_witness_with_bad_value_or_target_exits_one(tmp_path, capsys, edit, error):
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert errors == [error]
+
+
+def _edit_block(i, **fields):
+    return lambda doc: doc["schedule"]["blocks"][i].update(fields)
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (_edit_block(1, start=5), "component 1: blocks overlap at level 5"),
+        (_edit_block(5, end=99), "block ScheduleBlock(component=1, target_index=3, start=26, end=99) outside 1..30"),
+        (
+            _edit_block(0, end=1),
+            "witness schedule: block of length 1 cannot reach epsilon 1/8; needs at least 5 levels",
+        ),
+        (lambda doc: doc["schedule"].update(width=7), "witness schedule width 7 does not match its 1 components"),
+        (
+            _edit_block(2, target=9),
+            "block ScheduleBlock(component=1, target_index=9, start=11, end=15) names a target outside 1..3",
+        ),
+        # read targets[-1]
+        (
+            _edit_block(2, target=0),
+            "block ScheduleBlock(component=1, target_index=0, start=11, end=15) names a target outside 1..3",
+        ),
+        # was skipped
+        (
+            _edit_block(2, component=2),
+            "block ScheduleBlock(component=2, target_index=3, start=11, end=15) names a component outside 1..1",
+        ),
+        (lambda doc: doc["schedule"].update(horizon=31), "witness schedule: horizon 31 exceeds tree depth 30"),
+        (lambda doc: doc["schedule"].update(warmup=30), "warmup must satisfy 0 <= warmup < horizon"),
+        (
+            lambda doc: doc["targets"][0]["level_function"].update(level=1, values=[["0"], ["0"]]),
+            "witness schedule: block starting at 1 cannot approximate a level-1 target",
+        ),
+    ],
+    ids=[
+        "overlap", "past-horizon", "one-level", "width", "target-past-end", "target-zero", "component-past-width",
+        "horizon-past-depth", "warmup-at-horizon", "start-above-target-level",
+    ],
+)
+def test_certify_witness_with_bad_schedule_exits_one(tmp_path, capsys, edit, error):
+    # each once certified with exit 0: a read schedule was never checked
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert errors == [error]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_dense_family_narrower_than_its_targets(tmp_path, count):
+    # the witness is as wide as its three targets, however small the family;
+    # a width of count once exited 1 with "tuple width 1 below target count 3"
+    out = tmp_path / "o"
+    assert main(["dense-family", "--depth", "30", "--count", str(count), "--out", str(out)]) == 0
+    report = json.loads(read(out / "report.json"))
+    assert report["all_certified"] is True
+    assert len(report["members"]) == count
+
+
+def test_witness_commands_recurse_once_per_level(tmp_path):
+    # every DAG walk takes one frame per tree level, so depth 200 passes 300
+    # frames above this one; two frames per level exited 3 here
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        codes = [
+            main([*argv, "--depth", "200", "--out", str(tmp_path / argv[0])])
+            for argv in (["witness-ufm", "--block-length", "10"], ["witness-x"])
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert codes == [0, 0]
