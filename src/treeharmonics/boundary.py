@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import DimensionMismatchError, InvariantError, ValidationError
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import TupleValue, Value, bounded_metric, tuple_metric
+from .values import TupleValue, Value, _check_dims, _check_widths, bounded_metric, tuple_metric
 
 MAX_LEVEL_VALUES = 1 << 16  # vertices of a level materialized one value each
 
@@ -172,14 +172,12 @@ def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Valu
 
 
 def level_add(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    _check_dims(psi, phi)
     return sector_zip(psi, phi, lambda a, b: a + b)
 
 
 def level_sub(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    _check_dims(psi, phi)
     return sector_zip(psi, phi, lambda a, b: a - b)
 
 
@@ -224,8 +222,7 @@ def p_metric(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scalar:
     Evaluated as the exact finite sum over the common refinement of the two
     structures; translation invariant because the base metric is.
     """
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    _check_dims(psi, phi)
     return _integral(tree, (psi.node, phi.node), bounded_metric)
 
 
@@ -234,8 +231,7 @@ def mismatch_measure(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scal
 
     Dominates p_metric because the integrand d/(1+d) stays below one.
     """
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    _check_dims(psi, phi)
     return _integral(tree, (psi.node, phi.node), mismatch_integrand)
 
 
@@ -272,20 +268,13 @@ class TupleLevelFunction(NamedTuple):
         return self.components[0].dim
 
 
-def _check_tuple_pair(a: TupleLevelFunction, b: TupleLevelFunction) -> None:
-    if a.width != b.width:
-        raise DimensionMismatchError(f"tuple width mismatch: {a.width} vs {b.width}")
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def tuple_p_metric(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> Scalar:
     """Direct form: integrate the truncated product metric over the boundary.
 
     Equals the component decomposition (sum of 2^-k p_metric over coordinates)
     exactly; both routes are kept and the equality is asserted by tests.
     """
-    _check_tuple_pair(a, b)
+    _check_widths(a, b)
     w = a.width
 
     def integrand(*values: Value) -> Scalar:
@@ -296,7 +285,7 @@ def tuple_p_metric(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> 
 
 def tuple_p_metric_by_components(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> Scalar:
     """Decomposed form: sum over coordinates k of 2^-k p_metric(a_k, b_k)."""
-    _check_tuple_pair(a, b)
+    _check_widths(a, b)
     total: Scalar = 0
     weight = Fraction(1, 2)
     for ca, cb in zip(a.components, b.components):

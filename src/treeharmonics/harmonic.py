@@ -41,10 +41,10 @@ from .boundary import (
     leaf,
     sector_split,
 )
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import Value, base_metric, bounded_metric, centered_grid, weighted_sum
+from .values import Value, _check_dims, base_metric, bounded_metric, centered_grid, weighted_sum
 
 ENUMERATION_LEVEL_LIMIT = 4096  # largest level the diagonal enumerations assign
 P = 128  # fractional bits of the fixed-point bounds hit_levels decides from
@@ -203,8 +203,6 @@ def aggregate_upward(tree: Tree, leaf_values: Sequence[Value]) -> HarmonicFuncti
     size = tree.level_size(tree.depth)
     if size > MAX_LEVEL_VALUES:
         raise ValidationError(f"deepest level has {size} vertices; aggregate from a level function instead")
-    if len(leaf_values) != size:
-        raise ValidationError(f"expected {size} leaf values, got {len(leaf_values)}")
     psi = LevelFunction.from_values(tree, tree.depth, list(leaf_values))
     return aggregate_from_level(tree, psi)
 
@@ -293,8 +291,7 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
         for target, *_, horizon in sweeps:
             if not 0 <= horizon <= g.depth:
                 raise ValidationError(f"level {horizon} outside 0..{g.depth}")
-            if g.dim != target.dim:
-                raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {target.dim}")
+            _check_dims(g, target)
     roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
     slots = [roots.index(s[0].node) for s in sweeps]
 
@@ -437,14 +434,12 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         raise ValidationError("empty combination")
     tree = fs[0].tree
     depth = fs[0].depth
-    dim = fs[0].dim
     for g in fs[1:]:
         if g.tree is not tree:
             raise ValidationError("combination requires functions over one tree")
         if g.depth != depth:
             raise ValidationError("combination requires equal depths")
-        if g.dim != dim:
-            raise DimensionMismatchError(f"dimension mismatch: {g.dim} vs {dim}")
+        _check_dims(g, fs[0])
     memo: dict[tuple, Node] = {}
 
     def rec(nodes: tuple[Node, ...], x: VertexId) -> Node:
@@ -465,7 +460,7 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         memo[key] = out
         return out
 
-    return HarmonicFunction(tree, depth, dim, rec(tuple(f.node for f in fs), tree.root))
+    return HarmonicFunction(tree, depth, fs[0].dim, rec(tuple(f.node for f in fs), tree.root))
 
 
 def add_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:
@@ -514,8 +509,7 @@ def pointwise_metric(f: HarmonicFunction, g: HarmonicFunction, max_terms: int = 
     2^-n d(f(z_n), g(z_n)) / (1 + d), truncated at max_terms."""
     if f.tree is not g.tree:
         raise ValidationError("functions live on different trees")
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    _check_dims(f, g)
     tree = f.tree
     partial: Scalar = 0
     weight = Fraction(1, 2)

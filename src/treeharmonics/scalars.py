@@ -14,14 +14,6 @@ from .errors import ValidationError
 Scalar = Union[Fraction, int]
 
 
-def make_scalar(x: int | Fraction | str | float) -> Fraction:
-    """An exact scalar from a number or a 'p/q' string; a float input becomes
-    the nearest fraction whose denominator is at most 10^12."""
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
-
-
 def format_scalar(x: Scalar) -> str:
     """Serialize a scalar as 'p/q' (or 'p').
 

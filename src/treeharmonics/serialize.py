@@ -158,6 +158,8 @@ def level_function_to_doc(tree: Tree, lf: LevelFunction) -> dict:
 
 
 def level_function_from_doc(tree: Tree, doc: dict, dim: int) -> LevelFunction:
+    if _int(doc["dim"], "targets.level_function.dim") != dim:
+        raise ValidationError(f"witness 'targets.level_function.dim' {doc['dim']} differs from the witness 'dim' {dim}")
     vals = [value_from_doc(v, dim) for v in doc["values"]]
     return LevelFunction.from_values(tree, _int(doc["level"], "targets.level_function.level"), vals)
 
@@ -178,16 +180,25 @@ def target_from_doc(tree: Tree, doc: dict, dim: int) -> Target:
     )
 
 
+# the document keys of a block's four fields, in ScheduleBlock's order
+_BLOCK_KEYS = ("component", "target", "start", "end")
+
+
+def _block_to_doc(b: ScheduleBlock | BlockLog) -> dict:
+    return dict(zip(_BLOCK_KEYS, b))
+
+
+def _block_from_doc(doc: dict, where: str) -> ScheduleBlock:
+    return ScheduleBlock(*(_int(doc[key], f"{where}.{key}") for key in _BLOCK_KEYS))
+
+
 def schedule_to_doc(s: Schedule) -> dict:
     return {
         "kind": s.kind,
         "width": s.width,
         "horizon": s.horizon,
         "warmup": s.warmup,
-        "blocks": [
-            {"component": b.component, "target": b.target_index, "start": b.start, "end": b.end}
-            for b in s.blocks
-        ],
+        "blocks": [_block_to_doc(b) for b in s.blocks],
     }
 
 
@@ -197,24 +208,13 @@ def schedule_from_doc(doc: dict) -> Schedule:
         width=_int(doc["width"], "schedule.width"),
         horizon=_int(doc["horizon"], "schedule.horizon"),
         warmup=_int(doc["warmup"], "schedule.warmup"),
-        blocks=tuple(
-            ScheduleBlock(
-                component=_int(b["component"], "schedule.blocks.component"),
-                target_index=_int(b["target"], "schedule.blocks.target"),
-                start=_int(b["start"], "schedule.blocks.start"),
-                end=_int(b["end"], "schedule.blocks.end"),
-            )
-            for b in doc["blocks"]
-        ),
+        blocks=tuple(_block_from_doc(b, "schedule.blocks") for b in doc["blocks"]),
     )
 
 
 def block_log_to_doc(log: BlockLog) -> dict:
     return {
-        "component": log.component,
-        "target": log.target_index,
-        "start": log.start,
-        "end": log.end,
+        **_block_to_doc(log),
         "mismatch": [[lvl, format_scalar(m)] for lvl, m in log.mismatch],
         "terminal_p": format_scalar(log.terminal_p),
     }
@@ -222,10 +222,7 @@ def block_log_to_doc(log: BlockLog) -> dict:
 
 def block_log_from_doc(doc: dict) -> BlockLog:
     return BlockLog(
-        component=_int(doc["component"], "logs.component"),
-        target_index=_int(doc["target"], "logs.target"),
-        start=_int(doc["start"], "logs.start"),
-        end=_int(doc["end"], "logs.end"),
+        *_block_from_doc(doc, "logs"),
         mismatch=tuple((_int(lvl, "logs.mismatch"), parse_scalar(m)) for lvl, m in doc["mismatch"]),
         terminal_p=parse_scalar(doc["terminal_p"]),
     )
@@ -265,6 +262,8 @@ def witness_from_doc(doc: dict) -> Witness:
             raise ValidationError(f"witness 'tuple' must be true or false, got {is_tuple!r}")
         if dim < 1:
             raise ValidationError(f"witness 'dim' must be at least 1, got {dim}")
+        if depth != tree.depth:
+            raise ValidationError(f"witness 'depth' {depth} differs from the tree depth {tree.depth}")
         comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c, dim)) for c in doc["components"])
         function = HarmonicTuple(comps) if is_tuple else comps[0]
         targets = tuple(target_from_doc(tree, t, dim) for t in doc["targets"])
@@ -293,13 +292,19 @@ def witness_from_doc(doc: dict) -> Witness:
             _validate_schedule(schedule, tree, targets)
         except InfeasibleScheduleError as exc:  # a malformed file, not an infeasible request
             raise ValidationError(f"witness schedule: {exc}") from exc
+        logs = tuple(block_log_from_doc(log) for log in doc["logs"])
+        # synthesis logs each component's blocks in turn, one mismatch per level
+        if [log[:4] for log in logs] != [b for c in range(1, width + 1) for b in schedule.component_blocks(c)]:
+            raise ValidationError("witness 'logs' must list the schedule's blocks, component by component")
+        for log in logs:
+            if [lvl for lvl, _ in log.mismatch] != list(range(log.start, log.end + 1)):
+                raise ValidationError(f"witness 'logs.mismatch' of block {log[:4]} lists levels other than its own")
         return Witness(
-            kind=kind,
             function=function,
             schedule=schedule,
             targets=targets,
             target_components=target_components,
-            logs=tuple(block_log_from_doc(l) for l in doc["logs"]),
+            logs=logs,
         )
     except KeyError as exc:
         raise ValidationError(f"witness document lacks the key {exc}") from exc

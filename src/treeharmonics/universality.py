@@ -73,7 +73,7 @@ from .harmonic import (
 )
 from .scalars import Scalar
 from .trees import Tree, VertexId
-from .values import Value, bounded_metric, centered_grid, weighted_sum
+from .values import Value, _check_dims, bounded_metric, centered_grid, weighted_sum
 
 UPPER_DENSITY_THRESHOLD = Fraction(3, 4)
 LOWER_DENSITY_FLOOR = Fraction(1, 20)
@@ -267,11 +267,6 @@ def ufm_schedule(
 ) -> Schedule:
     """Fixed-length blocks cyclically assigned to targets, single component."""
     n_targets = len(targets)
-    lmin = max(min_block_length(t.epsilon) for t in targets)
-    if block_length < lmin:
-        raise InfeasibleScheduleError(
-            f"block length {block_length} below the setup bound {lmin}"
-        )
     n_blocks = horizon // block_length
     if n_blocks < 2 * n_targets:
         raise InfeasibleScheduleError(
@@ -310,8 +305,7 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
     """
     tree = f.tree
     for start, end, target in blocks:
-        if target.dim != f.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {target.dim} vs {f.dim}")
+        _check_dims(target, f)
         if end > tree.depth:
             raise ValidationError(f"level {end} exceeds tree depth {tree.depth}")
         if start - 1 < target.level:
@@ -374,8 +368,6 @@ def one_level_approximation(
     absorbing child, which keeps the parent harmonic.  Returns the new
     function (constant below n) and the measured mismatch at level n."""
     tree = f.tree
-    if n > tree.depth:
-        raise ValidationError(f"level {n} exceeds tree depth {tree.depth}")
     if n < 1:
         raise ValidationError("approximation level must be at least 1")
     g = _run_blocks(f, [(n, n, target)])
@@ -394,8 +386,6 @@ def refine_mismatch(
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     end = start + steps
-    if end > tree.depth:
-        raise ValidationError(f"depth exhausted: level {end} exceeds tree depth {tree.depth}")
     g = _run_blocks(f, [(start + 1, end, target)])
     # the level sweep starts at level 1
     measures = [mismatch_measure(tree, restrict_to_level(g, 0), target)]
@@ -417,7 +407,6 @@ class BlockLog(NamedTuple):
 
 
 class Witness(NamedTuple):
-    kind: str
     function: HarmonicFunction | HarmonicTuple
     schedule: Schedule
     targets: tuple[Target, ...]
@@ -425,6 +414,10 @@ class Witness(NamedTuple):
     logs: tuple[BlockLog, ...]
     # each target's distances on its certifying component, levels 1..horizon; none if read from a file
     hit_distances: tuple[list[Scalar], ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return self.schedule.kind
 
     @property
     def tree(self) -> Tree:
@@ -494,7 +487,6 @@ def _synthesize(
     if not check_harmonic(function).passed:
         raise InvariantError(f"synthesized {schedule.kind}-kind witness failed the harmonicity check")
     return Witness(
-        kind=schedule.kind,
         function=function,
         schedule=schedule,
         targets=tuple(targets),
@@ -650,8 +642,7 @@ def span_inclusion_check(
             raise ValidationError("need one coefficient per component")
         if coeffs[-1] == 0:
             raise ValidationError("the last coefficient must be nonzero")
-        if psi.dim != components[0].dim:
-            raise DimensionMismatchError(f"dimension mismatch: {psi.dim} vs {components[0].dim}")
+        _check_dims(psi, components[0])
     if not cases:
         return []
     zero = LevelFunction.constant(0, Value.zero(components[0].dim))
@@ -917,14 +908,12 @@ def double_genericity_check(
             )
         )
 
-    zero_node = zero_function(tree, dim).node
-
     def nonzero_sample(components: Sequence[HarmonicFunction]) -> HarmonicFunction:
         # the burst components can sum to zero, so equal coefficients may
         # cancel; such a draw says nothing about distinctness and is redrawn
         for _ in range(ZERO_SAMPLE_REDRAWS):
             g = linear_combination(tuple(rng.choice(COEFF_LATTICE) for _ in components), components)
-            if g.node is not zero_node:
+            if g.node is not psi0.node:
                 return g
         raise InvariantError(
             f"sampled a zero combination from nonzero coefficients {ZERO_SAMPLE_REDRAWS} times in a row"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ValidationError
-from .scalars import Scalar, make_scalar
+from .scalars import Scalar
 
 
 class Value(NamedTuple):
@@ -26,8 +26,8 @@ class Value(NamedTuple):
         return len(self.coords)
 
     @staticmethod
-    def of(*coords: int | Fraction | float | str) -> "Value":
-        return Value(tuple(make_scalar(c) for c in coords))
+    def of(*coords: int | Fraction | str) -> "Value":
+        return Value(tuple(map(Fraction, coords)))
 
     @staticmethod
     def zero(dim: int) -> "Value":
@@ -55,7 +55,8 @@ def weighted_sum(coeffs: Sequence[Scalar], values: Sequence[Value]) -> Value:
     return acc
 
 
-def _check_dims(u: Value, v: Value) -> None:
+def _check_dims(u, v) -> None:
+    """u and v share a dimension: values, level or harmonic functions, tuples."""
     if u.dim != v.dim:
         raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
 
@@ -78,11 +79,11 @@ class TupleValue(NamedTuple):
         return TupleValue(tuple(a + b for a, b in zip(self.components, other.components)))
 
 
-def _check_widths(u: TupleValue, v: TupleValue) -> None:
+def _check_widths(u, v) -> None:
+    """u and v share a width, then a dimension: tuples of values or level functions."""
     if u.width != v.width:
         raise DimensionMismatchError(f"tuple width mismatch: {u.width} vs {v.width}")
-    if u.components and v.components:
-        _check_dims(u.components[0], v.components[0])
+    _check_dims(u, v)
 
 
 def base_metric(u: Value, v: Value) -> Scalar:

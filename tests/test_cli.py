@@ -179,6 +179,14 @@ def test_infeasible_schedule_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["errors"]
 
 
+def test_short_block_length_names_the_block_and_its_epsilon(tmp_path, capsys):
+    code = main(["witness-ufm", "--depth", "60", "--block-length", "3", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "errors": ["block of length 3 cannot reach epsilon 1/8; needs at least 5 levels"]
+    }
+
+
 def test_witness_x_end_to_end(tmp_path):
     out = tmp_path / "o"
     code = main(["witness-x", "--depth", "40", "--horizon", "40", "--out", str(out)])
@@ -1051,3 +1059,43 @@ def test_witness_commands_recurse_once_per_level(tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert codes == [0, 0]
+
+
+def _drop_last_log(doc):
+    doc["logs"].pop()
+
+
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        (lambda doc: doc.update(depth=99), "witness 'depth' 99 differs from the tree depth 30"),
+        (lambda doc: doc.update(depth=31), "witness 'depth' 31 differs from the tree depth 30"),
+        # exited 1 only through a later check: "level 30 outside 0..5"
+        (lambda doc: doc.update(depth=5), "witness 'depth' 5 differs from the tree depth 30"),
+        (
+            lambda doc: doc["targets"][0]["level_function"].update(dim=7),
+            "witness 'targets.level_function.dim' 7 differs from the witness 'dim' 1",
+        ),
+        (
+            lambda doc: doc["targets"][0]["level_function"].update(dim="x"),
+            "witness 'targets.level_function.dim' must be an integer, got 'x'",
+        ),
+        (lambda doc: doc["logs"][0].update(start=2), "witness 'logs' must list the schedule's blocks, component by component"),
+        (lambda doc: doc["logs"][1].update(target=3), "witness 'logs' must list the schedule's blocks, component by component"),
+        (_drop_last_log, "witness 'logs' must list the schedule's blocks, component by component"),
+        (
+            lambda doc: doc["logs"][0]["mismatch"][0].__setitem__(0, 77),
+            "witness 'logs.mismatch' of block (1, 1, 1, 5) lists levels other than its own",
+        ),
+    ],
+    ids=[
+        "depth-past-tree", "depth-one-past-tree", "depth-short", "target-dim-other", "target-dim-text",
+        "log-start", "log-target", "log-dropped", "log-mismatch-level",
+    ],
+)
+def test_certify_witness_with_unread_field_exits_one(tmp_path, capsys, edit, error):
+    # each certified with exit 0 to the intact witness's report, except
+    # depth-short: the reader never compared these fields with the rest
+    code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)
+    assert code == 1
+    assert errors == [error]

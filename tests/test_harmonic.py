@@ -90,6 +90,12 @@ def test_aggregate_upward_weighted_oracle():
     assert f.value_at(VertexId(0, 0)) == Value.of(5)
 
 
+def test_aggregate_upward_wrong_count_reports_from_values():
+    with pytest.raises(ValidationError) as exc:
+        aggregate_upward(two_level_binary(), [Value.of(1)] * 3)
+    assert str(exc.value) == "expected 4 values at level 2, got 3"
+
+
 def test_aggregate_upward_constant():
     tree = two_level_binary()
     c = Value.of(Fraction(7, 3))

@@ -225,6 +225,13 @@ def test_refine_mismatch_zero_steps(binary4):
     assert log == [(1, Fraction(1, 2))]
 
 
+def test_refine_mismatch_past_the_tree(binary4):
+    target = LevelFunction.constant(0, Value.of(1))
+    with pytest.raises(ValidationError) as exc:
+        refine_mismatch(zero_function(binary4, 1), target, 2, 3)
+    assert str(exc.value) == "level 5 exceeds tree depth 4"
+
+
 def test_refine_mismatch_halving_simulation():
     tree = build_tree(TreeSpec(depth=10, branching={"kind": "uniform", "arity": 2}))
     f = zero_function(tree, 1)

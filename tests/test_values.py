@@ -6,14 +6,30 @@ from hypothesis import strategies as st
 
 from treeharmonics import (
     DimensionMismatchError,
+    LevelFunction,
+    TreeSpec,
+    TupleLevelFunction,
     TupleValue,
     Value,
     ValidationError,
     base_metric,
     bounded_metric,
+    build_tree,
     centered_grid,
     dense_grid,
+    hit_levels,
+    level_add,
+    level_sub,
+    linear_combination,
+    mismatch_measure,
+    one_level_approximation,
+    p_metric,
+    pointwise_metric,
+    span_inclusion_check,
     tuple_metric,
+    tuple_p_metric,
+    tuple_p_metric_by_components,
+    zero_function,
 )
 from treeharmonics.values import weighted_sum
 
@@ -154,3 +170,66 @@ def test_centered_grid_zero_first():
     assert pts[0] == Value.zero(2)
     assert len(pts) == 9
     assert len(set(pts)) == 9
+
+
+_TREE = build_tree(TreeSpec(depth=4, branching={"kind": "uniform", "arity": 2}))
+_ONE, _TWO = (LevelFunction.constant(0, Value.zero(d)) for d in (1, 2))
+_F1, _F2 = zero_function(_TREE, 1), zero_function(_TREE, 2)
+_NARROW, _WIDE, _NARROW_DIM2 = TupleLevelFunction((_ONE,)), TupleLevelFunction((_ONE, _ONE)), TupleLevelFunction((_TWO,))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: level_add(_ONE, _TWO), "dimension mismatch: 1 vs 2", id="level_add"),
+        pytest.param(lambda: level_sub(_TWO, _ONE), "dimension mismatch: 2 vs 1", id="level_sub"),
+        pytest.param(lambda: p_metric(_TREE, _ONE, _TWO), "dimension mismatch: 1 vs 2", id="p_metric"),
+        pytest.param(lambda: mismatch_measure(_TREE, _TWO, _ONE), "dimension mismatch: 2 vs 1", id="mismatch_measure"),
+        pytest.param(
+            lambda: tuple_p_metric(_TREE, _NARROW, _WIDE), "tuple width mismatch: 1 vs 2", id="tuple_p_metric-width"
+        ),
+        pytest.param(
+            lambda: tuple_p_metric(_TREE, _NARROW, _NARROW_DIM2), "dimension mismatch: 1 vs 2", id="tuple_p_metric-dim"
+        ),
+        pytest.param(
+            lambda: tuple_p_metric_by_components(_TREE, _WIDE, _NARROW),
+            "tuple width mismatch: 2 vs 1",
+            id="tuple_p_metric_by_components-width",
+        ),
+        pytest.param(
+            lambda: tuple_p_metric_by_components(_TREE, _NARROW_DIM2, _NARROW),
+            "dimension mismatch: 2 vs 1",
+            id="tuple_p_metric_by_components-dim",
+        ),
+        pytest.param(
+            lambda: tuple_metric(TupleValue(()), TupleValue((vec(0),))),
+            "tuple width mismatch: 0 vs 1",
+            id="tuple_metric-width",
+        ),
+        pytest.param(
+            lambda: tuple_metric(TupleValue((vec(0),)), TupleValue((vec(0, 0),))),
+            "dimension mismatch: 1 vs 2",
+            id="tuple_metric-dim",
+        ),
+        pytest.param(
+            lambda: linear_combination((1, 1), (_F1, _F2)), "dimension mismatch: 2 vs 1", id="linear_combination"
+        ),
+        pytest.param(lambda: pointwise_metric(_F2, _F1), "dimension mismatch: 2 vs 1", id="pointwise_metric"),
+        pytest.param(
+            lambda: span_inclusion_check([_F1], [((Fraction(1),), _TWO)], Fraction(1, 8), 4),
+            "dimension mismatch: 2 vs 1",
+            id="span_inclusion_check",
+        ),
+        pytest.param(
+            lambda: hit_levels((_F1,), [(_TWO, (1,), Fraction(1, 8), 4)]), "dimension mismatch: 1 vs 2", id="hit_levels"
+        ),
+        pytest.param(
+            lambda: one_level_approximation(_F1, _TWO, 1), "dimension mismatch: 2 vs 1", id="one_level_approximation"
+        ),
+    ],
+)
+def test_every_shape_check_raises_the_same_message(call, message):
+    # each call site names its operands' dims (or widths) in the order it was given them
+    with pytest.raises(DimensionMismatchError) as exc:
+        call()
+    assert str(exc.value) == message
