@@ -265,7 +265,7 @@ class TupleLevelFunction(NamedTuple):
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.components[0].dim if self.components else 0
 
 
 def tuple_p_metric(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> Scalar:

@@ -17,16 +17,15 @@ Two backings share one interface:
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import gcd, lcm
 from random import Random
 from struct import unpack
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .scalars import Scalar, format_scalar, parse_scalar, read_int
@@ -334,24 +333,9 @@ def _level_arities(spec: TreeSpec) -> list[int]:
     return arities
 
 
-# a row entry as tree_to_doc writes it: optional sign, digits, optional /digits
-_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def _parse_entry(s: str) -> tuple[int, int]:
-    """A row entry as a reduced (numerator, denominator) pair with a positive
-    denominator, read without building a Fraction when it has the "p" or "p/q"
-    form; every other form goes through parse_scalar."""
-    m = _ENTRY.fullmatch(s)
-    if m is not None:
-        try:
-            num, den = int(m[1]), int(m[2] or 1)
-        except ValueError:  # more digits than int() converts; parse_scalar reports it
-            den = 0
-        if den:
-            g = gcd(num, den)
-            return num // g, den // g
-    v = parse_scalar(s)  # "0.25", "1e-2", " 3/4 ", ...; raises for "3/0"
+    """A row entry as a reduced (numerator, denominator) pair, the denominator positive."""
+    v = parse_scalar(s)
     return v.numerator, v.denominator
 
 
@@ -365,7 +349,7 @@ def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[S
     for lvl, (row, a) in enumerate(zip(rows, arities)):
         if len(_spec_list(row, f"{what}_rule 'rows'")) != a:
             raise ValidationError(f"{what} row at level {lvl} has {len(row)} entries, expected {a}")
-        out.append(tuple(Fraction(*_parse_entry(str(s))) for s in row))
+        out.append(tuple(parse_scalar(str(s)) for s in row))
     return out
 
 
@@ -380,11 +364,11 @@ def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
     return [(v.numerator, v.denominator) for v in row]
 
 
-def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | Callable[[], str]) -> tuple[list[int], int]:
+def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str) -> tuple[list[int], int]:
     """Integer numerators over the common denominator of a row of reduced
     (numerator, denominator) pairs; raises unless the row is a valid q
     (positive) or w (nonzero) row summing to one.  `where` names the row in
-    the error; a callable is called only then."""
+    the error."""
     den = lcm(*(d for _, d in row))
     nums = [n * (den // d) for n, d in row]
     if what == "q" and min(nums, default=1) <= 0:
@@ -395,8 +379,6 @@ def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str | Callabl
         return nums, den
     else:
         problem = f"{what} row sums to {Fraction(sum(nums), den)}, not 1"
-    if not isinstance(where, str):
-        where = where()
     raise ValidationError(f"{where}: {problem}")
 
 
@@ -476,39 +458,24 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
             if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
-            # each distinct row is read once, to the bytes of its numerators,
-            # keyed by its entry texts: a key of values would let a row of
-            # true reuse an earlier row of 1
-            read: dict[tuple[str, ...], bytes] = {}
+            # each distinct row is read once, keyed by its entry texts: a key
+            # of values would let a row of true reuse an earlier row of 1
+            read: dict[tuple[str, ...], list[int]] = {}
             parse = lru_cache(maxsize=None)(_parse_entry)
             for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
-                # rows up to the first one that is not a list of the right
-                # length are read first: an earlier bad row is named first
-                good = len(raws)
-                if not all(map(isinstance, raws, repeat((list, tuple)))) or list(map(len, raws)) != row_counts:
-                    good = next(
-                        o for o, (raw, k) in enumerate(zip(raws, row_counts))
-                        if not isinstance(raw, (list, tuple)) or len(raw) != k
-                    )
-                keys = [tuple(map(str, raw)) for raw in raws[:good]]
-                overflow = None  # raised once every row of the level is checked
-                for key in dict.fromkeys(keys):
-                    if key not in read:
-                        nums = _row_to_ints(list(map(parse, key)), what, lambda: f"level {lvl} vertex {keys.index(key)}")[0]
-                        try:
-                            read[key] = array("q", nums).tobytes()
-                        except OverflowError as exc:
-                            overflow = exc
-                if good < len(raws):
-                    raw = raws[good]
-                    problem = (
-                        f"has {len(raw)} entries, expected {row_counts[good]}"
-                        if isinstance(raw, (list, tuple)) else f"must be a list, got {raw!r}"
-                    )
-                    raise ValidationError(f"level {lvl} vertex {good}: {what} row {problem}")
-                if overflow:
-                    raise overflow
-                edge.append(array("q", b"".join(map(read.__getitem__, keys))))
+                level_nums: list[list[int]] = []
+                for o, (raw, k) in enumerate(zip(raws, row_counts)):
+                    if not isinstance(raw, (list, tuple)):
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
+                    if len(raw) != k:
+                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
+                    key = tuple(map(str, raw))
+                    nums = read.get(key)
+                    if nums is None:
+                        nums = read[key] = _row_to_ints(list(map(parse, key)), what, f"level {lvl} vertex {o}")[0]
+                    level_nums.append(nums)
+                # a numerator past 64 bits raises here, once every row of the level is checked
+                edge.append(array("q", chain.from_iterable(level_nums)))
         else:
             mw = read_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
             if mw > INT64_MAX:
@@ -597,12 +564,11 @@ def _format_entry(num: int, den: int) -> str:
 
 def tree_to_doc(tree: Tree) -> dict:
     """The tree/1 document; its "mode" is always "exact", the only arithmetic."""
+    header = {"schema": "tree/1", "mode": "exact", "depth": tree.depth}
     if isinstance(tree, UniformTree):
         return {
-            "schema": "tree/1",
+            **header,
             "kind": "uniform",
-            "mode": "exact",
-            "depth": tree.depth,
             "arities": list(tree.arities),
             "q_rows": [[format_scalar(v) for v in row] for row in tree.q_rows],
             "w_rows": [[format_scalar(v) for v in row] for row in tree.w_rows],
@@ -629,10 +595,8 @@ def tree_to_doc(tree: Tree) -> dict:
         return out
 
     return {
-        "schema": "tree/1",
+        **header,
         "kind": "explicit",
-        "mode": "exact",
-        "depth": tree.depth,
         "child_counts": [list(c) for c in tree._counts],
         "q_rows": rows(tree._q_edge),
         "w_rows": rows(tree._w_edge),
@@ -650,18 +614,10 @@ def tree_from_doc(doc: dict) -> Tree:
     read_int(depth, "tree 'depth'")
     if kind == "uniform":
         _doc_ints([doc["arities"]], "arities")
-        spec = TreeSpec(
-            depth=depth,
-            branching={"kind": "per_level", "arities": doc["arities"]},
-            q_rule={"kind": "per_level", "rows": doc["q_rows"]},
-            w_rule={"kind": "per_level", "rows": doc["w_rows"]},
-        )
+        branching = {"kind": "per_level", "arities": doc["arities"]}
     else:
         _doc_ints(doc["child_counts"], "child_counts")
-        spec = TreeSpec(
-            depth=depth,
-            branching={"kind": "explicit", "counts": doc["child_counts"]},
-            q_rule={"kind": "explicit", "rows": doc["q_rows"]},
-            w_rule={"kind": "explicit", "rows": doc["w_rows"]},
-        )
-    return build_tree(spec)
+        branching = {"kind": "explicit", "counts": doc["child_counts"]}
+    # the rows are given per level or per vertex, as the branching is
+    q_rule, w_rule = ({"kind": branching["kind"], "rows": doc[key]} for key in ("q_rows", "w_rows"))
+    return build_tree(TreeSpec(depth, branching, q_rule, w_rule))

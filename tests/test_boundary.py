@@ -191,6 +191,13 @@ def test_tuple_p_metric_decomposition_random(binary4, lopsided3):
             assert tuple_p_metric(tree, a, b) == tuple_p_metric_by_components(tree, a, b)
 
 
+def test_tuple_p_metric_of_empty_tuples(binary4):
+    # an empty tuple has dim 0, as an empty TupleValue has, and both forms agree on it
+    empty = TupleLevelFunction(())
+    assert empty.dim == 0
+    assert tuple_p_metric(binary4, empty, empty) == tuple_p_metric_by_components(binary4, empty, empty) == 0
+
+
 def test_tuple_p_metric_width_mismatch(binary4):
     zero = LevelFunction.constant(0, Value.of(0))
     with pytest.raises(DimensionMismatchError):

@@ -140,6 +140,52 @@ def test_explicit_row_not_a_list_exits_one(tmp_path, capsys, rule, issue):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,files,code,issue",
+    [
+        (
+            ["witness-ufm", "--depth", "40", "--block-length", "10"], {}, 2,
+            "horizon 40 holds 4 blocks; need two full cycles (6 blocks) of length 10",
+        ),
+        (
+            ["double-genericity", "--depth", "40", "--block-length", "10"], {}, 2,
+            "horizon 40 holds 4 blocks; the 4-block cycle must restart at least once",
+        ),
+        (["witness-x", "--width", "2"], {}, 1, "tuple width 2 below target count 3"),
+        (["build", "--config", "cfg.json"], {"cfg.json": {"tree": {"branching": {"kind": "banana"}}}}, 1, "unknown branching kind 'banana'"),
+        (["build", "--config", "cfg.json"], {"cfg.json": {"tree": {"q_rule": {"kind": "banana"}}}}, 1, "unknown q_rule kind 'banana'"),
+        (
+            ["build", "--config", "cfg.json"], {"cfg.json": {"tree": {"branching": {"kind": "per_level", "arities": [2, 2]}}}}, 1,
+            "per_level branching must list one arity per level",
+        ),
+        (
+            ["build", "--depth", "2", "--config", "cfg.json"], {"cfg.json": {"tree": {"q_rule": {"kind": "per_level", "rows": [["1/2", "1/2"]]}}}}, 1,
+            "per_level q rule must list one row per level",
+        ),
+        (
+            ["build", "--depth", "2", "--config", "cfg.json"], {"cfg.json": {"tree": {"q_rule": {"kind": "per_level", "rows": [["1/2", "1/2"], ["1"]]}}}}, 1,
+            "q row at level 1 has 1 entries, expected 2",
+        ),
+        (
+            ["build", "--depth", "22", "--config", "cfg.json"], {"cfg.json": {"tree": {"q_rule": {"kind": "random"}}}}, 1,
+            "tree exceeds 4000000 vertices; use level-uniform rules for deep trees",
+        ),
+        (["certify", "--witness", "w.json"], {"w.json": {"schema": "witness/1", "tree": {"schema": "tree/2"}}}, 1, "unsupported tree schema 'tree/2'"),
+    ],
+    ids=[
+        "ufm-one-cycle", "double-genericity-no-restart", "x-narrow-width", "branching-kind", "q-rule-kind",
+        "per-level-arities", "per-level-row-count", "per-level-row-length", "explicit-too-large", "tree-schema",
+    ],
+)
+def test_rejected_input_exits_with_its_error(tmp_path, capsys, argv, files, code, issue):
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert json.loads(capsys.readouterr().err) == {"errors": [issue]}
+    assert not (tmp_path / "o").exists()
+
+
 def test_deeply_nested_unknown_key_is_ignored(tmp_path):
     nested: dict = {}
     for _ in range(600):

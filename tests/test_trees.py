@@ -576,9 +576,9 @@ def test_entry_parser_on_other_forms(entry):
 
 
 def per_vertex_rows(table, counts, what):
-    """The explicit row reader as it was, one vertex at a time: each row is
-    checked and keyed by its entry texts where it occurs, and a new key is
-    read then.  It is the oracle of the level-at-a-time reader."""
+    """The explicit row reader written plainly, one vertex at a time: each
+    row is checked and keyed by its entry texts where it occurs, and a new
+    key is read then.  It is the oracle of build_tree's explicit row reader."""
     read = {}
     edge = [None]
     for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
