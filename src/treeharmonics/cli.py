@@ -323,7 +323,6 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
     report_data = double_genericity_check(
         tree,
         horizon=cfg["horizon"],
-        seed=cfg["seed"],
         dim=cfg["dim"],
         block_length=cfg["block_length"],
         growth=cfg["growth"],
@@ -335,15 +334,11 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
             "far_distance": format_scalar(report_data.far_distance),
             "non_dense": True,
         },
-        steady_combos=[
-            {
-                "coeffs": [format_scalar(c) for c in e.coeffs],
-                "hit_count": len(e.hits),
-                "lower": format_scalar(e.lower),
-                "passed": e.passed,
-            }
-            for e in report_data.steady_combos
-        ],
+        steady_span={
+            "hit_count": len(report_data.steady_span.hits),
+            "lower": format_scalar(report_data.steady_span.lower),
+            "passed": report_data.steady_span.passed,
+        },
         burst_dips=[
             {
                 "component": e.component,
@@ -353,9 +348,12 @@ def cmd_double_genericity(cfg: dict, out_dir: Path) -> None:
             }
             for e in report_data.burst_dips
         ],
-        intersection_distinct=report_data.intersection_distinct,
+        span_ranks=report_data.span_ranks._asdict(),
+        intersection_trivial=report_data.span_ranks.intersection_trivial,
         all_pass=report_data.all_pass,
     )
+    if not report_data.all_pass:
+        raise InvariantError("double genericity failed; see report.json")
 
 
 def cmd_certify(cfg: dict, out_dir: Path, witness_path: str) -> None:

@@ -15,15 +15,15 @@ q-mass down the DAGs of one or more functions and of any number of targets
 together, one level at a time, sets aside the entries that can no longer
 change, and keeps one running total per sweep, so H levels cost O(H x
 frontier width) rather than the O(H x DAG) of restricting and integrating
-each level from the root.  Its two callers supply only a fold.
+each level from the root.  Its callers supply only a fold.
 level_profile folds exact distances, whose digits grow quadratically with
 depth; the witness commands use it because they write block-end distances
 and mismatch logs exactly.  hit_levels folds integer bounds scaled by 2^P,
 decides d_n < radius from them as each level comes and sums exactly only a
 level whose bounds straddle the radius; walking functions jointly, it bounds
 their linear combinations from the component values.  certify on a witness
-file (every target in one joint walk of the components), span-check and
-double-genericity use it because they write hit sets only.
+file, span-check and double-genericity's burst dips use it because they
+write hit sets only; double-genericity's steady span folds support measures.
 """
 
 from __future__ import annotations

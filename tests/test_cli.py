@@ -471,10 +471,11 @@ GOLDEN = {
             "witness.json": "31e660a4fa715271b6e53b47a201a0b96e0d3448c67680858413b1db3b2ce8fc",
         },
     ),
-    # the only width-3 synchronized schedule, and the only zero target
+    # the only width-3 synchronized schedule, and the only zero target;
+    # recorded when the steady span and the span ranks replaced the samples
     "double-genericity": (
         ["double-genericity", "--depth", "60"],
-        {"report.json": "2bc2f61c13fa180ab67228bbff725b8a4a984d713f64b29c224c68f87c5515d8"},
+        {"report.json": "d457a40f24c1496d41cc60d67fac9020124ab4fa32cdb1a19d2e34e1fd41aa5f"},
     ),
     # recorded while every hit set was swept from the root: an x-kind tuple,
     # and a ufm witness certified at a horizon short of the tree depth
@@ -750,14 +751,36 @@ def test_double_genericity_cli(tmp_path):
     report = json.loads(read(out / "report.json"))
     assert report["all_pass"] is True
     assert report["reference"]["non_dense"] is True
+    assert report["steady_span"] == {"hit_count": 18, "lower": "5/21", "passed": True}
+    assert report["span_ranks"] == {"steady": 3, "burst": 2, "joint": 5}
+    assert report["intersection_trivial"] is True
 
 
-def test_double_genericity_redraws_zero_combinations(tmp_path):
-    # the burst components sum to zero, so seed 11 draws equal coefficients
+def test_double_genericity_ignores_the_seed(tmp_path):
+    # nothing is sampled, so the seed reaches the report only through the config hash
+    reports = []
+    for seed in ("0", "11"):
+        out = tmp_path / seed
+        assert main(["double-genericity", "--depth", "60", "--seed", seed, "--out", str(out)]) == 0
+        report = json.loads(read(out / "report.json"))
+        del report["config_hash"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_failed_double_genericity_exits_three_after_its_report(tmp_path, capsys, monkeypatch):
+    from treeharmonics import cli
+    from treeharmonics.universality import SpanRanks
+
+    real = cli.double_genericity_check
+    monkeypatch.setattr(cli, "double_genericity_check", lambda *a, **k: real(*a, **k)._replace(span_ranks=SpanRanks(3, 2, 4)))
     out = tmp_path / "o"
-    code = main(["double-genericity", "--depth", "60", "--seed", "11", "--out", str(out)])
-    assert code == 0
-    assert json.loads(read(out / "report.json"))["all_pass"] is True
+    assert main(["double-genericity", "--depth", "60", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"errors": ["double genericity failed; see report.json"]}
+    report = json.loads(read(out / "report.json"))
+    assert report["span_ranks"] == {"steady": 3, "burst": 2, "joint": 4}
+    assert report["intersection_trivial"] is False
+    assert report["all_pass"] is False
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -22,7 +22,6 @@ from treeharmonics import (
     tree_from_doc,
     tree_to_doc,
 )
-from treeharmonics.scalars import parse_scalar
 from treeharmonics.serialize import canonical_json
 from treeharmonics.trees import INT64_MAX, _draws_below, _parse_entry, _row_to_ints
 
@@ -498,10 +497,18 @@ def test_per_level_rows_on_explicit_backing():
         build_tree(uneven)
 
 
+def fraction_entry(s) -> Fraction:
+    """An entry read by Fraction alone: text it cannot read is a ValidationError."""
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"cannot parse scalar {str(s)!r}")
+
+
 def fraction_route(raw, what):
-    """Row integers as they were read before: parse_scalar builds a Fraction
-    per entry, then the numerators go over the lcm of the denominators."""
-    row = [parse_scalar(str(s)) for s in raw]
+    """Row integers read without the library's parser: Fraction reads each
+    entry, then the numerators go over the lcm of the denominators."""
+    row = [fraction_entry(s) for s in raw]
     den = lcm(*(v.denominator for v in row)) if row else 1
     nums = [v.numerator * (den // v.denominator) for v in row]
     if what == "q" and any(n <= 0 for n in nums):
@@ -549,7 +556,7 @@ def row_entries(draw):
 def test_entry_parser_reads_rows_like_fractions(raw):
     assert_rows_read_alike(raw)
     for s in raw:
-        v = parse_scalar(s)
+        v = Fraction(s)
         assert _parse_entry(s) == (v.numerator, v.denominator)
 
 

@@ -13,6 +13,8 @@ from treeharmonics import (
     Value,
     ValidationError,
     VertexId,
+    add_functions,
+    aggregate_from_level,
     aggregate_upward,
     build_tree,
     build_ufm_witness,
@@ -25,6 +27,7 @@ from treeharmonics import (
     enumerate_harmonics,
     enumerate_targets,
     hit_set,
+    level_measures,
     level_scale,
     level_values,
     linear_combination,
@@ -52,6 +55,7 @@ from treeharmonics.harmonic import (
 )
 from treeharmonics.universality import (
     COEFF_LATTICE,
+    REFERENCE_EPSILON,
     Schedule,
     ScheduleBlock,
     _family_ufm_schedule,
@@ -59,6 +63,7 @@ from treeharmonics.universality import (
     _validate_schedule,
     min_block_length,
     refinement_levels,
+    span_sweep,
     x_schedule,
 )
 from treeharmonics.serialize import witness_from_doc, witness_to_doc
@@ -788,22 +793,131 @@ def test_dense_family_depth_guard():
 
 
 def test_double_genericity(deep60):
-    rep = double_genericity_check(deep60, seed=3)
+    rep = double_genericity_check(deep60)
     assert rep.all_pass
     assert rep.far_distance > rep.reference_epsilon
-    for e in rep.steady_combos:
-        assert e.lower >= Fraction(1, 20)
+    assert len(rep.steady_span.hits) == 18
+    assert rep.steady_span.lower == Fraction(5, 21)
     for e in rep.burst_dips:
         assert e.min_foreign_ratio <= Fraction(3, 10)
-    assert rep.intersection_distinct
+    # the three burst components sum to zero
+    assert rep.span_ranks == (3, 2, 5)
+    assert rep.span_ranks.intersection_trivial
 
 
 def test_double_genericity_deterministic(deep60):
-    a = double_genericity_check(deep60, seed=5)
-    b = double_genericity_check(deep60, seed=5)
-    assert [e.coeffs for e in a.steady_combos] == [e.coeffs for e in b.steady_combos]
-    assert [e.hits for e in a.steady_combos] == [e.hits for e in b.steady_combos]
+    a = double_genericity_check(deep60)
+    b = double_genericity_check(deep60)
+    assert a.steady_span == b.steady_span
+    assert a.span_ranks == b.span_ranks
     assert [e.min_foreign_ratio for e in a.burst_dips] == [e.min_foreign_ratio for e in b.burst_dips]
+
+
+def elimination_rank(rows) -> int:
+    """Rank over Q by plain Fraction row reduction."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def vertex_rows(tree, fs):
+    """One row per function: its coordinates at every vertex of levels 0..depth."""
+    return [
+        [c for n in range(tree.depth + 1) for v in level_values(tree, restrict_to_level(f, n)) for c in v.coords]
+        for f in fs
+    ]
+
+
+def support_measures(tree, fs, depth):
+    """The measure, at each level 1..depth, of the vertices where some function is nonzero."""
+    out = []
+    for n in range(1, depth + 1):
+        values = zip(*(level_values(tree, restrict_to_level(f, n)) for f in fs))
+        nonzero = [m for m, vs in zip(level_measures(tree, n), values) if any(any(v.coords) for v in vs)]
+        out.append(sum(nonzero, Fraction(0)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_span_sweep_matches_level_values(dim):
+    tree = build_tree(
+        TreeSpec(
+            depth=5,
+            branching={"kind": "random", "max_arity": 3},
+            q_rule={"kind": "random"},
+            w_rule={"kind": "random"},
+            seed=4,
+        )
+    )
+    rng = random.Random(dim)
+
+    def sparse_leaves():
+        zero = Value.zero(dim)
+        return [random_value(rng, dim) if rng.random() < 0.3 else zero for _ in range(tree.level_size(tree.depth))]
+
+    leaves = [sparse_leaves() for _ in range(6)]
+    steady = [aggregate_upward(tree, vs) for vs in leaves[:3]]
+    bursts = [aggregate_upward(tree, vs) for vs in leaves[3:]]
+    # a burst component replaced by a combination of the others: the spans share a nonzero element
+    shared = linear_combination((Fraction(2), Fraction(-1), Fraction(1, 2)), (steady[0], steady[2], bursts[1]))
+    # burst components summing to zero, as the geometric witness's do
+    summing = linear_combination((Fraction(-1), Fraction(-1)), bursts[:2])
+    cases = [(steady, bursts, True), (steady, (shared, *bursts[1:]), False), (steady, (*bursts[:2], summing), True)]
+    # a zero span meets the other only at zero, but the spans are not two subspaces then
+    cases.append(((zero_function(tree, dim),), bursts, False))
+    if dim == 2:
+        # a component and its coordinate swap are independent, but a row per
+        # (component, coordinate) would put the same two rows in both spans
+        swapped = aggregate_upward(tree, [Value(v.coords[::-1]) for v in leaves[0]])
+        cases.append((steady[:1], (swapped,), True))
+    for s, b, trivial in cases:
+        measures, ranks = span_sweep(s, b, tree.depth)
+        assert measures == support_measures(tree, s, tree.depth)
+        rows = vertex_rows(tree, (*s, *b))
+        assert ranks == (elimination_rank(rows[: len(s)]), elimination_rank(rows[len(s) :]), elimination_rank(rows))
+        assert ranks.intersection_trivial is trivial
+
+
+def test_double_genericity_loses_hits_where_a_steady_component_stays_nonzero(deep60, monkeypatch):
+    zero_block = range(1, 11)  # every steady component holds zero through the first block
+    base = double_genericity_check(deep60)
+    assert set(zero_block) <= set(base.steady_span.hits)
+    # zero through level 1, then nonzero on half the boundary at every level
+    quarter = LevelFunction.from_values(deep60, 2, [Value.of(1), Value.of(-1), Value.of(0), Value.of(0)])
+    bump = aggregate_from_level(deep60, quarter)
+    swept = []
+
+    def tampered(steady, bursts, horizon):
+        swept.append((add_functions(steady[0], bump), *steady[1:]))
+        return span_sweep(swept[-1], bursts, horizon)
+
+    monkeypatch.setattr(universality, "span_sweep", tampered)
+    rep = double_genericity_check(deep60)
+    for n, m in enumerate(support_measures(deep60, swept[0], 12), 1):
+        assert (n in rep.steady_span.hits) == (m < REFERENCE_EPSILON), n
+    assert [n for n in zero_block if n in rep.steady_span.hits] == [1]
+
+
+def test_double_genericity_fails_when_the_spans_share_an_element(deep60, monkeypatch):
+    def shared(steady, bursts, horizon):
+        combo = linear_combination((Fraction(1), Fraction(-1)), (steady[0], bursts[1]))
+        return span_sweep(steady, (combo, *bursts[1:]), horizon)
+
+    monkeypatch.setattr(universality, "span_sweep", shared)
+    rep = double_genericity_check(deep60)
+    assert rep.span_ranks == (3, 3, 5)
+    assert not rep.span_ranks.intersection_trivial
+    assert not rep.all_pass
 
 
 def test_coeff_lattice_matches_contract():
