@@ -286,9 +286,4 @@ def tuple_p_metric(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> 
 def tuple_p_metric_by_components(tree: Tree, a: TupleLevelFunction, b: TupleLevelFunction) -> Scalar:
     """Decomposed form: sum over coordinates k of 2^-k p_metric(a_k, b_k)."""
     _check_widths(a, b)
-    total: Scalar = 0
-    weight = Fraction(1, 2)
-    for ca, cb in zip(a.components, b.components):
-        total += weight * p_metric(tree, ca, cb)
-        weight = weight / 2
-    return total
+    return sum(Fraction(p_metric(tree, ca, cb), 1 << k) for k, (ca, cb) in enumerate(zip(a.components, b.components), 1))

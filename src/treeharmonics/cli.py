@@ -46,6 +46,8 @@ from .universality import (
 )
 
 SCHEMA = "report/1"
+# CPython's limit on int/text conversion (0: none); Pythons before it have none to set
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
 
 DEFAULT_CONFIG = {
     "schema": "runconfig/1",
@@ -173,11 +175,15 @@ def _targets_from_cfg(tree: Tree, cfg: dict):
 
 def _read_json(path: str, what: str):
     # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
-    # literals longer than CPython's digit limit
+    # literals longer than CPython's default digit limit: it holds while a
+    # document is parsed, and main lifts it for the exact scalars otherwise
+    _set_digit_limit(getattr(sys.int_info, "default_max_str_digits", 0))
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, RecursionError, ValueError) as exc:
         raise ValidationError(f"cannot read {what}: {exc}")
+    finally:
+        _set_digit_limit(0)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -408,6 +414,7 @@ def _fail(errors: list[str], code: int) -> int:
 
 
 def main(argv=None) -> int:
+    _set_digit_limit(0)  # exact scalars pass CPython's default of 4300 digits from about depth 550
     try:
         args = build_parser().parse_args(argv)
         cfg = copy.deepcopy(DEFAULT_CONFIG)

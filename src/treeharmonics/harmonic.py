@@ -15,7 +15,8 @@ q-mass down the DAGs of one or more functions and of any number of targets
 together, one level at a time, sets aside the entries that can no longer
 change, and keeps one running total per sweep, so H levels cost O(H x
 frontier width) rather than the O(H x DAG) of restricting and integrating
-each level from the root.  Its callers supply only a fold.
+each level from the root.  Masses are ints over one denominator per level,
+so pushing them costs no gcd; callers supply only a fold, given that den.
 level_profile folds exact distances, whose digits grow quadratically with
 depth; the witness commands use it because they write block-end distances
 and mismatch logs exactly.  hit_levels folds integer bounds scaled by 2^P,
@@ -29,6 +30,7 @@ write hit sets only; double-genericity's steady span folds support measures.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boundary import (
@@ -278,11 +280,12 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
 
     The walk pushes q-mass down the DAGs one level at a time.  An entry
     (function node per function, target node per distinct target, vertex,
-    mass) freezes once every function node is constant below it.  Each sweep
-    keeps a running total, from start, of fold(frozen entries, its target's
-    slot, sweep index, total) at levels 0..n; its level-n total folds the
-    level-n frontier into that.  Nothing is kept of a level once it is
-    yielded.
+    mass) freezes once every function node is constant below it; its mass is
+    an int over den, which each level multiplies by the lcm of the frontier's
+    q denominators (tree.q_ints).  Each sweep keeps a running total, from
+    start, of fold(frozen entries, its target's slot, sweep index, total, den)
+    at levels 0..n; its level-n total folds the level-n frontier into that.
+    Nothing is kept of a level once it is yielded.
     """
     tree = fs[0].tree
     for g in fs:
@@ -295,7 +298,7 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
     roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
     slots = [roots.index(s[0].node) for s in sweeps]
 
-    def push(frozen: list, into: dict, fnodes: tuple, tnodes: tuple, x: VertexId, mass: Scalar) -> None:
+    def push(frozen: list, into: dict, fnodes: tuple, tnodes: tuple, x: VertexId, mass: int) -> None:
         if all(n.children is None for n in fnodes):
             frozen.append((fnodes, tnodes, x, mass))
             return
@@ -306,23 +309,26 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
         else:
             entry[3] = entry[3] + mass
 
-    frozen, frontier = [], {}
+    frozen, frontier, den = [], {}, 1
     push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
-    totals = [fold(frozen, slot, j, start) for j, slot in enumerate(slots)]
+    totals = [fold(frozen, slot, j, start, den) for j, slot in enumerate(slots)]
     for n in range(1, max((s[-1] for s in sweeps), default=0) + 1):
+        rows = [tree.q_ints(x) for _, _, x, _ in frontier.values()]
+        step = lcm(*(qden for _, qden in rows))
+        den *= step
         frozen, below = [], {}
-        for fnodes, tnodes, x, mass in frontier.values():
-            k = tree.arity(x)
+        for (fnodes, tnodes, x, mass), (qnums, qden) in zip(frontier.values(), rows):
+            k = len(qnums)
             fkids = [_expand(node, k) for node in fnodes]
             tkids = [_expand(t, k) for t in tnodes]
-            qs = tree.q_row(x)
+            mass *= step // qden
             for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
-                push(frozen, below, fchild, tchild, tree.child(x, i), mass * qs[i])
+                push(frozen, below, fchild, tchild, tree.child(x, i), mass * qnums[i])
         frontier = below
         for j, (slot, sweep) in enumerate(zip(slots, sweeps)):
             if n <= sweep[-1]:
-                totals[j] = fold(frozen, slot, j, totals[j])
-                yield j, n, fold(frontier.values(), slot, j, totals[j])
+                totals[j] = fold(frozen, slot, j, totals[j], den)
+                yield j, n, fold(frontier.values(), slot, j, totals[j], den)
 
 
 def level_profile(
@@ -339,13 +345,14 @@ def level_profile(
     """
     tree = f.tree
 
-    def fold(entries, slot: int, j: int, total: Scalar) -> Scalar:
+    def fold(entries, slot: int, j: int, total: Scalar, den: int) -> Scalar:
         integrand = sweeps[j][1]
+        acc = 0
         for (fnode,), tnodes, x, mass in entries:
             part = _against(tree, fnode.value, tnodes[slot], x, integrand)
             if part:
-                total = total + mass * part
-        return total
+                acc = part * mass + acc
+        return total + Fraction(acc, den) if acc else total
 
     out: list[list[Scalar]] = [[] for _ in sweeps]
     for j, _, total in _sweep((f,), sweeps, fold, 0):
@@ -376,32 +383,45 @@ def hit_levels(
     one = 1 << P
     # (function, coefficient) terms; all coefficients zero: f_1 scaled by 0
     nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] or [(0, 0)] for s in sweeps]
-    scales = [[a for _, a in terms] for terms in nonzero]
+    index: dict[tuple[int, Scalar], int] = {}  # each distinct term of the sweeps once
+    picks = [[index.setdefault(term, len(index)) for term in terms] for terms in nonzero]
 
     def outward(s: Scalar, a: Scalar = 1) -> tuple[int, int]:
         num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
         return num // den, -(-num // den)
 
-    def bounds(entries, slot: int, j: int, total: tuple[int, int]) -> tuple[int, int]:
+    # the coordinates of each distinct term rounded once per entry for all sweeps, by the id of
+    # its function node tuple (a level's entries live while den stays); and of each leaf target
+    rounded: dict[int, list] = {}
+    centers: dict[int, list] = {}
+    level = 1
+
+    def bounds(entries, slot: int, j: int, total: tuple[int, int], den: int) -> tuple[int, int]:
+        nonlocal rounded, level
+        if den != level:
+            rounded, level = {}, den
         lo, hi = total
         for fnodes, tnodes, x, mass in entries:
             tnode = tnodes[slot]
             if tnode.is_leaf:
+                terms = rounded.get(id(fnodes)) or rounded.setdefault(
+                    id(fnodes), [[outward(c, a) for c in fnodes[i].value.coords] for i, a in index]
+                )
+                center = centers.get(id(tnode)) or centers.setdefault(id(tnode), [outward(v) for v in tnode.value.coords])
                 dl = dh = 0
-                for k, v in enumerate(tnode.value.coords):
+                for k, (vl, vh) in enumerate(center):
                     ul = uh = 0
-                    for i, a in nonzero[j]:
-                        l, h = outward(fnodes[i].value.coords[k], a)
+                    for t in picks[j]:
+                        l, h = terms[t][k]
                         ul, uh = ul + l, uh + h
-                    vl, vh = outward(v)
                     dl += max(ul - vh, vl - uh, 0)
                     dh += max(uh - vl, vh - ul)
                 tl, th = dl * one // (one + dl), -(-dh * one // (one + dh))
             else:
-                value = weighted_sum(scales[j], [fnodes[i].value for i, _ in nonzero[j]])
+                value = weighted_sum([a for _, a in nonzero[j]], [fnodes[i].value for i, _ in nonzero[j]])
                 tl, th = outward(_against(tree, value, tnode, x, bounded_metric))
-            lo += mass.numerator * tl // mass.denominator
-            hi -= -mass.numerator * th // mass.denominator
+            lo += mass * tl // den
+            hi -= -mass * th // den
         return lo, hi
 
     hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
@@ -464,11 +484,11 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
 
 
 def add_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:
-    return linear_combination((Fraction(1), Fraction(1)), (f, g))
+    return linear_combination((1, 1), (f, g))
 
 
 def subtract_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:
-    return linear_combination((Fraction(1), Fraction(-1)), (f, g))
+    return linear_combination((1, -1), (f, g))
 
 
 def truncate_and_extend(p: HarmonicFunction, h: HarmonicFunction, cut: int) -> HarmonicFunction:

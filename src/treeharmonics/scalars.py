@@ -1,7 +1,10 @@
 """Exact scalars.
 
-Every scalar is an exact rational (`fractions.Fraction`), so each certified
-quantity is exact.  A sum that only ever skipped zero terms stays the int 0.
+Every scalar is an exact rational, so each certified quantity is exact.  An
+integral value coordinate is an int, which skips the gcd of every `Fraction`
+operation, and any other one a `fractions.Fraction`; `n == Fraction(n)` and
+their hashes agree, so both forms key one interned node.  A distance is a
+`Fraction`, but a sum that only ever skipped zero terms stays the int 0.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ from typing import Union
 from .errors import ValidationError
 
 Scalar = Union[Fraction, int]
+
+
+def canonical(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else as the Fraction it is."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def format_scalar(x: Scalar) -> str:

@@ -18,7 +18,7 @@ from .boundary import LevelFunction, Node, leaf, level_values
 from .density import DensityProfile, csv_rows
 from .errors import InfeasibleScheduleError, ValidationError
 from .harmonic import HarmonicFunction, HarmonicTuple, func_split
-from .scalars import format_scalar, parse_scalar, read_int
+from .scalars import canonical, format_scalar, parse_scalar, read_int
 from .trees import Tree, tree_from_doc, tree_to_doc
 from .universality import (
     BlockLog,
@@ -99,14 +99,14 @@ def _index(value, size: int, name: str) -> int:
 
 
 def value_to_doc(v: Value) -> list[str]:
-    return [format_scalar(c) for c in v.coords]
+    return [str(c) for c in v.coords]  # an int prints as the Fraction it equals
 
 
 def value_from_doc(doc: Sequence[str], dim: int) -> Value:
     """A value of `dim` scalars; a list of any other length is rejected."""
     if type(doc) is not list or len(doc) != dim:
         raise ValidationError(f"witness values must hold 'dim' = {dim} scalars, got {doc!r}")
-    return Value(tuple(parse_scalar(s) for s in doc))
+    return Value(tuple(canonical(parse_scalar(s)) for s in doc))
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,10 @@ class Tree:
     def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
         raise NotImplementedError
 
+    def q_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
+        """q_row(x) as integer numerators over one common denominator."""
+        raise NotImplementedError
+
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         """Index and probability of the minimum-q child of x, ties to the
         smallest offset; x is no leaf (min_child_probability checks that)."""
@@ -146,13 +150,14 @@ class UniformTree(Tree):
         self.arities = tuple(int(a) for a in arities)
         self.q_rows = tuple(tuple(row) for row in q_rows)
         self.w_rows = tuple(tuple(row) for row in w_rows)
+        self._q_ints = []
         for lvl, (a, qr, wr) in enumerate(zip(self.arities, self.q_rows, self.w_rows)):
             if a < 2:
                 raise ValidationError(f"level {lvl}: arity {a} below two")
             if len(qr) != a or len(wr) != a:
                 raise ValidationError(f"level {lvl}: row length does not match arity")
             # raises unless q is positive, w nonzero and each sums to one
-            _row_to_ints(_pairs(qr), "q", f"level {lvl}")
+            self._q_ints.append(_row_to_ints(_pairs(qr), "q", f"level {lvl}"))
             _row_to_ints(_pairs(wr), "w", f"level {lvl}")
         sizes = [1]
         for a in self.arities:
@@ -183,6 +188,9 @@ class UniformTree(Tree):
 
     def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
         return self.w_rows[x.level]
+
+    def q_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
+        return self._q_ints[x.level]
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         i = self._min_child[x.level]
@@ -234,10 +242,13 @@ class ExplicitTree(Tree):
         p = self.parent(x)
         return x.offset - self._starts[p.level][p.offset]
 
-    def _row(self, edges: list, x: VertexId) -> tuple[Scalar, ...]:
+    def _ints(self, edges: list, x: VertexId) -> tuple[array, int]:
         st = self._starts[x.level][x.offset]
         nums = edges[x.level + 1][st : st + self._counts[x.level][x.offset]]
-        den = sum(nums)
+        return nums, sum(nums)
+
+    def _row(self, edges: list, x: VertexId) -> tuple[Scalar, ...]:
+        nums, den = self._ints(edges, x)
         return tuple(Fraction(n, den) for n in nums)
 
     def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
@@ -246,12 +257,13 @@ class ExplicitTree(Tree):
     def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
         return self._row(self._w_edge, x)
 
+    def q_ints(self, x: VertexId) -> tuple[array, int]:
+        return self._ints(self._q_edge, x)
+
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        st = self._starts[x.level][x.offset]
-        k = self._counts[x.level][x.offset]
-        edge = self._q_edge[x.level + 1]
-        i = min(range(k), key=lambda j: edge[st + j])
-        return i, self.q_row(x)[i]
+        nums, den = self.q_ints(x)
+        i = min(range(len(nums)), key=nums.__getitem__)
+        return i, Fraction(nums[i], den)
 
     def pos_key(self, x: VertexId) -> VertexId:
         return x

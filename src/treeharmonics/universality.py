@@ -77,7 +77,7 @@ from .harmonic import (
     truncate_and_extend,
     zero_function,
 )
-from .scalars import Scalar
+from .scalars import Scalar, canonical
 from .trees import Tree, VertexId
 from .values import Value, _check_dims, bounded_metric, centered_grid, weighted_sum
 
@@ -340,7 +340,8 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
                 wstar = tree.w_row(x)[j]
                 # value forced on the absorbing child so the parent's weighted
                 # average holds: (c - (1 - wstar) t) / wstar
-                cstar = weighted_sum((1 / wstar, 1 - 1 / wstar), (c, t))
+                a = canonical(1 / wstar)
+                cstar = weighted_sum((a, 1 - a), (c, t))
                 kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
                 break
             # on the target or past block k: hold c until the next block starts
@@ -857,13 +858,14 @@ def span_sweep(
     width = len(steady)
     columns: set[tuple[Scalar, ...]] = set()
 
-    def support(entries, slot: int, j: int, total: Scalar) -> Scalar:
+    def support(entries, slot: int, j: int, total: Scalar, den: int) -> Scalar:
+        acc = 0
         for fnodes, _, _, mass in entries:
             coords = [node.value.coords for node in fnodes]
             columns.update(zip(*coords))
             if any(any(c) for c in coords[:width]):
-                total = total + mass
-        return total
+                acc += mass
+        return total + Fraction(acc, den) if acc else total
 
     zero = LevelFunction.constant(0, Value.zero(steady[0].dim))
     measures = [total for *_, total in _sweep((*steady, *bursts), [(zero, horizon)], support, 0)]

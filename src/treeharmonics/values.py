@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ValidationError
-from .scalars import Scalar
+from .scalars import Scalar, canonical
 
 
 class Value(NamedTuple):
@@ -27,32 +27,32 @@ class Value(NamedTuple):
 
     @staticmethod
     def of(*coords: int | Fraction | str) -> "Value":
-        return Value(tuple(map(Fraction, coords)))
+        return Value(tuple(canonical(Fraction(c)) for c in coords))
 
     @staticmethod
     def zero(dim: int) -> "Value":
-        return Value((Fraction(0),) * dim)
+        return Value((0,) * dim)
 
     def __add__(self, other: "Value") -> "Value":
         _check_dims(self, other)
-        return Value(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Value(tuple(canonical(a + b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Value") -> "Value":
         _check_dims(self, other)
-        return Value(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Value(tuple(canonical(a - b) for a, b in zip(self.coords, other.coords)))
 
     def scale(self, a: Scalar) -> "Value":
-        return Value(tuple(a * c for c in self.coords))
+        return Value(tuple(canonical(a * c) for c in self.coords))
 
 
 def weighted_sum(coeffs: Sequence[Scalar], values: Sequence[Value]) -> Value:
     """The sum of a * v over paired coefficients and values, at least one
-    pair: the first term scaled, then each further one added, so no zero
-    vector is built to start from."""
-    acc = values[0].scale(coeffs[0])
-    for a, v in zip(coeffs[1:], values[1:]):
-        acc = acc + v.scale(a)
-    return acc
+    pair, one coordinate at a time.  Each coordinate is an int exactly when
+    it is integral, so integral coefficients and values never leave ints."""
+    for v in values[1:]:
+        _check_dims(values[0], v)
+    columns = zip(*(v.coords for v in values))
+    return Value(tuple(canonical(sum(a * c for a, c in zip(coeffs, column))) for column in columns))
 
 
 def _check_dims(u, v) -> None:
@@ -95,18 +95,13 @@ def base_metric(u: Value, v: Value) -> Scalar:
 def bounded_metric(u: Value, v: Value) -> Scalar:
     """d/(1+d) for d the base metric: strictly below one, increasing in d."""
     d = base_metric(u, v)
-    return d / (1 + d)
+    return Fraction(d.numerator, d.denominator + d.numerator)  # n/m over 1 + n/m
 
 
 def tuple_metric(u: TupleValue, v: TupleValue) -> Scalar:
     """Sum over components k of 2^-k * bounded_metric, k starting at 1."""
     _check_widths(u, v)
-    total: Scalar = 0
-    weight = Fraction(1, 2)
-    for a, b in zip(u.components, v.components):
-        total += weight * bounded_metric(a, b)
-        weight = weight / 2
-    return total
+    return sum(Fraction(bounded_metric(a, b), 1 << k) for k, (a, b) in enumerate(zip(u.components, v.components), 1))
 
 
 def dense_grid(dim: int, resolution: int, bound: int) -> list[Value]:
@@ -119,7 +114,7 @@ def dense_grid(dim: int, resolution: int, bound: int) -> list[Value]:
     if dim < 1:
         raise ValidationError("dense_grid requires dim >= 1")
     step = bound * (1 << resolution)
-    axis = [Fraction(k, 1 << resolution) for k in range(-step, step + 1)]
+    axis = [canonical(Fraction(k, 1 << resolution)) for k in range(-step, step + 1)]
     return [Value(coords) for coords in itertools.product(axis, repeat=dim)]
 
 

@@ -1130,6 +1130,24 @@ def test_witness_commands_recurse_once_per_level(tmp_path):
     assert codes == [0, 0]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int/text conversion")
+def test_witness_and_certify_lift_the_digit_limit(tmp_path):
+    # exact scalars outgrow the limit on int/text conversion with depth: its
+    # default of 4300 digits stopped witness-ufm at depth 550, and 640 digits
+    # stopped it at depth 240 with exit 3
+    out = tmp_path / "w"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes = [
+            main(["witness-ufm", "--block-length", "10", "--depth", "240", "--out", str(out)]),
+            main(["certify", "--witness", str(out / "witness.json"), "--out", str(tmp_path / "c")]),
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [0, 0]
+
+
 def _drop_last_log(doc):
     doc["logs"].pop()
 

@@ -325,3 +325,13 @@ def test_level_and_harmonic_constants_share_one_node(binary4):
     assert psi.node is f.node and psi.node.is_leaf
     assert aggregate_from_level(binary4, psi).node is psi.node
     assert restrict_to_level(f, 3).node is f.node
+
+
+def test_integral_coordinates_key_one_node_as_int_or_fraction():
+    # an integral coordinate is an int, yet 3 == Fraction(3) with equal
+    # hashes, so the interned node is the same whichever form built it
+    kids = (leaf(Value((1,))), leaf(Value((5,))))
+    node = func_split(Value((3,)), kids)
+    assert func_split(Value((Fraction(3),)), kids) is node
+    assert leaf(Value((Fraction(3),))) is leaf(Value((3,)))
+    assert Value.of(Fraction(6, 2)).coords == (3,) and type(Value.of("6/2").coords[0]) is int

@@ -25,6 +25,7 @@ from treeharmonics import (
     TreeSpec,
     ValidationError,
     Value,
+    aggregate_from_level,
     aggregate_upward,
     build_tree,
     build_ufm_witness,
@@ -182,6 +183,29 @@ def test_skewed_rows():
     targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 8))
     witness = build_ufm_witness(tree, targets, block_length=5)
     assert_profiles_match(witness.function, [t.level_function for t in targets], 30)
+
+
+def test_rows_with_a_denominator_per_level():
+    # masses are integers over one denominator per level, scaled at each level
+    # by the lcm of the frontier's q denominators: here 3 and 5 in turn, with
+    # q numerators other than 1, and absorbing weights 1/3 (an integral
+    # driving coefficient) and 2/5 (not one)
+    rows = [["1/3", "2/3"], ["2/5", "3/5"]] * 12
+    tree = build_tree(
+        TreeSpec(
+            depth=24,
+            branching={"kind": "uniform", "arity": 2},
+            q_rule={"kind": "per_level", "rows": rows},
+            w_rule={"kind": "per_level", "rows": rows},
+        )
+    )
+    targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 4))
+    witness = build_ufm_witness(tree, targets, block_length=4)
+    lfs = [t.level_function for t in targets]
+    assert_profiles_match(witness.function, lfs, 24)
+    rng = random.Random(7)
+    f = aggregate_from_level(tree, random_level_function(tree, rng, 5, 1))
+    assert_profiles_match(f, lfs + [random_level_function(tree, rng, 3, 1)], 24)
 
 
 def test_ternary_witness():

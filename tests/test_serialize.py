@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeharmonics.serialize import canonical_json
+from treeharmonics.serialize import canonical_json, value_from_doc, value_to_doc
+from treeharmonics.values import Value
 
 
 class Sub(dict):
@@ -72,3 +74,15 @@ def test_unserializable_document_raises_type_error(doc):
         reference(doc)
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+@given(st.lists(st.fractions(max_denominator=4) | st.integers(-(2**80), 2**80), min_size=1, max_size=3))
+def test_value_text_is_the_fraction_text_and_reads_back_int_where_integral(coords):
+    # an int coordinate prints as the Fraction it equals, and an integral
+    # scalar reads back as an int
+    v = Value(tuple(coords))
+    doc = value_to_doc(v)
+    assert doc == [str(Fraction(c)) for c in coords]
+    back = value_from_doc(doc, len(coords))
+    assert back == v
+    assert [type(c) for c in back.coords] == [int if Fraction(c).denominator == 1 else Fraction for c in coords]

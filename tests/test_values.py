@@ -122,11 +122,13 @@ def _terms(dim):
 
 @given(st.integers(1, 3).flatmap(_terms))
 def test_weighted_sum_is_the_coordinate_wise_sum(terms):
-    # zero, negative and fractional coefficients; oracle: plain Fraction arithmetic per coordinate
+    # zero, negative and fractional coefficients; oracle: plain Fraction arithmetic per
+    # coordinate, which the result equals, holding an int exactly where the sum is integral
     coeffs = [a for a, _ in terms]
     got = weighted_sum(coeffs, [Value(v) for _, v in terms])
-    assert got.coords == tuple(sum(a * v[k] for a, v in terms) for k in range(len(terms[0][1])))
-    assert all(type(c) is Fraction for c in got.coords)
+    want = [sum((a * v[k] for a, v in terms), Fraction(0)) for k in range(len(terms[0][1]))]
+    assert list(got.coords) == want
+    assert [type(c) for c in got.coords] == [int if c.denominator == 1 else Fraction for c in want]
 
 
 @given(small_fractions.filter(bool), st.tuples(small_fractions, small_fractions), st.tuples(small_fractions, small_fractions))
