@@ -6,9 +6,11 @@ DAGs of the boundary module's interned nodes, with a value on every node: a
 leaf means "this value continues constantly below" (constants are harmonic
 because every weight row sums to one), a split lists explicit children.  All
 constructors here emit exactly harmonic functions; the checker does not trust
-them.  It recomputes the residual at every position of a split node exactly
-and certifies a constant node in one step, since the tree invariant that each
-w row sums to one makes a constant harmonic at every vertex below it.
+them.  It tests the law at every position of a split node in integers, with
+the w row as numerators over one denominator (Tree.w_ints), builds the exact
+residual only where the law fails, and certifies a constant node in one step,
+since the tree invariant that each w row sums to one makes a constant harmonic
+at every vertex below it.
 
 One forward sweep, _sweep, serves every level up to a horizon: it pushes
 q-mass down the DAGs of one or more functions and of any number of targets
@@ -18,7 +20,8 @@ frontier width) rather than the O(H x DAG) of restricting and integrating
 each level from the root.  Masses are ints over one denominator per level,
 so pushing them costs no gcd; callers supply only a fold, given that den.
 level_profile folds exact distances, whose digits grow quadratically with
-depth; the witness commands use it because they write block-end distances
+depth, as one int numerator over the lcm of their denominators, reduced once
+per fold; the witness commands use it because they write block-end distances
 and mismatch logs exactly.  hit_levels folds integer bounds scaled by 2^P,
 decides d_n < radius from them as each level comes and sums exactly only a
 level whose bounds straddle the radius; walking functions jointly, it bounds
@@ -30,7 +33,7 @@ write hit sets only; double-genericity's steady span folds support measures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boundary import (
@@ -44,7 +47,7 @@ from .boundary import (
     sector_split,
 )
 from .errors import ValidationError
-from .scalars import Scalar
+from .scalars import Scalar, canonical
 from .trees import Tree, VertexId
 from .values import Value, _check_dims, base_metric, bounded_metric, centered_grid, weighted_sum
 
@@ -128,8 +131,11 @@ class HarmonicityReport(NamedTuple):
 
 
 def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
-    """Recompute every weighted-average residual of a split node; pass iff all
-    are zero.  A constant node is certified where it is reached: each w row
+    """Test the weighted-average law at every position of a split node; pass
+    iff it holds everywhere.  Per coordinate, the children's values times the
+    w numerators (Tree.w_ints) must sum to the node's value times their
+    denominator; only where that fails is the residual built, as base_metric
+    gives it.  A constant node is certified where it is reached: each w row
     sums to one, so its residual is zero there and at every vertex below."""
     if isinstance(f, HarmonicTuple):
         reports = [check_harmonic(c) for c in f.components]
@@ -158,15 +164,15 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
         checked += 1
         if node.children is None:
             return
-        kids = _expand(node, tree.arity(x))
-        acc = weighted_sum(tree.w_row(x), [c.value for c in kids])
-        residual = base_metric(node.value, acc)
-        if residual:
+        nums, den = tree.w_ints(x)
+        kids = _expand(node, len(nums))
+        columns = zip(node.value.coords, *(c.value.coords for c in kids))
+        if any(sum(c * n for c, n in zip(column, nums)) != v * den for v, *column in columns):
+            residual = base_metric(node.value, weighted_sum(tree.w_row(x), [c.value for c in kids]))
             violations += 1
             if len(samples) < 8:
                 samples.append((x.level, residual))
-        if residual > max_res:
-            max_res = residual
+            max_res = max(max_res, residual)
         for i, c in enumerate(kids):
             visit(c, tree.child(x, i))
 
@@ -189,6 +195,8 @@ def function_from_level_values(tree: Tree, values_per_level: Sequence[Sequence[V
     for lvl, vals in enumerate(values_per_level):
         if len(vals) != tree.level_size(lvl):
             raise ValidationError(f"level {lvl}: expected {tree.level_size(lvl)} values, got {len(vals)}")
+        for v in vals:  # check_harmonic reads every value at one dimension
+            _check_dims(values_per_level[0][0], v)
     dim = values_per_level[0][0].dim
     nodes = [leaf(v) for v in values_per_level[depth]]
     for lvl in range(depth - 1, -1, -1):
@@ -221,7 +229,10 @@ def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
         if hit is not None:
             return hit
         kids = tuple(rec(c, tree.child(x, i)) for i, c in enumerate(snode.children))
-        node = func_split(weighted_sum(tree.w_row(x), [c.value for c in kids]), kids)
+        nums, den = tree.w_ints(x)
+        columns = zip(*(c.value.coords for c in kids))
+        value = Value(tuple(canonical(Fraction(sum(c * n for c, n in zip(column, nums)), den)) for column in columns))
+        node = func_split(value, kids)
         memo[key] = node
         return node
 
@@ -341,18 +352,25 @@ def level_profile(
     I_n integrates integrand(value of f at level n, target value) against the
     boundary measure, exactly as the boundary metrics do on
     restrict_to_level(f, n) (zero terms are skipped, so an all-zero distance
-    stays the int 0): _sweep's running sums of exact terms.
+    stays the int 0): _sweep's running sums of exact terms.  A fold call sums
+    its parts times their masses as one int over their lcm and reduces once.
     """
     tree = f.tree
 
     def fold(entries, slot: int, j: int, total: Scalar, den: int) -> Scalar:
         integrand = sweeps[j][1]
-        acc = 0
+        num, dd = 0, 1  # the fold's sum so far: num / dd
         for (fnode,), tnodes, x, mass in entries:
             part = _against(tree, fnode.value, tnodes[slot], x, integrand)
             if part:
-                acc = part * mass + acc
-        return total + Fraction(acc, den) if acc else total
+                pd = part.denominator
+                if pd == dd:
+                    num += part.numerator * mass
+                else:
+                    g = gcd(dd, pd)
+                    num = num * (pd // g) + part.numerator * mass * (dd // g)
+                    dd = dd // g * pd
+        return total + Fraction(num, dd * den) if num else total
 
     out: list[list[Scalar]] = [[] for _ in sweeps]
     for j, _, total in _sweep((f,), sweeps, fold, 0):

@@ -79,6 +79,10 @@ class Tree:
         """q_row(x) as integer numerators over one common denominator."""
         raise NotImplementedError
 
+    def w_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
+        """w_row(x) as integer numerators over one common denominator."""
+        raise NotImplementedError
+
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         """Index and probability of the minimum-q child of x, ties to the
         smallest offset; x is no leaf (min_child_probability checks that)."""
@@ -150,7 +154,7 @@ class UniformTree(Tree):
         self.arities = tuple(int(a) for a in arities)
         self.q_rows = tuple(tuple(row) for row in q_rows)
         self.w_rows = tuple(tuple(row) for row in w_rows)
-        self._q_ints = []
+        self._q_ints, self._w_ints = [], []
         for lvl, (a, qr, wr) in enumerate(zip(self.arities, self.q_rows, self.w_rows)):
             if a < 2:
                 raise ValidationError(f"level {lvl}: arity {a} below two")
@@ -158,7 +162,7 @@ class UniformTree(Tree):
                 raise ValidationError(f"level {lvl}: row length does not match arity")
             # raises unless q is positive, w nonzero and each sums to one
             self._q_ints.append(_row_to_ints(_pairs(qr), "q", f"level {lvl}"))
-            _row_to_ints(_pairs(wr), "w", f"level {lvl}")
+            self._w_ints.append(_row_to_ints(_pairs(wr), "w", f"level {lvl}"))
         sizes = [1]
         for a in self.arities:
             sizes.append(sizes[-1] * a)
@@ -191,6 +195,9 @@ class UniformTree(Tree):
 
     def q_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
         return self._q_ints[x.level]
+
+    def w_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
+        return self._w_ints[x.level]
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         i = self._min_child[x.level]
@@ -259,6 +266,9 @@ class ExplicitTree(Tree):
 
     def q_ints(self, x: VertexId) -> tuple[array, int]:
         return self._ints(self._q_edge, x)
+
+    def w_ints(self, x: VertexId) -> tuple[array, int]:
+        return self._ints(self._w_edge, x)
 
     def min_child(self, x: VertexId) -> tuple[int, Scalar]:
         nums, den = self.q_ints(x)

@@ -337,10 +337,10 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
             c, t = node.value, tn.value
             if c != t and x.level < end:
                 j, _ = tree.min_child(x)
-                wstar = tree.w_row(x)[j]
+                nums, den = tree.w_ints(x)
                 # value forced on the absorbing child so the parent's weighted
-                # average holds: (c - (1 - wstar) t) / wstar
-                a = canonical(1 / wstar)
+                # average holds: (c - (1 - wstar) t) / wstar, wstar = nums[j] / den
+                a = canonical(Fraction(den, nums[j]))
                 cstar = weighted_sum((a, 1 - a), (c, t))
                 kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
                 break

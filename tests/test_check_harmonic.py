@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from treeharmonics import (
+    DimensionMismatchError,
     HarmonicFunction,
     HarmonicTuple,
     TreeSpec,
@@ -158,3 +159,47 @@ def test_candidates_with_one_perturbed_value(tree, where):
     assert [level for level, _ in report.samples] == offenders
     assert assert_same_verdict(extend_constant(candidate, tree.depth)).violations == report.violations
     assert assert_same_verdict(function_from_level_values(tree, dense_values(g, depth))).passed
+
+
+@pytest.mark.parametrize(
+    "w_row, values, kind",
+    [
+        # |0 - (1/2 + 1/2)| over int coordinates: base_metric's int 1
+        (["1/2", "1/2"], (0, 1, 1), int),
+        # w row 1/3, 2/3 on children 1/2 and 2: the weighted sum 3/2 misses
+        # the parent 1/2 by an integral 1, which base_metric gives as Fraction(1)
+        (["1/3", "2/3"], ("1/2", "1/2", 2), Fraction),
+    ],
+)
+def test_residual_type_at_one_violation(w_row, values, kind):
+    tree = build_tree(
+        TreeSpec(depth=1, branching={"kind": "uniform", "arity": 2}, w_rule={"kind": "per_level", "rows": [w_row]})
+    )
+    parent, *kids = (Value.of(v) for v in values)
+    report = check_harmonic(function_from_level_values(tree, [[parent], kids]))
+    assert report.violations == 1
+    assert report.max_residual == 1 and type(report.max_residual) is kind
+    assert report.samples == ((0, 1),) and type(report.samples[0][1]) is kind
+
+
+def test_candidate_values_share_one_dimension():
+    # check_harmonic reads the law one coordinate column at a time
+    tree = build_tree(TreeSpec(depth=1, branching={"kind": "uniform", "arity": 2}))
+    with pytest.raises(DimensionMismatchError):
+        function_from_level_values(tree, [[Value.of(0)], [Value.of(0, 1), Value.of(0, 1)]])
+
+
+@pytest.mark.parametrize("name", ["binary", "ternary-signed-w"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("base", [0, Fraction(1, 2)])
+def test_residual_types_of_perturbed_constants(name, dim, base):
+    """A constant candidate, int or not, with one leaf moved by an int in
+    every coordinate: each residual is the type base_metric gives."""
+    tree = build_tree(TREES[name])
+    depth = 3
+    values = [[Value((base,) * dim)] * tree.level_size(lvl) for lvl in range(depth + 1)]
+    for shift in (2, 7):
+        moved = [list(level) for level in values]
+        moved[depth][1] = Value(tuple(c + shift for c in moved[depth][1].coords))
+        report = assert_same_verdict(function_from_level_values(tree, moved))
+        assert report.violations == 1 and report.samples[0][0] == depth - 1

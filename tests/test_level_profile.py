@@ -208,6 +208,32 @@ def test_rows_with_a_denominator_per_level():
     assert_profiles_match(f, lfs + [random_level_function(tree, rng, 3, 1)], 24)
 
 
+def test_fold_over_many_shared_denominators():
+    # dim 2 values with denominators 3, 6, 9 and 15 on rows 1/3, 2/3 and
+    # 2/5, 3/5: one fold call adds parts d/(1+d) over many distinct
+    # denominators that share factors, so its running lcm grows by less
+    # than each product
+    rows = [["1/3", "2/3"], ["2/5", "3/5"]] * 4
+    tree = build_tree(
+        TreeSpec(
+            depth=8,
+            branching={"kind": "uniform", "arity": 2},
+            q_rule={"kind": "per_level", "rows": rows},
+            w_rule={"kind": "per_level", "rows": rows},
+        )
+    )
+    rng = random.Random(11)
+
+    def level_function(level):
+        def value():
+            return Value(tuple(Fraction(rng.randint(-20, 20), rng.choice([3, 6, 9, 15])) for _ in range(2)))
+
+        return LevelFunction.from_values(tree, level, [value() for _ in range(tree.level_size(level))])
+
+    f = aggregate_from_level(tree, level_function(6))
+    assert_profiles_match(f, [level_function(level) for level in (0, 2, 3)], 8)
+
+
 def test_ternary_witness():
     tree = build_tree(TreeSpec(depth=20, branching={"kind": "uniform", "arity": 3}))
     targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 4))
