@@ -189,8 +189,10 @@ def _integral(tree: Tree, nodes: Sequence[Node], integrand: Callable[..., Scalar
     """Integrate integrand(the leaf value of each node) against the boundary
     measure, exactly, over the common refinement of the nodes' structures.
 
-    Memoized on (the nodes, pos_key).  A zero term becomes the int 0 and is
-    skipped, so every all-zero integral stays the int 0.
+    Memoized on (the nodes, pos_key).  A split weights its children's parts
+    by the q numerators (Tree.q_ints) and divides by the row's denominator
+    once.  A zero term becomes the int 0 and is skipped, so every all-zero
+    integral stays the int 0.
     """
     memo: dict[tuple, Scalar] = {}
 
@@ -204,12 +206,14 @@ def _integral(tree: Tree, nodes: Sequence[Node], integrand: Callable[..., Scalar
         else:
             k = tree.arity(x)
             kids = [_expand(n, k) for n in ns]
-            qs = tree.q_row(x)
+            nums, den = tree.q_ints(x)
             r = 0
             for i in range(k):
                 part = rec(tuple(e[i] for e in kids), tree.child(x, i))
                 if part:
-                    r = r + qs[i] * part
+                    r = r + part * nums[i]
+            if r:  # r / den, a Fraction even where r is an int
+                r = Fraction(r.numerator, r.denominator * den)
         memo[key] = r
         return r
 

@@ -166,9 +166,9 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
             return
         nums, den = tree.w_ints(x)
         kids = _expand(node, len(nums))
-        columns = zip(node.value.coords, *(c.value.coords for c in kids))
-        if any(sum(c * n for c, n in zip(column, nums)) != v * den for v, *column in columns):
-            residual = base_metric(node.value, weighted_sum(tree.w_row(x), [c.value for c in kids]))
+        sums = [sum(c * n for c, n in zip(column, nums)) for column in zip(*(c.value.coords for c in kids))]
+        if any(s != v * den for s, v in zip(sums, node.value.coords)):
+            residual = base_metric(node.value, Value(tuple(canonical(Fraction(s, den)) for s in sums)))
             violations += 1
             if len(samples) < 8:
                 samples.append((x.level, residual))
@@ -272,16 +272,18 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
 
 def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
     """integrand(value, target value) over the target sector at x, with value
-    held constant below x; zero terms are skipped."""
+    held constant below x: the children's parts times the q numerators
+    (Tree.q_ints), over the row's denominator once.  Zero terms are skipped,
+    so an all-zero sum stays the int 0."""
     if tnode.is_leaf:
         return integrand(value, tnode.value)
-    qs = tree.q_row(x)
+    nums, den = tree.q_ints(x)
     r: Scalar = 0
     for i, c in enumerate(_expand(tnode, tree.arity(x))):
         part = _against(tree, value, c, tree.child(x, i), integrand)
         if part:
-            r = r + qs[i] * part
-    return r
+            r = r + part * nums[i]
+    return Fraction(r.numerator, r.denominator * den) if r else 0  # r / den, never a float
 
 
 def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callable, start) -> Iterator[tuple]:

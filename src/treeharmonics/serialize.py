@@ -265,6 +265,8 @@ def witness_from_doc(doc: dict) -> Witness:
         if depth != tree.depth:
             raise ValidationError(f"witness 'depth' {depth} differs from the tree depth {tree.depth}")
         comps = tuple(HarmonicFunction(tree, depth, dim, dag_from_doc(c, dim)) for c in doc["components"])
+        if not is_tuple and len(comps) != 1:
+            raise ValidationError(f"witness 'components' must list one function when 'tuple' is false, got {len(comps)}")
         function = HarmonicTuple(comps) if is_tuple else comps[0]
         targets = tuple(target_from_doc(tree, t, dim) for t in doc["targets"])
         if not targets:

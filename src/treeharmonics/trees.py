@@ -3,7 +3,9 @@
 Every non-leaf vertex has at least two children, a positive transition row q
 summing to one (defining the boundary measure: the measure of the sector below
 a vertex is the product of q along the root path), and a nonzero weight row w
-summing to one (defining the harmonicity law).
+summing to one (defining the harmonicity law).  A tree holds each row in one
+form, integer numerators over one denominator (``q_ints``, ``w_ints``), and
+every kernel reads it so; ``q_row``/``w_row`` rebuild a row as fractions.
 
 Two backings share one interface:
 
@@ -28,7 +30,7 @@ from struct import unpack
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .scalars import Scalar, format_scalar, parse_scalar, read_int
+from .scalars import Scalar, parse_scalar, read_int
 
 MAX_EXPLICIT_VERTICES = 4_000_000
 MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
@@ -69,23 +71,12 @@ class Tree:
     def child_index(self, x: VertexId) -> int:
         raise NotImplementedError
 
-    def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        raise NotImplementedError
-
-    def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        raise NotImplementedError
-
     def q_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
-        """q_row(x) as integer numerators over one common denominator."""
+        """The q row of x as integer numerators over one common denominator."""
         raise NotImplementedError
 
     def w_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
-        """w_row(x) as integer numerators over one common denominator."""
-        raise NotImplementedError
-
-    def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        """Index and probability of the minimum-q child of x, ties to the
-        smallest offset; x is no leaf (min_child_probability checks that)."""
+        """The w row of x as integer numerators over one common denominator."""
         raise NotImplementedError
 
     def pos_key(self, x: VertexId):
@@ -93,6 +84,20 @@ class Tree:
         raise NotImplementedError
 
     # --- generic helpers ----------------------------------------------
+    def q_row(self, x: VertexId) -> tuple[Fraction, ...]:
+        nums, den = self.q_ints(x)
+        return tuple(Fraction(n, den) for n in nums)
+
+    def w_row(self, x: VertexId) -> tuple[Fraction, ...]:
+        nums, den = self.w_ints(x)
+        return tuple(Fraction(n, den) for n in nums)
+
+    def min_child(self, x: VertexId) -> int:
+        """Index of the minimum-q child of x, ties to the smallest offset; x
+        is no leaf (min_child_probability checks that)."""
+        nums = self.q_ints(x)[0]
+        return nums.index(min(nums))
+
     @property
     def root(self) -> VertexId:
         return ROOT
@@ -152,10 +157,8 @@ class UniformTree(Tree):
         if len(q_rows) != self.depth or len(w_rows) != self.depth:
             raise ValidationError("q/w rows must cover every level above the leaves")
         self.arities = tuple(int(a) for a in arities)
-        self.q_rows = tuple(tuple(row) for row in q_rows)
-        self.w_rows = tuple(tuple(row) for row in w_rows)
         self._q_ints, self._w_ints = [], []
-        for lvl, (a, qr, wr) in enumerate(zip(self.arities, self.q_rows, self.w_rows)):
+        for lvl, (a, qr, wr) in enumerate(zip(self.arities, q_rows, w_rows)):
             if a < 2:
                 raise ValidationError(f"level {lvl}: arity {a} below two")
             if len(qr) != a or len(wr) != a:
@@ -167,9 +170,6 @@ class UniformTree(Tree):
         for a in self.arities:
             sizes.append(sizes[-1] * a)
         self._sizes = tuple(sizes)
-        self._min_child = tuple(
-            min(range(len(row)), key=lambda i: row[i]) for row in self.q_rows
-        )
 
     def arity(self, x: VertexId) -> int:
         if x.level >= self.depth:
@@ -187,21 +187,11 @@ class UniformTree(Tree):
     def child_index(self, x: VertexId) -> int:
         return x.offset % self.arities[x.level - 1]
 
-    def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        return self.q_rows[x.level]
-
-    def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        return self.w_rows[x.level]
-
     def q_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
         return self._q_ints[x.level]
 
     def w_ints(self, x: VertexId) -> tuple[Sequence[int], int]:
         return self._w_ints[x.level]
-
-    def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        i = self._min_child[x.level]
-        return i, self.q_rows[x.level][i]
 
     def pos_key(self, x: VertexId) -> int:
         return x.level
@@ -211,9 +201,9 @@ class ExplicitTree(Tree):
     """Tree with per-vertex rows held in flat per-level arrays.
 
     It keeps one integer numerator per edge; every row sums to one, so a
-    row's denominator is the sum of its numerators, and a row is rebuilt as
-    fractions only when it is read.  The rows are not re-checked here:
-    build_tree, the only caller, makes every q row positive, every w row
+    row's denominator is the sum of its numerators, which q_ints and w_ints
+    return beside the row's slice of numerators.  The rows are not re-checked
+    here: build_tree, the only caller, makes every q row positive, every w row
     nonzero and each sum to one, and check_harmonic relies on the w rows
     summing to one.
     """
@@ -254,26 +244,11 @@ class ExplicitTree(Tree):
         nums = edges[x.level + 1][st : st + self._counts[x.level][x.offset]]
         return nums, sum(nums)
 
-    def _row(self, edges: list, x: VertexId) -> tuple[Scalar, ...]:
-        nums, den = self._ints(edges, x)
-        return tuple(Fraction(n, den) for n in nums)
-
-    def q_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        return self._row(self._q_edge, x)
-
-    def w_row(self, x: VertexId) -> tuple[Scalar, ...]:
-        return self._row(self._w_edge, x)
-
     def q_ints(self, x: VertexId) -> tuple[array, int]:
         return self._ints(self._q_edge, x)
 
     def w_ints(self, x: VertexId) -> tuple[array, int]:
         return self._ints(self._w_edge, x)
-
-    def min_child(self, x: VertexId) -> tuple[int, Scalar]:
-        nums, den = self.q_ints(x)
-        i = min(range(len(nums)), key=nums.__getitem__)
-        return i, Fraction(nums[i], den)
 
     def pos_key(self, x: VertexId) -> VertexId:
         return x
@@ -547,12 +522,14 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
 def sector_measure(tree: Tree, x: VertexId) -> Scalar:
     """Boundary measure of the sector below x: product of q along the root path."""
     tree.require_vertex(x)
-    m: Scalar = Fraction(1)
+    num = den = 1
     v = tree.root
     for i in tree.path_indices(x):
-        m = m * tree.q_row(v)[i]
+        nums, qden = tree.q_ints(v)
+        num *= nums[i]
+        den *= qden
         v = tree.child(v, i)
-    return m
+    return Fraction(num, den)
 
 
 def level_measures(tree: Tree, n: int) -> list[Scalar]:
@@ -570,8 +547,9 @@ def min_child_probability(tree: Tree, x: VertexId) -> tuple[VertexId, Scalar]:
     tree.require_vertex(x)
     if tree.is_leaf(x):
         raise ValidationError(f"vertex {x} is a leaf")
-    i, prob = tree.min_child(x)
-    return tree.child(x, i), prob
+    i = tree.min_child(x)
+    nums, den = tree.q_ints(x)
+    return tree.child(x, i), Fraction(nums[i], den)
 
 
 # ----------------------------------------------------------------------
@@ -592,8 +570,8 @@ def tree_to_doc(tree: Tree) -> dict:
             **header,
             "kind": "uniform",
             "arities": list(tree.arities),
-            "q_rows": [[format_scalar(v) for v in row] for row in tree.q_rows],
-            "w_rows": [[format_scalar(v) for v in row] for row in tree.w_rows],
+            "q_rows": [[_format_entry(n, den) for n in nums] for nums, den in tree._q_ints],
+            "w_rows": [[_format_entry(n, den) for n in nums] for nums, den in tree._w_ints],
         }
     assert isinstance(tree, ExplicitTree)
 

@@ -336,7 +336,7 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
                 raise InvariantError("target structure deeper than the approximation level")
             c, t = node.value, tn.value
             if c != t and x.level < end:
-                j, _ = tree.min_child(x)
+                j = tree.min_child(x)
                 nums, den = tree.w_ints(x)
                 # value forced on the absorbing child so the parent's weighted
                 # average holds: (c - (1 - wstar) t) / wstar, wstar = nums[j] / den

@@ -940,8 +940,15 @@ def test_certify_explicit_witness_with_lenient_field_exits_one(tmp_path, capsys,
         (lambda doc: doc.update(components=5), "malformed witness document: 'int' object is not iterable"),
         # once certified with exit 0 and "all_pass": true over no entries
         (lambda doc: doc.update(targets=[], target_components=[]), "witness lists no targets; at least one target required"),
+        # a second component was ignored and certified with exit 0
+        (
+            lambda doc: doc["components"].append(doc["components"][0]),
+            "witness 'components' must list one function when 'tuple' is false, got 2",
+        ),
+        # exited 1 only through "tuple index out of range"
+        (lambda doc: doc.update(components=[]), "witness 'components' must list one function when 'tuple' is false, got 0"),
     ],
-    ids=["schema", "malformed", "no-targets"],
+    ids=["schema", "malformed", "no-targets", "two-components", "no-components"],
 )
 def test_certify_unsupported_or_malformed_witness_exits_one(tmp_path, capsys, edit, error):
     code, errors = _certify_edited_ufm_witness(tmp_path, capsys, edit)

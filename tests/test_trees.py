@@ -369,7 +369,9 @@ def test_build_is_deterministic():
 
 
 def test_serialization_roundtrip(lopsided3, binary4):
-    for tree in (lopsided3, binary4):
+    # integral entries given as ints are written as "2" and "-1", as read back
+    int_rows = UniformTree([2], [(Fraction(1, 2), Fraction(1, 2))], [(2, -1)])
+    for tree in (lopsided3, binary4, int_rows):
         doc = tree_to_doc(tree)
         again = tree_from_doc(doc)
         assert tree_to_doc(again) == doc

@@ -441,7 +441,7 @@ def _ref_drive(tree, c, t, x, end, memo):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    j, _ = tree.min_child(x)
+    j = tree.min_child(x)
     ws = tree.w_row(x)
     wstar = ws[j]
     cstar = (c - t.scale(1 - wstar)).scale(1 / wstar)
