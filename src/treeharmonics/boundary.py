@@ -264,10 +264,6 @@ class TupleLevelFunction(NamedTuple):
         return len(self.components)
 
     @property
-    def level(self) -> int:
-        return max(c.level for c in self.components)
-
-    @property
     def dim(self) -> int:
         return self.components[0].dim if self.components else 0
 

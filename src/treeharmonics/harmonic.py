@@ -94,10 +94,6 @@ class HarmonicTuple(NamedTuple):
     components: tuple[HarmonicFunction, ...]
 
     @property
-    def width(self) -> int:
-        return len(self.components)
-
-    @property
     def tree(self) -> Tree:
         return self.components[0].tree
 

@@ -144,6 +144,8 @@ def dag_from_doc(doc: dict, dim: int) -> Node:
         else:
             kids = tuple(nodes[_index(i, len(nodes), "components.nodes.c")] for i in nd["c"])
             nodes.append(func_split(value, kids))
+    if not nodes:
+        raise ValidationError("witness 'components.nodes' lists no nodes")
     return nodes[_index(doc["root"], len(nodes), "components.root")]
 
 

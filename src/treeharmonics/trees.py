@@ -6,6 +6,8 @@ a vertex is the product of q along the root path), and a nonzero weight row w
 summing to one (defining the harmonicity law).  A tree holds each row in one
 form, integer numerators over one denominator (``q_ints``, ``w_ints``), and
 every kernel reads it so; ``q_row``/``w_row`` rebuild a row as fractions.
+``build_tree`` reads and checks each row of a spec once (``_row_to_ints``),
+and both backings store the integer rows it returns as they are.
 
 Two backings share one interface:
 
@@ -48,7 +50,8 @@ ROOT = VertexId(0, 0)
 
 
 class Tree:
-    """Shared interface of the two backings."""
+    """Shared interface of the two backings.  build_tree, the only caller,
+    makes every row valid; check_harmonic relies on the w rows summing to one."""
 
     depth: int
     _sizes: tuple[int, ...]  # vertex count of each level 0..depth
@@ -145,27 +148,10 @@ class Tree:
 class UniformTree(Tree):
     """Tree whose arity and q/w rows depend only on the level."""
 
-    def __init__(
-        self,
-        arities: Sequence[int],
-        q_rows: Sequence[Sequence[Scalar]],
-        w_rows: Sequence[Sequence[Scalar]],
-    ):
+    def __init__(self, arities: list[int], q_ints: list[tuple[list[int], int]], w_ints: list[tuple[list[int], int]]):
         self.depth = len(arities)
-        if self.depth < 1:
-            raise ValidationError("tree depth must be at least 1")
-        if len(q_rows) != self.depth or len(w_rows) != self.depth:
-            raise ValidationError("q/w rows must cover every level above the leaves")
-        self.arities = tuple(int(a) for a in arities)
-        self._q_ints, self._w_ints = [], []
-        for lvl, (a, qr, wr) in enumerate(zip(self.arities, q_rows, w_rows)):
-            if a < 2:
-                raise ValidationError(f"level {lvl}: arity {a} below two")
-            if len(qr) != a or len(wr) != a:
-                raise ValidationError(f"level {lvl}: row length does not match arity")
-            # raises unless q is positive, w nonzero and each sums to one
-            self._q_ints.append(_row_to_ints(_pairs(qr), "q", f"level {lvl}"))
-            self._w_ints.append(_row_to_ints(_pairs(wr), "w", f"level {lvl}"))
+        self.arities = tuple(arities)
+        self._q_ints, self._w_ints = q_ints, w_ints
         sizes = [1]
         for a in self.arities:
             sizes.append(sizes[-1] * a)
@@ -202,10 +188,7 @@ class ExplicitTree(Tree):
 
     It keeps one integer numerator per edge; every row sums to one, so a
     row's denominator is the sum of its numerators, which q_ints and w_ints
-    return beside the row's slice of numerators.  The rows are not re-checked
-    here: build_tree, the only caller, makes every q row positive, every w row
-    nonzero and each sum to one, and check_harmonic relies on the w rows
-    summing to one.
+    return beside the row's slice of numerators.
     """
 
     def __init__(self, child_counts: list[array], q_edge: list, w_edge: list):
@@ -336,9 +319,11 @@ def _parse_entry(s: str) -> tuple[int, int]:
     return v.numerator, v.denominator
 
 
-def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[Scalar, ...]]:
+def _level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[list[int], int]]:
+    """Each level's row of a uniform or per_level rule as (numerators,
+    denominator), checked by _row_to_ints."""
     if rule["kind"] == "uniform":
-        return [(Fraction(1, a),) * a for a in arities]
+        return [([1] * a, a) for a in arities]
     rows = _spec_list(rule.get("rows", []), f"{what}_rule 'rows'")
     if len(rows) != len(arities):
         raise ValidationError(f"per_level {what} rule must list one row per level")
@@ -346,19 +331,13 @@ def _parse_level_rows(rule: dict, arities: list[int], what: str) -> list[tuple[S
     for lvl, (row, a) in enumerate(zip(rows, arities)):
         if len(_spec_list(row, f"{what}_rule 'rows'")) != a:
             raise ValidationError(f"{what} row at level {lvl} has {len(row)} entries, expected {a}")
-        out.append(tuple(parse_scalar(str(s)) for s in row))
+        out.append(_row_to_ints([_parse_entry(str(s)) for s in row], what, f"level {lvl}"))
     return out
 
 
 def _build_uniform(spec: TreeSpec) -> UniformTree:
     arities = _level_arities(spec)
-    q_rows = _parse_level_rows(spec.q_rule, arities, "q")
-    w_rows = _parse_level_rows(spec.w_rule, arities, "w")
-    return UniformTree(arities, q_rows, w_rows)
-
-
-def _pairs(row: Sequence[Scalar]) -> list[tuple[int, int]]:
-    return [(v.numerator, v.denominator) for v in row]
+    return UniformTree(arities, _level_rows(spec.q_rule, arities, "q"), _level_rows(spec.w_rule, arities, "w"))
 
 
 def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str) -> tuple[list[int], int]:
@@ -441,11 +420,8 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
                 edge.append(array("q", [1]) * sum(row_counts))
         elif kind == "per_level":
             # each level's row is parsed once; every vertex of the level must fit it
-            level_rows = [
-                _row_to_ints(_pairs(row), what, f"level {lvl}")[0]
-                for lvl, row in enumerate(_parse_level_rows(rule, [row[0] for row in counts], what))
-            ]
-            for lvl, (row_counts, nums) in enumerate(zip(counts, level_rows)):
+            level_rows = _level_rows(rule, [row[0] for row in counts], what)
+            for lvl, (row_counts, (nums, _)) in enumerate(zip(counts, level_rows)):
                 for o, k in enumerate(row_counts):
                     if len(nums) != k:
                         raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(nums)} entries, expected {k}")

@@ -894,11 +894,12 @@ def _set(doc, path, value):
         (("components", 0, "nodes", 97, "c"), [96, 97], "witness 'components.nodes.c' must lie in 0..96, got 97"),
         (("tuple",), "no", "witness 'tuple' must be true or false, got 'no'"),
         (("tree", "arities", 0), 2.0, "tree 'arities' must hold integers, got 2.0"),
+        (("components", 0, "nodes"), [], "witness 'components.nodes' lists no nodes"),
     ],
     ids=[
         "warmup-float", "horizon-text", "width-bool", "dim-float", "target-component-float", "target-index-text",
         "target-level-float", "log-start-float", "block-end-float", "root-bool", "root-negative", "root-past-end",
-        "child-negative", "child-self", "tuple-text", "arity-float",
+        "child-negative", "child-self", "tuple-text", "arity-float", "no-nodes",
     ],
 )
 def test_certify_witness_with_lenient_field_exits_one(tmp_path, capsys, path, value, error):

@@ -22,6 +22,7 @@ from treeharmonics import (
     tree_from_doc,
     tree_to_doc,
 )
+from treeharmonics.cli import main
 from treeharmonics.serialize import canonical_json
 from treeharmonics.trees import INT64_MAX, _draws_below, _parse_entry, _row_to_ints
 
@@ -369,8 +370,8 @@ def test_build_is_deterministic():
 
 
 def test_serialization_roundtrip(lopsided3, binary4):
-    # integral entries given as ints are written as "2" and "-1", as read back
-    int_rows = UniformTree([2], [(Fraction(1, 2), Fraction(1, 2))], [(2, -1)])
+    # integral entries are written as "2" and "-1", as read back
+    int_rows = build_tree(TreeSpec(1, {"kind": "uniform", "arity": 2}, w_rule={"kind": "per_level", "rows": [["2", "-1"]]}))
     for tree in (lopsided3, binary4, int_rows):
         doc = tree_to_doc(tree)
         again = tree_from_doc(doc)
@@ -452,6 +453,8 @@ def test_tree_doc_with_float_mode_rejected(binary4):
         ("depth", "3", "tree 'depth' must be an integer, got '3'"),
         ("depth", True, "tree 'depth' must be an integer, got True"),
         ("depth", None, "tree 'depth' must be an integer, got None"),
+        ("depth", 0, "tree depth must be at least 1"),
+        ("depth", -2, "tree depth must be at least 1"),
     ],
 )
 def test_tree_doc_with_bad_kind_or_depth_rejected(lopsided3, binary4, key, value, issue):
@@ -466,11 +469,23 @@ def test_tree_doc_with_bad_kind_or_depth_rejected(lopsided3, binary4, key, value
         assert exc.value.issues == [issue]
 
 
-def test_uniform_tree_accepts_int_rows():
-    tree = UniformTree([2], [(Fraction(1, 2), Fraction(1, 2))], [(2, -1)])
-    assert tree.w_row(tree.root) == (2, -1)
-    with pytest.raises(ValidationError, match="positive"):
-        UniformTree([2], [(1, 0)], [(2, -1)])
+# per_level rows with one invalid row each; build_tree's row reader is the only check
+BAD_ROW_RULES = [
+    ({"q_rule": {"kind": "per_level", "rows": [["1/2", "1/2"], ["3/2", "-1/2"]]}}, "level 1: transition probabilities must be positive"),
+    ({"w_rule": {"kind": "per_level", "rows": [["1/2", "1/2"], ["1", "0"]]}}, "level 1: harmonic weights must be nonzero"),
+    ({"w_rule": {"kind": "per_level", "rows": [["1/2", "1/4"], ["1/2", "1/2"]]}}, "level 0: w row sums to 3/4, not 1"),
+]
+
+
+@pytest.mark.parametrize("rules,issue", BAD_ROW_RULES, ids=["q-negative", "w-zero", "w-sum"])
+def test_uniform_backing_rejects_bad_row(tmp_path, capsys, rules, issue):
+    with pytest.raises(ValidationError) as exc:
+        build_tree(TreeSpec(2, {"kind": "uniform", "arity": 2}, **rules))
+    assert exc.value.issues == [issue]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": {"depth": 2, **rules}}), encoding="utf-8")
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"errors": [issue]}
 
 
 def test_per_level_rows_on_explicit_backing():
