@@ -14,8 +14,8 @@ the same node whichever kind of function holds it.
 The probability metric integrates d/(1+d) against the boundary measure; on
 level functions that integral is an exact finite weighted sum evaluated by
 one memoized joint recursion over the structures (_integral).  These metrics
-serve single-level comparisons and the tests' exact oracles.  Every level of
-a harmonic function up to a horizon comes from one forward walk in the
+serve single-level comparisons and the tests' exact oracles.  The levels of
+a harmonic function that a caller lists come from one forward walk in the
 harmonic module instead, folded into exact distances (level_profile) or into
 hit decisions from outward-rounded integer bounds (hit_levels).
 """

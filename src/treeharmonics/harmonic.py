@@ -12,29 +12,29 @@ residual only where the law fails, and certifies a constant node in one step,
 since the tree invariant that each w row sums to one makes a constant harmonic
 at every vertex below it.
 
-One forward sweep, _sweep, serves every level up to a horizon: it pushes
+One forward sweep, _sweep, serves the levels a caller lists: it pushes
 q-mass down the DAGs of one or more functions and of any number of targets
 together, one level at a time, sets aside the entries that can no longer
 change, and keeps one running total per sweep, so H levels cost O(H x
 frontier width) rather than the O(H x DAG) of restricting and integrating
 each level from the root.  Masses are ints over one denominator per level,
-so pushing them costs no gcd; callers supply only a fold, given that den.
-level_profile folds exact distances, whose digits grow quadratically with
-depth, as one int numerator over the lcm of their denominators, reduced once
-per fold; the witness commands use it because they write block-end distances
-and mismatch logs exactly.  hit_levels folds integer bounds scaled by 2^P,
-decides d_n < radius from them as each level comes and sums exactly only a
-level whose bounds straddle the radius; walking functions jointly, it bounds
-their linear combinations from the component values.  certify on a witness
-file, span-check and double-genericity's burst dips use it because they
-write hit sets only; double-genericity's steady span folds support measures.
+so pushing them costs no gcd; callers supply only a fold, given that den,
+which sees the frontier only at a listed level.  level_profile folds exact
+distances, whose digits grow quadratically with depth, as one int numerator
+over the lcm of their denominators, reduced once per fold; synthesis asks it
+only for the levels a witness file logs.  hit_levels folds integer bounds
+scaled by 2^P, decides d_n < radius from them as each level comes and sums
+exactly only a level whose bounds straddle the radius; walking functions
+jointly, it bounds their linear combinations from the component values.
+Every hit set comes from it: the witness commands', certify's, span-check's
+and double-genericity's burst dips (its steady span folds support measures).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .boundary import (
     MAX_LEVEL_VALUES,
@@ -284,8 +284,8 @@ def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> S
 
 def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callable, start) -> Iterator[tuple]:
     """Walk the functions fs and the distinct sweep targets (each sweep's
-    first item) together to the largest horizon (its last), and yield
-    (sweep index, level n, total) for n = 1..horizon of each sweep.
+    first item) together, and yield (sweep index, level n, total) for each
+    level n its last item lists (ascending, in 1..depth).
 
     The walk pushes q-mass down the DAGs one level at a time.  An entry
     (function node per function, target node per distinct target, vertex,
@@ -293,19 +293,22 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
     an int over den, which each level multiplies by the lcm of the frontier's
     q denominators (tree.q_ints).  Each sweep keeps a running total, from
     start, of fold(frozen entries, its target's slot, sweep index, total, den)
-    at levels 0..n; its level-n total folds the level-n frontier into that.
-    Nothing is kept of a level once it is yielded.
+    at each level up to its last listed one; at a listed level n it yields
+    that total with the level-n frontier folded in.  Nothing is kept of a
+    level once it is passed.
     """
     tree = fs[0].tree
+    listed = [set(s[-1]) for s in sweeps]
     for g in fs:
         if g.tree is not tree:
             raise ValidationError("a joint walk requires functions over one tree")
-        for target, *_, horizon in sweeps:
-            if not 0 <= horizon <= g.depth:
-                raise ValidationError(f"level {horizon} outside 0..{g.depth}")
+        for (target, *_), levels in zip(sweeps, listed):
+            if levels and not 1 <= min(levels) <= max(levels) <= g.depth:
+                raise ValidationError(f"levels {min(levels)}..{max(levels)} outside 1..{g.depth}")
             _check_dims(g, target)
     roots = tuple({id(s[0].node): s[0].node for s in sweeps}.values())  # each distinct target once
     slots = [roots.index(s[0].node) for s in sweeps]
+    lasts = [max(levels, default=0) for levels in listed]
 
     def push(frozen: list, into: dict, fnodes: tuple, tnodes: tuple, x: VertexId, mass: int) -> None:
         if all(n.children is None for n in fnodes):
@@ -321,7 +324,7 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
     frozen, frontier, den = [], {}, 1
     push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
     totals = [fold(frozen, slot, j, start, den) for j, slot in enumerate(slots)]
-    for n in range(1, max((s[-1] for s in sweeps), default=0) + 1):
+    for n in range(1, max(lasts, default=0) + 1):
         rows = [tree.q_ints(x) for _, _, x, _ in frontier.values()]
         step = lcm(*(qden for _, qden in rows))
         den *= step
@@ -334,18 +337,19 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
             for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
                 push(frozen, below, fchild, tchild, tree.child(x, i), mass * qnums[i])
         frontier = below
-        for j, (slot, sweep) in enumerate(zip(slots, sweeps)):
-            if n <= sweep[-1]:
+        for j, (slot, levels, last) in enumerate(zip(slots, listed, lasts)):
+            if n <= last:
                 totals[j] = fold(frozen, slot, j, totals[j], den)
-                yield j, n, fold(frontier.values(), slot, j, totals[j], den)
+                if n in levels:
+                    yield j, n, fold(frontier.values(), slot, j, totals[j], den)
 
 
 def level_profile(
     f: HarmonicFunction,
-    sweeps: Sequence[tuple[LevelFunction, Callable[[Value, Value], Scalar], int]],
+    sweeps: Sequence[tuple[LevelFunction, Callable[[Value, Value], Scalar], Iterable[int]]],
 ) -> list[list[Scalar]]:
-    """Distances [I_1, ..., I_horizon] of the level restrictions of f to
-    target, one list per (target, integrand, horizon) triple of sweeps.
+    """Distances I_n of the level restrictions of f to target at each listed
+    level n, one list per (target, integrand, ascending levels) of sweeps.
 
     I_n integrates integrand(value of f at level n, target value) against the
     boundary measure, exactly as the boundary metrics do on
@@ -396,6 +400,8 @@ def hit_levels(
     tree = fs[0].tree
     if any(len(s[1]) > len(fs) for s in sweeps):
         raise ValidationError(f"more coefficients than the {len(fs)} functions")
+    if any(s[-1] < 0 for s in sweeps):
+        raise ValidationError(f"horizon {min(s[-1] for s in sweeps)} below 0")
     one = 1 << P
     # (function, coefficient) terms; all coefficients zero: f_1 scaled by 0
     nonzero = [[(i, a) for i, a in enumerate(s[1]) if a] or [(0, 0)] for s in sweeps]
@@ -441,7 +447,7 @@ def hit_levels(
         return lo, hi
 
     hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
-    for j, n, (lo, hi) in _sweep(fs, sweeps, bounds, (0, 0)):
+    for j, n, (lo, hi) in _sweep(fs, [(*s[:-1], range(1, s[-1] + 1)) for s in sweeps], bounds, (0, 0)):
         radius = sweeps[j][2]
         edge = radius.numerator << P
         if hi * radius.denominator < edge:
@@ -452,7 +458,8 @@ def hit_levels(
         if levels:
             (i, a), *more = nonzero[j]
             g, a = (linear_combination(sweeps[j][1], fs[: len(sweeps[j][1])]), 1) if more else (fs[i], a)
-            d = level_profile(g, [(sweeps[j][0], lambda u, v: bounded_metric(u.scale(a), v), levels[-1])])[0]
+            exact = (sweeps[j][0], lambda u, v: bounded_metric(u.scale(a), v), range(1, levels[-1] + 1))
+            d = level_profile(g, [exact])[0]
             hits[j] = sorted(hits[j] + [n for n in levels if d[n - 1] < sweeps[j][2]])
     return hits
 

@@ -11,8 +11,8 @@ A witness component runs all its blocks in one memoized top-down walk over the
 function and target DAGs (the apply construction of decision diagrams).  A
 block writes only its own levels, so the finished function agrees with the
 function at block time on every level that block logs.  One level sweep per
-component serves every block's mismatch log and terminal distance, and the
-witness's own hit sets: it carries each certified target on to the horizon.
+component serves every block's mismatch log and terminal distance at only
+the levels a witness file logs; every hit set comes from certify_hits.
 
 Two block plans realize the two density behaviors at a finite horizon:
 
@@ -396,7 +396,7 @@ def refine_mismatch(
     g = _run_blocks(f, [(start + 1, end, target)])
     # the level sweep starts at level 1
     measures = [mismatch_measure(tree, restrict_to_level(g, 0), target)]
-    measures += level_profile(g, [(target, mismatch_integrand, end)])[0]
+    measures += level_profile(g, [(target, mismatch_integrand, range(1, end + 1))])[0]
     return g, list(zip(range(start, end + 1), measures[start:]))
 
 
@@ -419,8 +419,6 @@ class Witness(NamedTuple):
     targets: tuple[Target, ...]
     target_components: tuple[int, ...]  # component certifying each target
     logs: tuple[BlockLog, ...]
-    # each target's distances on its certifying component, levels 1..horizon; none if read from a file
-    hit_distances: tuple[list[Scalar], ...] = ()
 
     @property
     def kind(self) -> str:
@@ -459,30 +457,28 @@ def _synthesize(
     zero = zero_function(tree, targets[0].level_function.dim)
     components: list[HarmonicFunction] = []
     logs: list[BlockLog] = []
-    metrics: dict[int, dict[int, list[Scalar]]] = {}
     for comp in range(1, schedule.width + 1):
         blocks = schedule.component_blocks(comp)
         f = _run_blocks(zero, [(b.start, b.end, targets[b.target_index - 1].level_function) for b in blocks])
         # a block writes levels start..end only, so f agrees with the function
         # at block time on every level the block logs: one sweep of f serves
-        # them all, carrying a target this component certifies to the horizon
-        ends = {b.target_index: b.end for b in blocks}
-        reach = {**ends, **{i: schedule.horizon for i, c in enumerate(target_components, 1) if c == comp}}
-        wanted = [(targets[i - 1].level_function, mismatch_integrand, end) for i, end in ends.items()]
-        wanted += [(targets[i - 1].level_function, bounded_metric, end) for i, end in reach.items()]
-        profiles = level_profile(f, wanted)
-        metrics[comp] = dict(zip(reach, profiles[len(ends) :]))
-        sweeps = {i: (measures, metrics[comp][i]) for i, measures in zip(ends, profiles)}
+        # them all, each target's blocks in level order
+        own = {i: [b for b in blocks if b.target_index == i] for i in dict.fromkeys(b.target_index for b in blocks)}
+        logged = [(targets[i - 1].level_function, bs) for i, bs in own.items()]
+        wanted = [(lf, mismatch_integrand, [n for b in bs for n in range(b.start, b.end + 1)]) for lf, bs in logged]
+        wanted += [(lf, bounded_metric, [b.end for b in bs]) for lf, bs in logged]
+        profiles = [iter(p) for p in level_profile(f, wanted)]
+        sweeps = dict(zip(own, zip(profiles, profiles[len(own) :])))
         for block in blocks:
             target = targets[block.target_index - 1]
             measures, distances = sweeps[block.target_index]
-            mismatches = list(zip(range(block.start, block.end + 1), measures[block.start - 1 : block.end]))
+            mismatches = [(n, next(measures)) for n in range(block.start, block.end + 1)]
             for (_, prev), (lvl, m) in zip(mismatches, mismatches[1:]):
                 if m > prev:
                     raise InvariantError(
                         f"mismatch grew from {prev} to {m} at level {lvl} inside a block"
                     )
-            terminal = distances[block.end - 1]
+            terminal = next(distances)
             if not terminal < target.epsilon:
                 raise InvariantError(
                     f"block ending at {block.end} left distance {terminal}, "
@@ -499,7 +495,6 @@ def _synthesize(
         targets=tuple(targets),
         target_components=target_components,
         logs=tuple(logs),
-        hit_distances=tuple(metrics[c][i] for i, c in enumerate(target_components, 1)),
     )
 
 
@@ -572,9 +567,9 @@ def certify_hits(
     """Exact per-target hit sets and density profiles with empirical verdicts.
 
     Geometric-kind witnesses are judged on the upper-density surrogate,
-    cyclic-kind ones on the lower-density floor.  The distances come from
-    synthesis if they reach the horizon, else hit_levels decides every
-    target in one joint walk of the components.
+    cyclic-kind ones on the lower-density floor.  hit_levels decides every
+    target in one joint walk of the components, for a synthesized witness as
+    for one read from a file.
     """
     tree = witness.tree
     horizon = witness.schedule.horizon if horizon is None else horizon
@@ -582,13 +577,9 @@ def certify_hits(
     if horizon > tree.depth:
         raise ValidationError(f"horizon {horizon} exceeds tree depth {tree.depth}")
     pairs = list(zip(witness.targets, witness.target_components))
-    distances = witness.hit_distances
-    if distances and 0 <= horizon <= len(distances[0]):
-        hit_sets = [[n for n, dn in enumerate(d[:horizon], 1) if dn < t.epsilon] for (t, _), d in zip(pairs, distances)]
-    else:
-        fs = [witness.component_function(c) for c in range(1, max(witness.target_components, default=0) + 1)]
-        sweeps = [(t.level_function, (0,) * (c - 1) + (1,), t.epsilon, horizon) for t, c in pairs]
-        hit_sets = hit_levels(fs, sweeps) if sweeps else []
+    fs = [witness.component_function(c) for c in range(1, max(witness.target_components, default=0) + 1)]
+    sweeps = [(t.level_function, (0,) * (c - 1) + (1,), t.epsilon, horizon) for t, c in pairs]
+    hit_sets = hit_levels(fs, sweeps) if sweeps else []
     entries = []
     for (t, comp), hits in zip(pairs, hit_sets):
         prof = profile(hits, horizon, min(warmup, horizon - 1))
@@ -868,7 +859,7 @@ def span_sweep(
         return total + Fraction(acc, den) if acc else total
 
     zero = LevelFunction.constant(0, Value.zero(steady[0].dim))
-    measures = [total for *_, total in _sweep((*steady, *bursts), [(zero, horizon)], support, 0)]
+    measures = [total for *_, total in _sweep((*steady, *bursts), [(zero, range(1, horizon + 1))], support, 0)]
     return measures, SpanRanks(_rank(c[:width] for c in columns), _rank(c[width:] for c in columns), _rank(columns))
 
 

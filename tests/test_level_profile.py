@@ -78,13 +78,13 @@ def mixed(targets, horizon):
 def assert_sweeps_match(f, sweeps):
     """One joint sweep equals one sweep per triple and the per-level route."""
     tree = f.tree
-    joint = level_profile(f, [(t, INTEGRANDS[name][0], h) for t, name, h in sweeps])
+    joint = level_profile(f, [(t, INTEGRANDS[name][0], range(1, h + 1)) for t, name, h in sweeps])
     assert len(joint) == len(sweeps)
     restricted = [restrict_to_level(f, n) for n in range(1, max(h for _, _, h in sweeps) + 1)]
     for got, (target, name, horizon) in zip(joint, sweeps):
         integrand, oracle = INTEGRANDS[name]
         assert len(got) == horizon
-        assert repr(got) == repr(level_profile(f, [(target, integrand, horizon)])[0]), name
+        assert repr(got) == repr(level_profile(f, [(target, integrand, range(1, horizon + 1))])[0]), name
         for n in range(1, horizon + 1):
             assert same(got[n - 1], oracle(tree, restricted[n - 1], target)), (name, n)
 
@@ -102,7 +102,7 @@ def scaled_metric(a):
 
 def exact_hits(f, target, scale, radius, horizon):
     """The exact decision d_n < radius on level_profile's distances."""
-    distances = level_profile(f, [(target, scaled_metric(scale), horizon)])[0]
+    distances = level_profile(f, [(target, scaled_metric(scale), range(1, horizon + 1))])[0]
     return [n for n, d in enumerate(distances, 1) if d < radius]
 
 
@@ -117,7 +117,7 @@ def assert_bounds_enclose(f, targets, scale, horizon):
     """
     one = 1 << harmonic.P
     for target in targets:
-        distances = level_profile(f, [(target, scaled_metric(scale), horizon)])[0]
+        distances = level_profile(f, [(target, scaled_metric(scale), range(1, horizon + 1))])[0]
         above = [Fraction(d * one // 1 + 1, one) for d in distances]
         sweeps = [(target, (scale,), d, n) for n, d in enumerate(distances, 1)]
         sweeps += [(target, (scale,), r, n) for n, r in enumerate(above, 1)]
@@ -267,7 +267,7 @@ def test_scaled_span_integrand(binary6):
     f = random_harmonic(binary6, rng)
     center = random_level_function(binary6, rng, 2, 1)
     for a in (Fraction(-2), Fraction(1, 2), Fraction(1)):
-        got = level_profile(f, [(center, lambda u, v: bounded_metric(u.scale(a), v), 6)])[0]
+        got = level_profile(f, [(center, lambda u, v: bounded_metric(u.scale(a), v), range(1, 7))])[0]
         for n in range(1, 7):
             want = p_metric(binary6, level_scale(a, restrict_to_level(f, n)), center)
             assert same(got[n - 1], want), (a, n)
@@ -278,7 +278,7 @@ def test_radius_at_an_exact_distance_falls_back_to_no_hit(binary6, monkeypatch):
     rng = random.Random(9)
     f = random_harmonic(binary6, rng)
     center = random_level_function(binary6, rng, 2, 1)
-    distances = level_profile(f, [(center, bounded_metric, 6)])[0]
+    distances = level_profile(f, [(center, bounded_metric, range(1, 7))])[0]
     assert all((d * 2**harmonic.P).denominator > 1 for d in distances)  # no bound can equal one
     read = record_fallback(monkeypatch)
     for n, d in enumerate(distances, 1):
@@ -312,20 +312,42 @@ def test_coarse_bounds_fall_back_to_the_same_hits(monkeypatch):
 
 def test_all_zero_distance_is_int_zero(binary4):
     zero = LevelFunction.constant(0, Value.of(0))
-    got = level_profile(zero_function(binary4, 1), [(zero, bounded_metric, 4), (zero, mismatch_integrand, 3)])
+    got = level_profile(zero_function(binary4, 1), [(zero, bounded_metric, range(1, 5)), (zero, mismatch_integrand, range(1, 4))])
     assert got == [[0] * 4, [0] * 3] and all(type(d) is int for d in got[0] + got[1])
 
 
 def test_horizon_and_dimension_validated(binary4):
     f = zero_function(binary4, 1)
     zero = LevelFunction.constant(0, Value.of(0))
-    assert level_profile(f, [(zero, bounded_metric, 0)]) == [[]]
+    assert level_profile(f, [(zero, bounded_metric, range(1, 1))]) == [[]]
     assert level_profile(f, []) == []
-    for bad in ([(zero, bounded_metric, 5)], [(zero, bounded_metric, 2), (zero, mismatch_integrand, 5)], [(zero, bounded_metric, 2), (zero, bounded_metric, -1)]):
+    for bad in (
+        [(zero, bounded_metric, range(1, 6))],
+        [(zero, bounded_metric, range(1, 3)), (zero, mismatch_integrand, range(1, 6))],
+        [(zero, bounded_metric, range(1, 3)), (zero, bounded_metric, [-1])],
+        [(zero, bounded_metric, [0])],
+        [(zero, bounded_metric, [1]), (zero, mismatch_integrand, [0, 2])],
+        [(zero, bounded_metric, [2, 5])],
+    ):
         with pytest.raises(ValidationError):
             level_profile(f, bad)
     with pytest.raises(DimensionMismatchError):
-        level_profile(f, [(zero, bounded_metric, 2), (LevelFunction.constant(0, Value.of(0, 0)), bounded_metric, 2)])
+        level_profile(f, [(zero, bounded_metric, range(1, 3)), (LevelFunction.constant(0, Value.of(0, 0)), bounded_metric, range(1, 3))])
+
+
+def test_gapped_levels_equal_the_full_profile(binary6):
+    """A sweep that lists some levels returns the full profile's values at
+    them, with the same type, in one joint sweep with other level lists."""
+    rng = random.Random(5)
+    zero = LevelFunction.constant(0, Value.of(0))
+    center = random_level_function(binary6, rng, 2, 1)
+    sweeps = [(t, integrand) for t in (center, zero) for integrand in (bounded_metric, mismatch_integrand)]
+    lists = [[2, 3, 6], [6], [1, 4], [5]]
+    for f in (random_harmonic(binary6, rng), zero_function(binary6, 1)):
+        full = level_profile(f, [(t, integrand, range(1, 7)) for t, integrand in sweeps])
+        got = level_profile(f, [(t, integrand, levels) for (t, integrand), levels in zip(sweeps, lists)])
+        assert repr(got) == repr([[d[n - 1] for n in levels] for d, levels in zip(full, lists)])
+    assert got[2] == [0, 0] and all(type(d) is int for d in got[2])
 
 
 def exact_span(components, coeffs, psi, epsilon, horizon):
@@ -353,7 +375,7 @@ def test_random_trees_decide_as_the_exact_sweep(seed, scales, pick, radius):
     targets = [random_level_function(tree, rng, level, 1) for level in (0, 1, 2)]
     for t in targets:
         for scale in scales:
-            tie = level_profile(f, [(t, scaled_metric(scale), 4)])[0][pick]  # a radius that is a distance
+            tie = level_profile(f, [(t, scaled_metric(scale), range(1, 5))])[0][pick]  # a radius that is a distance
             for r in (tie, radius):
                 assert hit_levels((f,), [(t, (scale,), r, 4)])[0] == exact_hits(f, t, scale, r, 4), (scale, r)
         assert hit_set(tree, f, Target(1, t, radius), 4) == exact_hits(f, t, 1, radius, 4)
@@ -392,7 +414,7 @@ def test_joint_walk_decides_combinations_as_the_exact_sweep(seed, dim, coeffs, p
     for t in targets:
         for a in vectors:
             combo = linear_combination(a + (0,) * (2 - len(a)), fs)
-            tie = level_profile(combo, [(t, bounded_metric, 4)])[0][pick]
+            tie = level_profile(combo, [(t, bounded_metric, range(1, 5))])[0][pick]
             sweeps += [(t, a, tie, 4), (t, a, radius, 4)]
             want += [exact_hits(combo, t, 1, tie, 4), exact_hits(combo, t, 1, radius, 4)]
     assert hit_levels(fs, sweeps) == want
@@ -403,7 +425,7 @@ def test_combinations_are_built_only_for_undecided_levels(binary6, monkeypatch):
     fs = (random_harmonic(binary6, rng), random_harmonic(binary6, rng))
     center = random_level_function(binary6, rng, 2, 1)
     a = (Fraction(1, 2), Fraction(-3))
-    distances = level_profile(linear_combination(a, fs), [(center, bounded_metric, 6)])[0]
+    distances = level_profile(linear_combination(a, fs), [(center, bounded_metric, range(1, 7))])[0]
     assert all((d * 2**harmonic.P).denominator > 1 for d in distances)  # no bound can equal one
     built = []
     combine = harmonic.linear_combination
@@ -423,6 +445,9 @@ def test_joint_walk_validates_its_sweeps(binary4):
     zero = LevelFunction.constant(0, Value.of(0))
     with pytest.raises(ValidationError):
         hit_levels((f,), [(zero, (1, 1), Fraction(1, 2), 2)])
+    for horizon in (-1, 5):
+        with pytest.raises(ValidationError):
+            hit_levels((f,), [(zero, (1,), Fraction(1, 2), 2), (zero, (1,), Fraction(1, 2), horizon)])
     with pytest.raises(ValidationError):
         hit_levels((f, zero_function(build_tree(TreeSpec(depth=4, branching={"kind": "uniform", "arity": 2})), 1)), [(zero, (1, 1), Fraction(1, 2), 2)])
     with pytest.raises(DimensionMismatchError):

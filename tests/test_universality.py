@@ -489,8 +489,8 @@ def _assert_matches_block_by_block(witness):
         for b in witness.schedule.component_blocks(comp):
             lf = witness.targets[b.target_index - 1].level_function
             f = _ref_rebuild(f, lf, b.start - 1, b.end)
-            measures = level_profile(f, [(lf, mismatch_integrand, b.end)])[0][b.start - 1 :]
-            terminal = level_profile(f, [(lf, bounded_metric, b.end)])[0][-1]
+            measures = level_profile(f, [(lf, mismatch_integrand, range(1, b.end + 1))])[0][b.start - 1 :]
+            terminal = level_profile(f, [(lf, bounded_metric, range(1, b.end + 1))])[0][-1]
             want.append((comp, b.target_index, b.start, b.end, tuple(zip(range(b.start, b.end + 1), measures)), terminal))
         assert witness.component_function(comp).node is f.node
     got = [(g.component, g.target_index, g.start, g.end, g.mismatch, g.terminal_p) for g in witness.logs]
@@ -533,47 +533,66 @@ def oracle_case(request):
     return build_tree(spec), eps, block_length, nonzero
 
 
-@pytest.mark.parametrize("kind", ["x", "ufm", "family"])
-def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
+def _oracle_witness(oracle_case, kind, horizon=None):
     tree, eps, block_length, nonzero = oracle_case
     if kind == "x":
-        targets = enumerate_targets(tree, count=3, epsilon=eps)
-        witness = build_x_witness(tree, targets, growth=3)
-    elif kind == "ufm":
+        return build_x_witness(tree, enumerate_targets(tree, count=3, epsilon=eps), growth=3, horizon=horizon)
+    if kind == "ufm":
         targets = enumerate_targets(tree, count=nonzero + 1, epsilon=eps)[1:]
-        witness = build_ufm_witness(tree, targets, block_length=block_length)
-    else:
-        targets = enumerate_targets(tree, count=nonzero + 1, resolution=1, epsilon=eps)
-        schedule = _family_ufm_schedule(tree, targets, block_length, width=nonzero, horizon=tree.depth)
-        witness = _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=True)
+        return build_ufm_witness(tree, targets, block_length=block_length, horizon=horizon)
+    targets = enumerate_targets(tree, count=nonzero + 1, resolution=1, epsilon=eps)
+    schedule = _family_ufm_schedule(tree, targets, block_length, width=nonzero, horizon=horizon or tree.depth)
+    return _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=True)
+
+
+@pytest.mark.parametrize("kind", ["x", "ufm", "family"])
+def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
+    witness = _oracle_witness(oracle_case, kind)
     assert len(witness.logs) >= 2
     _assert_matches_block_by_block(witness)
 
 
 @pytest.mark.parametrize("kind", ["x", "ufm"])
-def test_cached_hits_equal_rederived_hits(oracle_case, kind, monkeypatch):
-    # synthesis hands its distances to certify_hits; a witness read back from
-    # its document carries none, so its hits are swept from the function
-    tree, eps, block_length, nonzero = oracle_case
+def test_synthesized_hits_equal_read_back_and_exact_hits(oracle_case, kind):
+    # a synthesized witness and its read-back document certify alike, and
+    # each hit is the exact decision d < epsilon on its component's distances
+    tree = oracle_case[0]
     horizon = tree.depth - 2
-    if kind == "x":
-        witness = build_x_witness(tree, enumerate_targets(tree, count=3, epsilon=eps), growth=3, horizon=horizon)
-    else:
-        targets = enumerate_targets(tree, count=nonzero + 1, epsilon=eps)[1:]
-        witness = build_ufm_witness(tree, targets, block_length=block_length, horizon=horizon)
+    witness = _oracle_witness(oracle_case, kind, horizon)
     read_back = witness_from_doc(witness_to_doc(witness))
-    assert witness.hit_distances and not read_back.hit_distances
     for h in (horizon, horizon // 2, tree.depth):
-        cached = certify_hits(witness, horizon=h)
-        assert cached == certify_hits(read_back, horizon=h), h
-        assert cached.horizon == h and any(e.hits for e in cached.entries)
+        report = certify_hits(witness, horizon=h)
+        assert report == certify_hits(read_back, horizon=h), h
+        assert report.horizon == h and any(e.hits for e in report.entries)
+        for t, entry in zip(witness.targets, report.entries):
+            f = witness.component_function(entry.component)
+            distances = level_profile(f, [(t.level_function, bounded_metric, range(1, h + 1))])[0]
+            assert entry.hits == tuple(n for n, d in enumerate(distances, 1) if d < t.epsilon), (h, t.index)
 
-    def no_sweep(*args):
-        raise AssertionError("certify_hits swept a witness that carries its distances")
 
-    monkeypatch.setattr(universality, "level_profile", no_sweep)
-    for h in (horizon, horizon // 2):
-        certify_hits(witness, horizon=h)
+@pytest.mark.parametrize("kind", ["x", "ufm", "family"])
+def test_synthesis_sweeps_distances_at_block_ends_only(oracle_case, kind, monkeypatch):
+    # the witness file logs each block's mismatches and its block-end
+    # distance; synthesis sweeps nothing else, the horizon included
+    requested = []
+    exact = universality.level_profile
+    monkeypatch.setattr(universality, "level_profile", lambda f, sweeps: requested.append(sweeps) or exact(f, sweeps))
+    witness = _oracle_witness(oracle_case, kind, oracle_case[0].depth - 1)
+    assert len(requested) == witness.schedule.width
+    for comp, sweeps in enumerate(requested, 1):
+        blocks = witness.schedule.component_blocks(comp)
+        swept = {(integrand, n) for _, integrand, levels in sweeps for n in levels}
+        ends = {(bounded_metric, b.end) for b in blocks}
+        logged = {(mismatch_integrand, n) for b in blocks for n in range(b.start, b.end + 1)}
+        assert swept == ends | logged, comp
+
+
+@pytest.mark.parametrize("kind", ["x", "ufm"])
+def test_synthesized_witness_hashes_as_its_fields(kind):
+    tree = build_tree(TreeSpec(depth=30, branching={"kind": "uniform", "arity": 2}))
+    targets = enumerate_targets(tree, count=3, epsilon=Fraction(1, 8))
+    witness = build_x_witness(tree, targets) if kind == "x" else build_ufm_witness(tree, targets, block_length=5)
+    assert hash(witness) == hash(tuple(witness))
 
 
 @pytest.mark.parametrize("spec", [ORACLE_TREES["binary"][0], ORACLE_TREES["skewed-per-level"][0]], ids=["binary", "skewed"])
