@@ -139,11 +139,14 @@ def dag_from_doc(doc: dict, dim: int) -> Node:
     nodes: list = []
     for nd in doc["nodes"]:
         value = value_from_doc(nd["v"], dim)
-        if nd["c"] is None:
+        c = nd["c"]
+        if c is None:
             nodes.append(leaf(value))
-        else:
-            kids = tuple(nodes[_index(i, len(nodes), "components.nodes.c")] for i in nd["c"])
+        elif type(c) is list and c:
+            kids = tuple(nodes[_index(i, len(nodes), "components.nodes.c")] for i in c)
             nodes.append(func_split(value, kids))
+        else:
+            raise ValidationError(f"witness 'components.nodes.c' must be null or a non-empty list, got {c!r}")
     if not nodes:
         raise ValidationError("witness 'components.nodes' lists no nodes")
     return nodes[_index(doc["root"], len(nodes), "components.root")]

@@ -7,7 +7,10 @@ summing to one (defining the harmonicity law).  A tree holds each row in one
 form, integer numerators over one denominator (``q_ints``, ``w_ints``), and
 every kernel reads it so; ``q_row``/``w_row`` rebuild a row as fractions.
 ``build_tree`` reads and checks each row of a spec once (``_row_to_ints``),
-and both backings store the integer rows it returns as they are.
+and both backings store the integer rows it returns as they are.  An
+explicit table is read a level at a time in C-level passes: each row is keyed
+by its entry texts joined into one string, and only a row text not met before
+runs bytecode.
 
 Two backings share one interface:
 
@@ -25,7 +28,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse, repeat
 from math import gcd, lcm
 from random import Random
 from struct import unpack
@@ -37,6 +40,7 @@ from .scalars import Scalar, parse_scalar, read_int
 MAX_EXPLICIT_VERTICES = 4_000_000
 MAX_LEVEL_MEASURES = 1 << 20  # vertices of a level that level_measures lists
 INT64_MAX = (1 << 63) - 1  # largest row numerator an explicit tree stores
+ROW_SEP = ","  # joins a row's entry texts into its key; no scalar text holds it
 
 
 class VertexId(NamedTuple):
@@ -345,8 +349,14 @@ def _row_to_ints(row: Sequence[tuple[int, int]], what: str, where: str) -> tuple
     (numerator, denominator) pairs; raises unless the row is a valid q
     (positive) or w (nonzero) row summing to one.  `where` names the row in
     the error."""
-    den = lcm(*(d for _, d in row))
-    nums = [n * (den // d) for n, d in row]
+    # plain loops: on rows of a few entries they beat a generator and a
+    # comprehension, which each start a frame, and a table reads many rows
+    den = 1
+    for _, d in row:
+        den = lcm(den, d)
+    nums = []
+    for n, d in row:
+        nums.append(n * (den // d))
     if what == "q" and min(nums, default=1) <= 0:
         problem = "transition probabilities must be positive"
     elif what == "w" and 0 in nums:
@@ -431,24 +441,49 @@ def _build_explicit(spec: TreeSpec) -> ExplicitTree:
             shape = [len(_spec_list(r, f"{what}_rule 'rows'")) for r in table]
             if len(table) != spec.depth or any(n != len(c) for n, c in zip(shape, counts)):
                 raise ValidationError(f"explicit {what} table incomplete")
-            # each distinct row is read once, keyed by its entry texts: a key
-            # of values would let a row of true reuse an earlier row of 1
-            read: dict[tuple[str, ...], list[int]] = {}
+            # Each level is read in C-level passes.  A row is keyed by its
+            # entry texts (str of each entry, so 1 and "1" read alike and true
+            # is no 1) joined with ROW_SEP, and each distinct key is read once,
+            # in first-occurrence order.  The first row that fails its shape or
+            # holds ROW_SEP is left to fail(), which raises its error once the
+            # rows before it are read, as a per-vertex reader would meet them.
+            read: dict[str, list[int]] = {}
             parse = lru_cache(maxsize=None)(_parse_entry)
+
+            def fail(lvl: int, o: int, raw, k: int) -> None:
+                """Raise the error of the row at vertex o of level lvl, a row that fails."""
+                where = f"level {lvl} vertex {o}"
+                if not isinstance(raw, (list, tuple)):
+                    raise ValidationError(f"{where}: {what} row must be a list, got {raw!r}")
+                if len(raw) != k:
+                    raise ValidationError(f"{where}: {what} row has {len(raw)} entries, expected {k}")
+                _row_to_ints(list(map(parse, map(str, raw))), what, where)
+
             for lvl, (raws, row_counts) in enumerate(zip(table, counts)):
-                level_nums: list[list[int]] = []
-                for o, (raw, k) in enumerate(zip(raws, row_counts)):
-                    if not isinstance(raw, (list, tuple)):
-                        raise ValidationError(f"level {lvl} vertex {o}: {what} row must be a list, got {raw!r}")
-                    if len(raw) != k:
-                        raise ValidationError(f"level {lvl} vertex {o}: {what} row has {len(raw)} entries, expected {k}")
-                    key = tuple(map(str, raw))
-                    nums = read.get(key)
-                    if nums is None:
-                        nums = read[key] = _row_to_ints(list(map(parse, key)), what, f"level {lvl} vertex {o}")[0]
-                    level_nums.append(nums)
+                stop = len(raws)
+                if not (set(map(type, raws)) <= {list, tuple} and list(map(len, raws)) == row_counts):
+                    fits = (isinstance(raw, (list, tuple)) and len(raw) == k for raw, k in zip(raws, row_counts))
+                    stop = next((o for o, fit in enumerate(fits) if not fit), stop)
+                rows = raws[:stop]
+                try:
+                    keys = list(map(ROW_SEP.join, rows))
+                except TypeError:  # an entry is no text
+                    keys = list(map(ROW_SEP.join, map(map, repeat(str), rows)))
+                # a key holds k - 1 ROW_SEP exactly when no entry of its row
+                # does, and then it splits back into the row's k texts
+                if "".join(keys).count(ROW_SEP) != sum(map(len, rows)) - len(rows):
+                    stop = next(o for o, (key, raw) in enumerate(zip(keys, rows)) if key.count(ROW_SEP) >= len(raw))
+                    del keys[stop:]
+                for key in filterfalse(read.__contains__, dict.fromkeys(keys)):
+                    try:
+                        read[key] = _row_to_ints(list(map(parse, key.split(ROW_SEP))), what, "")[0]
+                    except ValidationError:
+                        o = keys.index(key)
+                        fail(lvl, o, rows[o], row_counts[o])
+                if stop < len(raws):
+                    fail(lvl, stop, raws[stop], row_counts[stop])
                 # a numerator past 64 bits raises here, once every row of the level is checked
-                edge.append(array("q", chain.from_iterable(level_nums)))
+                edge.append(array("q", chain.from_iterable(map(read.__getitem__, keys))))
         else:
             mw = read_int(rule.get("max_weight", 30 if what == "q" else 9), f"{what}_rule 'max_weight'", 1)
             if mw > INT64_MAX:

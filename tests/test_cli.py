@@ -895,11 +895,15 @@ def _set(doc, path, value):
         (("tuple",), "no", "witness 'tuple' must be true or false, got 'no'"),
         (("tree", "arities", 0), 2.0, "tree 'arities' must hold integers, got 2.0"),
         (("components", 0, "nodes"), [], "witness 'components.nodes' lists no nodes"),
+        (("components", 0, "nodes", 97, "c"), [], "witness 'components.nodes.c' must be null or a non-empty list, got []"),
+        (("components", 0, "nodes", 97, "c"), {}, "witness 'components.nodes.c' must be null or a non-empty list, got {}"),
+        (("components", 0, "nodes", 97, "c"), "0", "witness 'components.nodes.c' must be null or a non-empty list, got '0'"),
     ],
     ids=[
         "warmup-float", "horizon-text", "width-bool", "dim-float", "target-component-float", "target-index-text",
         "target-level-float", "log-start-float", "block-end-float", "root-bool", "root-negative", "root-past-end",
-        "child-negative", "child-self", "tuple-text", "arity-float", "no-nodes",
+        "child-negative", "child-self", "tuple-text", "arity-float", "no-nodes", "child-empty", "child-object",
+        "child-text",
     ],
 )
 def test_certify_witness_with_lenient_field_exits_one(tmp_path, capsys, path, value, error):

@@ -24,7 +24,8 @@ from treeharmonics import (
 )
 from treeharmonics.cli import main
 from treeharmonics.serialize import canonical_json
-from treeharmonics.trees import INT64_MAX, _draws_below, _parse_entry, _row_to_ints
+from treeharmonics import trees
+from treeharmonics.trees import INT64_MAX, ROW_SEP, _draws_below, _parse_entry, _row_to_ints
 
 
 def test_uniform_binary_leaf_count():
@@ -94,10 +95,12 @@ HALVES = [["1/2", "1/2"]]
         ([[["1/2", "1/4"]], [["1/2", "1/4"], ["1/2", "1/4"]]], "level 0 vertex 0: q row sums to 3/4, not 1"),
         ([HALVES, [["1/2", "1/4"], "ab"]], "level 1 vertex 0: q row sums to 3/4, not 1"),
         ([HALVES, [["1/2", "1/2", "0"], ["1/2", "1/4"]]], "level 1 vertex 0: q row has 3 entries, expected 2"),
+        ([HALVES, [["1/2", "1/4"], ["1/2", "1/4"]]], "level 1 vertex 0: q row sums to 3/4, not 1"),
     ],
     ids=[
         "absent", "level-missing", "vertex-missing", "vertex-extra", "row-short", "row-long", "row-sum", "row-zero",
         "row-int", "row-dict", "bad-row-repeated", "bad-row-then-string", "long-row-then-bad-row",
+        "bad-row-repeated-in-level",
     ],
 )
 def test_explicit_row_table_errors(rows, message):
@@ -143,6 +146,34 @@ def test_true_row_after_equal_valued_row_rejected():
     q = [["1/4", "1/4", "1/2"]]
     with pytest.raises(ValidationError, match="cannot parse scalar 'True'"):
         _explicit_3x3([q, q * 3], [[[1, "1", "-1"]], [[1, "1", "-1"], [True, "1", "-1"], [1, "1", "-1"]]])
+
+
+def test_row_of_other_arity_with_equal_joined_text_rejected():
+    # a row's key joins its entry texts with ROW_SEP; a row of two entries
+    # that joins to a valid row of three must not reuse its reading
+    spec = TreeSpec(
+        depth=2,
+        branching={"kind": "explicit", "counts": [[3], [2, 2, 2]]},
+        q_rule={"kind": "explicit", "rows": [[["1/4", "1/4", "1/2"]], [[f"1/4{ROW_SEP}1/4", "1/2"], HALVES[0], HALVES[0]]]},
+    )
+    with pytest.raises(ValidationError) as exc:
+        build_tree(spec)
+    assert exc.value.issues == [f"cannot parse scalar '1/4{ROW_SEP}1/4'"]
+
+
+def test_row_checker_runs_once_per_distinct_row_text(monkeypatch):
+    a, b, c = ["1/2", "1/2"], ["1/4", "3/4"], ["2/4", "1/2"]  # c reads as a, but its text differs
+    q_rows = [[a], [b, a], [a, c, b, a]]
+    checked = []
+
+    def spy(row, what, where):
+        checked.append(list(row))
+        return _row_to_ints(row, what, where)
+
+    monkeypatch.setattr(trees, "_row_to_ints", spy)
+    tree = build_tree(TreeSpec(depth=3, branching={"kind": "uniform", "arity": 2}, q_rule={"kind": "explicit", "rows": q_rows}))
+    assert checked == [[_parse_entry(s) for s in row] for row in (a, b, c)]
+    assert [list(tree.q_ints(x)[0]) for lvl in range(3) for x in tree.vertices(lvl)] == [[1, 1], [1, 3], [1, 1], [1, 1], [1, 1], [1, 3], [1, 1]]
 
 
 def test_sector_measure_root_is_one(binary4):
@@ -631,8 +662,12 @@ OVERFLOWING_ROWS = {
     2: [["1/9223372036854775809", "9223372036854775808/9223372036854775809"]],
     3: [["9223372036854775808/9223372036854775809", "1/18446744073709551618", "1/18446744073709551618"]],
 }
-# entries that are valid only for some rows, not text, or not a scalar
-ENTRIES = ["1/2", "1/4", "3/4", "1/3", "2/3", "-1/2", "1", "0", "1/9223372036854775808", "1/4,1/4", " 1/2", "x", 1, 0, True, 0.5, ["1/2"]]
+# entries that are valid only for some rows, not text, or not a scalar; the
+# ones holding ROW_SEP join into the key of a valid row of another arity
+ENTRIES = [
+    "1/2", "1/4", "3/4", "1/3", "2/3", "-1/2", "1", "0", "1/9223372036854775808", "1/4,1/4", " 1/2", "x", "",
+    ROW_SEP, f"1/2{ROW_SEP}", f"{ROW_SEP}1/2", f"1/3{ROW_SEP}1/3", 1, 0, True, 0.5, ["1/2"], ["1/2", "1/2"],
+]
 
 
 @st.composite
