@@ -147,6 +147,7 @@ def level_values(tree: Tree, psi: LevelFunction) -> list[Value]:
             rec(c, tree.child(x, i))
 
     rec(psi.node, tree.root)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
     return out
 
 
@@ -167,8 +168,9 @@ def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Valu
         memo[key] = r
         return r
 
-    level = max(psi.level, phi.level)
-    return LevelFunction(level, psi.dim, rec(psi.node, phi.node))
+    node = rec(psi.node, phi.node)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return LevelFunction(max(psi.level, phi.level), psi.dim, node)
 
 
 def level_add(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
@@ -217,7 +219,9 @@ def _integral(tree: Tree, nodes: Sequence[Node], integrand: Callable[..., Scalar
         memo[key] = r
         return r
 
-    return rec(tuple(nodes), tree.root)
+    r = rec(tuple(nodes), tree.root)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return r
 
 
 def p_metric(tree: Tree, psi: LevelFunction, phi: LevelFunction) -> Scalar:

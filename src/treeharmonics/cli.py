@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -414,6 +415,15 @@ def _fail(errors: list[str], code: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with CPython's cyclic garbage collector off, and main
+    restores the caller's setting on return.  Reference counting frees
+    everything a command makes: the DAGs are interned and acyclic, and every
+    recursive walk drops its self-reference when its root call returns
+    (tests/test_gc.py checks that no library function is left in a cycle)."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     _set_digit_limit(0)  # exact scalars pass CPython's default of 4300 digits from about depth 550
     try:
         args = build_parser().parse_args(argv)
@@ -444,6 +454,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         # the last resort: every outcome is one of the documented exit codes
         return _fail([f"internal error: {type(exc).__name__}: {exc}"], 3)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

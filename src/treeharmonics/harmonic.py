@@ -173,6 +173,7 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
             visit(c, tree.child(x, i))
 
     visit(f.node, tree.root)
+    del visit  # visit refers to itself through its closure cell; dropping the name frees it without the cyclic GC
     return HarmonicityReport(
         passed=violations == 0,
         checked=checked,
@@ -232,7 +233,9 @@ def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
         memo[key] = node
         return node
 
-    return HarmonicFunction(tree, tree.depth, psi.dim, rec(psi.node, tree.root))
+    node = rec(psi.node, tree.root)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return HarmonicFunction(tree, tree.depth, psi.dim, node)
 
 
 def extend_constant(f: HarmonicFunction, to_depth: int) -> HarmonicFunction:
@@ -263,7 +266,9 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
         memo[key] = out
         return out
 
-    return LevelFunction(n, f.dim, rec(f.node, n))
+    node = rec(f.node, n)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return LevelFunction(n, f.dim, node)
 
 
 def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
@@ -503,7 +508,9 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         memo[key] = out
         return out
 
-    return HarmonicFunction(tree, depth, fs[0].dim, rec(tuple(f.node for f in fs), tree.root))
+    node = rec(tuple(f.node for f in fs), tree.root)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return HarmonicFunction(tree, depth, fs[0].dim, node)
 
 
 def add_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:

@@ -77,6 +77,7 @@ def canonical_json(doc) -> str:
         emit(f"\n{ind}]")
 
     write(doc, "")
+    del write  # write refers to itself through its closure cell; dropping the name frees it without the cyclic GC
     emit("\n")
     return "".join(out)
 
@@ -130,6 +131,7 @@ def dag_to_doc(node: Node) -> dict:
         return i
 
     root = rec(node)
+    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
     return {"nodes": order, "root": root}
 
 

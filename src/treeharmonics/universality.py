@@ -358,7 +358,9 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
         memo[key] = out
         return out
 
-    return HarmonicFunction(tree, f.depth, f.dim, walk(f.node, tuple(roots.values()), tree.root, 0))
+    node = walk(f.node, tuple(roots.values()), tree.root, 0)
+    del walk  # walk refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    return HarmonicFunction(tree, f.depth, f.dim, node)
 
 
 class MismatchReport(NamedTuple):
