@@ -136,41 +136,38 @@ def level_values(tree: Tree, psi: LevelFunction) -> list[Value]:
     if size > MAX_LEVEL_VALUES:
         raise ValidationError(f"level {psi.level} has {size} vertices; too large to materialize")
     out: list[Value] = []
-
-    def rec(node: Node, x: VertexId) -> None:
-        if x.level == psi.level:
-            if not node.is_leaf:
-                raise InvariantError("structure deeper than its level")
-            out.append(node.value)
-            return
-        for i, c in enumerate(_expand(node, tree.arity(x))):
-            rec(c, tree.child(x, i))
-
-    rec(psi.node, tree.root)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    _collect(tree, psi.level, psi.node, tree.root, out)
     return out
+
+
+def _collect(tree: Tree, level: int, node: Node, x: VertexId, out: list[Value]) -> None:
+    """Append the level-`level` values below x, in offset order, to out."""
+    if x.level == level:
+        if not node.is_leaf:
+            raise InvariantError("structure deeper than its level")
+        out.append(node.value)
+        return
+    for i, c in enumerate(_expand(node, tree.arity(x))):
+        _collect(tree, level, c, tree.child(x, i), out)
 
 
 def sector_zip(psi: LevelFunction, phi: LevelFunction, fn: Callable[[Value, Value], Value]) -> LevelFunction:
     """Pointwise combination after common refinement; exact and structure-shared."""
-    memo: dict[tuple[int, int], Node] = {}
+    return LevelFunction(max(psi.level, phi.level), psi.dim, _zip(psi.node, phi.node, fn, {}))
 
-    def rec(a: Node, b: Node) -> Node:
-        key = (id(a), id(b))
-        if key in memo:
-            return memo[key]
-        if a.is_leaf and b.is_leaf:
-            r = leaf(fn(a.value, b.value))
-        else:
-            k = len((a.children or b.children))
-            ca, cb = _expand(a, k), _expand(b, k)
-            r = sector_split(tuple(rec(x, y) for x, y in zip(ca, cb)))
-        memo[key] = r
-        return r
 
-    node = rec(psi.node, phi.node)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
-    return LevelFunction(max(psi.level, phi.level), psi.dim, node)
+def _zip(a: Node, b: Node, fn: Callable[[Value, Value], Value], memo: dict[tuple[int, int], Node]) -> Node:
+    key = (id(a), id(b))
+    if key in memo:
+        return memo[key]
+    if a.is_leaf and b.is_leaf:
+        r = leaf(fn(a.value, b.value))
+    else:
+        k = len((a.children or b.children))
+        ca, cb = _expand(a, k), _expand(b, k)
+        r = sector_split(tuple(_zip(x, y, fn, memo) for x, y in zip(ca, cb)))
+    memo[key] = r
+    return r
 
 
 def level_add(psi: LevelFunction, phi: LevelFunction) -> LevelFunction:
@@ -196,31 +193,29 @@ def _integral(tree: Tree, nodes: Sequence[Node], integrand: Callable[..., Scalar
     once.  A zero term becomes the int 0 and is skipped, so every all-zero
     integral stays the int 0.
     """
-    memo: dict[tuple, Scalar] = {}
+    return _integrate(tree, tuple(nodes), tree.root, integrand, {})
 
-    def rec(ns: tuple[Node, ...], x: VertexId) -> Scalar:
-        key = (ns, tree.pos_key(x))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if all(n.children is None for n in ns):
-            r = integrand(*(n.value for n in ns)) or 0
-        else:
-            k = tree.arity(x)
-            kids = [_expand(n, k) for n in ns]
-            nums, den = tree.q_ints(x)
-            r = 0
-            for i in range(k):
-                part = rec(tuple(e[i] for e in kids), tree.child(x, i))
-                if part:
-                    r = r + part * nums[i]
-            if r:  # r / den, a Fraction even where r is an int
-                r = Fraction(r.numerator, r.denominator * den)
-        memo[key] = r
-        return r
 
-    r = rec(tuple(nodes), tree.root)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+def _integrate(tree: Tree, ns: tuple[Node, ...], x: VertexId, integrand: Callable[..., Scalar], memo: dict) -> Scalar:
+    """The part of _integral over the sector at x."""
+    key = (ns, tree.pos_key(x))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if all(n.children is None for n in ns):
+        r = integrand(*(n.value for n in ns)) or 0
+    else:
+        k = tree.arity(x)
+        kids = [_expand(n, k) for n in ns]
+        nums, den = tree.q_ints(x)
+        r = 0
+        for i in range(k):
+            part = _integrate(tree, tuple(e[i] for e in kids), tree.child(x, i), integrand, memo)
+            if part:
+                r = r + part * nums[i]
+        if r:  # r / den, a Fraction even where r is an int
+            r = Fraction(r.numerator, r.denominator * den)
+    memo[key] = r
     return r
 
 

@@ -419,9 +419,10 @@ def main(argv=None) -> int:
 
     The command runs with CPython's cyclic garbage collector off, and main
     restores the caller's setting on return.  Reference counting frees
-    everything a command makes: the DAGs are interned and acyclic, and every
-    recursive walk drops its self-reference when its root call returns
-    (tests/test_gc.py checks that no library function is left in a cycle)."""
+    everything a command makes: the DAGs are interned and acyclic, and no
+    recursive walk is a nested function that refers to itself, so none is
+    left in a cycle whether it returns or raises (tests/test_gc.py checks
+    that no library function is left in a cycle)."""
     gc_was_enabled = gc.isenabled()
     gc.disable()
     _set_digit_limit(0)  # exact scalars pass CPython's default of 4300 digits from about depth 550

@@ -142,45 +142,43 @@ def check_harmonic(f: HarmonicFunction | HarmonicTuple) -> HarmonicityReport:
             max_residual=max((r.max_residual for r in reports), default=0),
             samples=tuple(s for r in reports for s in r.samples)[:8],
         )
-    tree = f.tree
     seen: set = set()
-    checked = 0
-    violations = 0
-    max_res: Scalar = 0
-    samples: list[tuple[int, Scalar]] = []
-
-    def visit(node: Node, x: VertexId) -> None:
-        nonlocal checked, violations, max_res
-        if x.level >= f.depth:
-            return
-        key = (id(node), tree.pos_key(x))
-        if key in seen:
-            return
-        seen.add(key)
-        checked += 1
-        if node.children is None:
-            return
-        nums, den = tree.w_ints(x)
-        kids = _expand(node, len(nums))
-        sums = [sum(c * n for c, n in zip(column, nums)) for column in zip(*(c.value.coords for c in kids))]
-        if any(s != v * den for s, v in zip(sums, node.value.coords)):
-            residual = base_metric(node.value, Value(tuple(canonical(Fraction(s, den)) for s in sums)))
-            violations += 1
-            if len(samples) < 8:
-                samples.append((x.level, residual))
-            max_res = max(max_res, residual)
-        for i, c in enumerate(kids):
-            visit(c, tree.child(x, i))
-
-    visit(f.node, tree.root)
-    del visit  # visit refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    bad: list[tuple[int, Scalar]] = []  # (level, residual) of each violation, in walk order
+    _check(f.tree, f.depth, f.node, f.tree.root, seen, bad)
     return HarmonicityReport(
-        passed=violations == 0,
-        checked=checked,
-        violations=violations,
-        max_residual=max_res,
-        samples=tuple(samples),
+        passed=not bad,
+        checked=len(seen),
+        violations=len(bad),
+        max_residual=max((r for _, r in bad), default=0),
+        samples=tuple(bad[:8]),
     )
+
+
+def _check(tree: Tree, depth: int, node: Node, x: VertexId, seen: set, bad: list) -> None:
+    """Walk check_harmonic's positions below x above depth once each, adding
+    each to seen and each violation of the law to bad."""
+    if x.level >= depth:
+        return
+    key = (id(node), tree.pos_key(x))
+    if key in seen:
+        return
+    seen.add(key)
+    if node.children is None:
+        return
+    kids = _expand(node, tree.arity(x))
+    sums, den = _child_sums(tree, x, kids)
+    if any(s != v * den for s, v in zip(sums, node.value.coords)):
+        bad.append((x.level, base_metric(node.value, Value(tuple(canonical(Fraction(s, den)) for s in sums)))))
+    for i, c in enumerate(kids):
+        _check(tree, depth, c, tree.child(x, i), seen, bad)
+
+
+def _child_sums(tree: Tree, x: VertexId, kids: Sequence[Node]) -> tuple[list[Scalar], int]:
+    """The weighted-average law at x in integers: per coordinate, the sum of
+    the children's values times the w numerators (Tree.w_ints), which must
+    equal the parent's coordinate times the row's denominator, and that den."""
+    nums, den = tree.w_ints(x)
+    return [sum(c * n for c, n in zip(column, nums)) for column in zip(*(c.value.coords for c in kids))], den
 
 
 def function_from_level_values(tree: Tree, values_per_level: Sequence[Sequence[Value]]) -> HarmonicFunction:
@@ -216,26 +214,21 @@ def aggregate_upward(tree: Tree, leaf_values: Sequence[Value]) -> HarmonicFuncti
 
 def aggregate_from_level(tree: Tree, psi: LevelFunction) -> HarmonicFunction:
     """Harmonic function equal to psi at its level, constant below, aggregated above."""
-    memo: dict[tuple, Node] = {}
+    return HarmonicFunction(tree, tree.depth, psi.dim, _aggregate(tree, psi.node, tree.root, {}))
 
-    def rec(snode: Node, x: VertexId) -> Node:
-        if snode.is_leaf:
-            return snode
-        key = (id(snode), tree.pos_key(x))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        kids = tuple(rec(c, tree.child(x, i)) for i, c in enumerate(snode.children))
-        nums, den = tree.w_ints(x)
-        columns = zip(*(c.value.coords for c in kids))
-        value = Value(tuple(canonical(Fraction(sum(c * n for c, n in zip(column, nums)), den)) for column in columns))
-        node = func_split(value, kids)
-        memo[key] = node
-        return node
 
-    node = rec(psi.node, tree.root)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
-    return HarmonicFunction(tree, tree.depth, psi.dim, node)
+def _aggregate(tree: Tree, snode: Node, x: VertexId, memo: dict[tuple, Node]) -> Node:
+    if snode.is_leaf:
+        return snode
+    key = (id(snode), tree.pos_key(x))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    kids = tuple(_aggregate(tree, c, tree.child(x, i), memo) for i, c in enumerate(snode.children))
+    sums, den = _child_sums(tree, x, kids)
+    node = func_split(Value(tuple(canonical(Fraction(s, den)) for s in sums)), kids)
+    memo[key] = node
+    return node
 
 
 def extend_constant(f: HarmonicFunction, to_depth: int) -> HarmonicFunction:
@@ -251,24 +244,21 @@ def restrict_to_level(f: HarmonicFunction, n: int) -> LevelFunction:
     """The level-n values of f, viewed as a simple function on the boundary."""
     if not 0 <= n <= f.depth:
         raise ValidationError(f"level {n} outside 0..{f.depth}")
-    memo: dict[tuple[int, int], Node] = {}
+    return LevelFunction(n, f.dim, _restrict(f.node, n, {}))
 
-    def rec(node: Node, remaining: int) -> Node:
-        if node.children is None:
-            return node
-        if remaining == 0:
-            return leaf(node.value)
-        key = (id(node), remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = sector_split(tuple(rec(c, remaining - 1) for c in node.children))
-        memo[key] = out
-        return out
 
-    node = rec(f.node, n)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
-    return LevelFunction(n, f.dim, node)
+def _restrict(node: Node, remaining: int, memo: dict[tuple[int, int], Node]) -> Node:
+    if node.children is None:
+        return node
+    if remaining == 0:
+        return leaf(node.value)
+    key = (id(node), remaining)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out = sector_split(tuple(_restrict(c, remaining - 1, memo) for c in node.children))
+    memo[key] = out
+    return out
 
 
 def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> Scalar:
@@ -488,29 +478,27 @@ def linear_combination(coeffs: Sequence[Scalar], fs: Sequence[HarmonicFunction])
         if g.depth != depth:
             raise ValidationError("combination requires equal depths")
         _check_dims(g, fs[0])
-    memo: dict[tuple, Node] = {}
-
-    def rec(nodes: tuple[Node, ...], x: VertexId) -> Node:
-        key = (tuple(map(id, nodes)), tree.pos_key(x))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = weighted_sum(coeffs, [n.value for n in nodes])
-        if x.level == depth or all(n.children is None for n in nodes):
-            out = leaf(acc)
-        else:
-            k = tree.arity(x)
-            expanded = [_expand(n, k) for n in nodes]
-            kids = []
-            for i in range(k):  # a loop, not a generator: one frame per level
-                kids.append(rec(tuple(e[i] for e in expanded), tree.child(x, i)))
-            out = func_split(acc, tuple(kids))
-        memo[key] = out
-        return out
-
-    node = rec(tuple(f.node for f in fs), tree.root)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    node = _combine(tree, depth, coeffs, tuple(f.node for f in fs), tree.root, {})
     return HarmonicFunction(tree, depth, fs[0].dim, node)
+
+
+def _combine(tree: Tree, depth: int, coeffs: Sequence, nodes: tuple[Node, ...], x: VertexId, memo: dict) -> Node:
+    key = (tuple(map(id, nodes)), tree.pos_key(x))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    acc = weighted_sum(coeffs, [n.value for n in nodes])
+    if x.level == depth or all(n.children is None for n in nodes):
+        out = leaf(acc)
+    else:
+        k = tree.arity(x)
+        expanded = [_expand(n, k) for n in nodes]
+        kids = []
+        for i in range(k):  # a loop, not a generator: one frame per level
+            kids.append(_combine(tree, depth, coeffs, tuple(e[i] for e in expanded), tree.child(x, i), memo))
+        out = func_split(acc, tuple(kids))
+    memo[key] = out
+    return out
 
 
 def add_functions(f: HarmonicFunction, g: HarmonicFunction) -> HarmonicFunction:

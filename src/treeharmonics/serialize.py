@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .boundary import LevelFunction, Node, leaf, level_values
 from .density import DensityProfile, csv_rows
@@ -40,46 +40,44 @@ def canonical_json(doc) -> str:
     dispatch, its C string escaper and the C-encoded json.dumps for other
     scalars.  An all-str list's text is memoized on (id, indent) for the call
     (the document keeps each list alive), so a shared row is formatted once."""
-    memo: dict[tuple[int, str], str] = {}
     out: list[str] = []
-    emit = out.append
-
-    def write(o, ind: str) -> None:
-        if not (isinstance(o, (dict, list, tuple)) and o):
-            return emit(json.dumps(o))
-        inner = ind + "  "
-        lead, sep = "\n" + inner, ",\n" + inner
-        if isinstance(o, dict):
-            emit("{")
-            for k, v in sorted(o.items()):
-                # _escape raises json's TypeError on a key that is no str or scalar
-                emit(f"{lead}{_escape(json.dumps(k) if k is None or isinstance(k, (int, float)) else k)}: ")
-                write(v, inner)
-                lead = sep
-            return emit(f"\n{ind}}}")
-        types = set(map(type, o))  # bool is not int here, as in json
-        if types == {str}:
-            text = memo.get((id(o), ind))
-            if text is None:
-                text = memo[id(o), ind] = f"[{lead}{sep.join(map(_escape, o))}\n{ind}]"
-            return emit(text)
-        if types == {int}:
-            return emit(f"[{lead}{sep.join(map(int.__repr__, o))}\n{ind}]")
-        emit("[")
-        for x in o:
-            emit(lead)
-            text = memo.get((id(x), inner))
-            if text is None:
-                write(x, inner)
-            else:
-                emit(text)
-            lead = sep
-        emit(f"\n{ind}]")
-
-    write(doc, "")
-    del write  # write refers to itself through its closure cell; dropping the name frees it without the cyclic GC
-    emit("\n")
+    _write(doc, "", out.append, {})
+    out.append("\n")
     return "".join(out)
+
+
+def _write(o, ind: str, emit: Callable[[str], None], memo: dict[tuple[int, str], str]) -> None:
+    """Emit canonical_json's text of o at indent ind, without the newline."""
+    if not (isinstance(o, (dict, list, tuple)) and o):
+        return emit(json.dumps(o))
+    inner = ind + "  "
+    lead, sep = "\n" + inner, ",\n" + inner
+    if isinstance(o, dict):
+        emit("{")
+        for k, v in sorted(o.items()):
+            # _escape raises json's TypeError on a key that is no str or scalar
+            emit(f"{lead}{_escape(json.dumps(k) if k is None or isinstance(k, (int, float)) else k)}: ")
+            _write(v, inner, emit, memo)
+            lead = sep
+        return emit(f"\n{ind}}}")
+    types = set(map(type, o))  # bool is not int here, as in json
+    if types == {str}:
+        text = memo.get((id(o), ind))
+        if text is None:
+            text = memo[id(o), ind] = f"[{lead}{sep.join(map(_escape, o))}\n{ind}]"
+        return emit(text)
+    if types == {int}:
+        return emit(f"[{lead}{sep.join(map(int.__repr__, o))}\n{ind}]")
+    emit("[")
+    for x in o:
+        emit(lead)
+        text = memo.get((id(x), inner))
+        if text is None:
+            _write(x, inner, emit, memo)
+        else:
+            emit(text)
+        lead = sep
+    emit(f"\n{ind}]")
 
 
 def config_hash(doc) -> str:
@@ -117,22 +115,22 @@ def value_from_doc(doc: Sequence[str], dim: int) -> Value:
 def dag_to_doc(node: Node) -> dict:
     """Postorder node list of a harmonic function's DAG."""
     order: list[dict] = []
-    index: dict[int, int] = {}
-
-    def rec(n) -> int:
-        if id(n) in index:
-            return index[id(n)]
-        kids = None if n.children is None else []
-        for c in n.children or ():  # a loop, not a comprehension: one frame per level
-            kids.append(rec(c))
-        i = len(order)
-        order.append({"v": value_to_doc(n.value), "c": kids})
-        index[id(n)] = i
-        return i
-
-    root = rec(node)
-    del rec  # rec refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    root = _postorder(node, order, {})
     return {"nodes": order, "root": root}
+
+
+def _postorder(n: Node, order: list[dict], index: dict[int, int]) -> int:
+    """The position of n in order, appending n and then those of its nodes
+    not yet indexed, children first."""
+    if id(n) in index:
+        return index[id(n)]
+    kids = None if n.children is None else []
+    for c in n.children or ():  # a loop, not a comprehension: one frame per level
+        kids.append(_postorder(c, order, index))
+    i = len(order)
+    order.append({"v": value_to_doc(n.value), "c": kids})
+    index[id(n)] = i
+    return i
 
 
 def dag_from_doc(doc: dict, dim: int) -> Node:

@@ -319,48 +319,49 @@ def _run_blocks(f: HarmonicFunction, blocks: Sequence[tuple[int, int, LevelFunct
     roots = {id(target.node): target.node for _, _, target in blocks}  # each distinct target once
     slots = {key: i for i, key in enumerate(roots)}
     plan = [(start - 1, end, slots[id(target.node)]) for start, end, target in blocks]
-    memo: dict[tuple, Node] = {}
-
-    def walk(node: Node, tnodes: tuple[Node, ...], x: VertexId, k: int) -> Node:
-        key = (id(node), tnodes, tree.pos_key(x), k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        while k < len(plan):
-            stop, end, slot = plan[k]
-            if x.level < stop:  # above block k: copy the node
-                kids = _expand(node, tree.arity(x))
-                break
-            tn = tnodes[slot]
-            if x.level == stop and not tn.is_leaf:
-                raise InvariantError("target structure deeper than the approximation level")
-            c, t = node.value, tn.value
-            if c != t and x.level < end:
-                j = tree.min_child(x)
-                nums, den = tree.w_ints(x)
-                # value forced on the absorbing child so the parent's weighted
-                # average holds: (c - (1 - wstar) t) / wstar, wstar = nums[j] / den
-                a = canonical(Fraction(den, nums[j]))
-                cstar = weighted_sum((a, 1 - a), (c, t))
-                kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
-                break
-            # on the target or past block k: hold c until the next block starts
-            node = leaf(c)
-            k += 1
-        else:
-            memo[key] = node
-            return node
-        tkids = [_expand(tn, len(kids)) for tn in tnodes]
-        walked = []
-        for i, kid in enumerate(kids):  # a loop, not a generator: one frame per level
-            walked.append(walk(kid, tuple(e[i] for e in tkids), tree.child(x, i), k))
-        out = func_split(node.value, tuple(walked))
-        memo[key] = out
-        return out
-
-    node = walk(f.node, tuple(roots.values()), tree.root, 0)
-    del walk  # walk refers to itself through its closure cell; dropping the name frees it without the cyclic GC
+    node = _walk_blocks(tree, plan, f.node, tuple(roots.values()), tree.root, 0, {})
     return HarmonicFunction(tree, f.depth, f.dim, node)
+
+
+def _walk_blocks(tree: Tree, plan: list, node: Node, tnodes: tuple[Node, ...], x: VertexId, k: int, memo: dict) -> Node:
+    """_run_blocks's walk below x from block k on, node being f's node and
+    tnodes those of the distinct targets at x; plan lists each block's
+    (start - 1, end, target slot)."""
+    key = (id(node), tnodes, tree.pos_key(x), k)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    while k < len(plan):
+        stop, end, slot = plan[k]
+        if x.level < stop:  # above block k: copy the node
+            kids = _expand(node, tree.arity(x))
+            break
+        tn = tnodes[slot]
+        if x.level == stop and not tn.is_leaf:
+            raise InvariantError("target structure deeper than the approximation level")
+        c, t = node.value, tn.value
+        if c != t and x.level < end:
+            j = tree.min_child(x)
+            nums, den = tree.w_ints(x)
+            # value forced on the absorbing child so the parent's weighted
+            # average holds: (c - (1 - wstar) t) / wstar, wstar = nums[j] / den
+            a = canonical(Fraction(den, nums[j]))
+            cstar = weighted_sum((a, 1 - a), (c, t))
+            kids = tuple(leaf(cstar if i == j else t) for i in range(tree.arity(x)))
+            break
+        # on the target or past block k: hold c until the next block starts
+        node = leaf(c)
+        k += 1
+    else:
+        memo[key] = node
+        return node
+    tkids = [_expand(tn, len(kids)) for tn in tnodes]
+    walked = []
+    for i, kid in enumerate(kids):  # a loop, not a generator: one frame per level
+        walked.append(_walk_blocks(tree, plan, kid, tuple(e[i] for e in tkids), tree.child(x, i), k, memo))
+    out = func_split(node.value, tuple(walked))
+    memo[key] = out
+    return out
 
 
 class MismatchReport(NamedTuple):

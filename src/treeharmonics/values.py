@@ -15,6 +15,8 @@ from typing import NamedTuple, Sequence
 from .errors import DimensionMismatchError, ValidationError
 from .scalars import Scalar, canonical
 
+MAX_GRID_POINTS = 1 << 20  # points of a dense grid built one Value each
+
 
 class Value(NamedTuple):
     """A point of the value space: an immutable vector of scalars."""
@@ -113,6 +115,11 @@ def dense_grid(dim: int, resolution: int, bound: int) -> list[Value]:
         raise ValidationError("dense_grid requires resolution >= 0 and bound >= 1")
     if dim < 1:
         raise ValidationError("dense_grid requires dim >= 1")
+    cut = MAX_GRID_POINTS.bit_length()  # a shift or a power past it is over the cap anyway
+    if (2 * (bound << min(resolution, cut)) + 1) ** min(dim, cut) > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"a dense grid of dim {dim}, resolution {resolution} and bound {bound} has more than {MAX_GRID_POINTS} points"
+        )
     step = bound * (1 << resolution)
     axis = [canonical(Fraction(k, 1 << resolution)) for k in range(-step, step + 1)]
     return [Value(coords) for coords in itertools.product(axis, repeat=dim)]

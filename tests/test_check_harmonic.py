@@ -124,6 +124,13 @@ def test_synthesized_witnesses(tree):
         assert assert_same_verdict(ufm.function).passed
 
 
+def test_checked_positions_of_a_binary_x_witness():
+    # the benchmark reports this count as harmonic.check_harmonic.checked
+    tree = build_tree(TREES["binary"])
+    x = build_x_witness(tree, enumerate_targets(tree, count=3, epsilon=Fraction(1, 8)))
+    assert check_harmonic(x.function).checked == 215
+
+
 def test_extend_constant_results(tree):
     rng = random.Random(tree.depth)
     for level in (0, 2, 3):
@@ -159,6 +166,21 @@ def test_candidates_with_one_perturbed_value(tree, where):
     assert [level for level, _ in report.samples] == offenders
     assert assert_same_verdict(extend_constant(candidate, tree.depth)).violations == report.violations
     assert assert_same_verdict(function_from_level_values(tree, dense_values(g, depth))).passed
+
+
+def test_candidate_with_more_violations_than_samples(tree):
+    """Random values at every vertex break the law at almost every split, and
+    one large shift late in the walk makes the largest residual fall past the
+    eight samples kept."""
+    rng = random.Random(11)
+    depth = 4
+    values = [[random_value(rng, 2) for _ in range(tree.level_size(lvl))] for lvl in range(depth + 1)]
+    values[depth - 1][-1] = values[depth - 1][-1] + Value.of(100, 100)
+    candidate = function_from_level_values(tree, values)
+    report = assert_same_verdict(candidate)
+    assert report.violations > 8 and len(report.samples) == 8
+    assert report.max_residual > max(r for _, r in report.samples)
+    assert report.checked == walk_check(candidate).checked  # no constant node above the last level
 
 
 @pytest.mark.parametrize(

@@ -171,10 +171,20 @@ def test_explicit_row_not_a_list_exits_one(tmp_path, capsys, rule, issue):
             "tree exceeds 4000000 vertices; use level-uniform rules for deep trees",
         ),
         (["certify", "--witness", "w.json"], {"w.json": {"schema": "witness/1", "tree": {"schema": "tree/2"}}}, 1, "unsupported tree schema 'tree/2'"),
+        # 513^3 and 2 * 10^7 + 1 grid points, before any is built
+        (
+            ["witness-x", "--depth", "12", "--dim", "3", "--resolution", "8"], {}, 1,
+            "a dense grid of dim 3, resolution 8 and bound 1 has more than 1048576 points",
+        ),
+        (
+            ["witness-x", "--depth", "12", "--bound", "10000000"], {}, 1,
+            "a dense grid of dim 1, resolution 0 and bound 10000000 has more than 1048576 points",
+        ),
     ],
     ids=[
         "ufm-one-cycle", "double-genericity-no-restart", "x-narrow-width", "branching-kind", "q-rule-kind",
         "per-level-arities", "per-level-row-count", "per-level-row-length", "explicit-too-large", "tree-schema",
+        "grid-resolution", "grid-bound",
     ],
 )
 def test_rejected_input_exits_with_its_error(tmp_path, capsys, argv, files, code, issue):

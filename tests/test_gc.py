@@ -2,20 +2,27 @@
 
 cli.main runs each command with CPython's cyclic garbage collector off, so
 reference counting alone must free what a command makes.  The DAGs are
-interned and acyclic.  What could still form a cycle is a recursive walk: a
-nested function refers to itself through its closure cell, and so keeps
-itself and its memo alive until a collection runs.  Each walk drops its name
-when its root call returns.  These tests collect with gc.DEBUG_SAVEALL, which
-keeps every object found in a cycle in gc.garbage, and look there for the
-library's functions.
+interned and acyclic.  What could still form a cycle is a recursive walk
+written as a nested function: it refers to itself through its closure cell,
+and so keeps itself and its memo alive until a collection runs, whether it
+returns or raises.  No walk is written that way: each is a module-level
+function that reaches itself through the module's globals and takes its memo
+as an argument.  These tests collect with gc.DEBUG_SAVEALL, which keeps every
+object found in a cycle in gc.garbage, and look there for the library's
+functions; one more reads the source for nested functions that name
+themselves, which covers walks no test reaches.
 """
 
+import ast
 import gc
+from pathlib import Path
 from types import FunctionType
 
 import pytest
 
+import treeharmonics
 from treeharmonics import (
+    InvariantError,
     LevelFunction,
     Value,
     aggregate_from_level,
@@ -110,6 +117,40 @@ def test_walk_leaves_no_library_function_in_a_cycle(binary4, library_cycles, wal
     library_cycles()
     walk(f, psi)
     assert library_cycles() == []
+
+
+def test_walk_that_raises_leaves_no_library_function_in_a_cycle(binary4, library_cycles):
+    psi = LevelFunction.from_values(binary4, 2, [Value.of(i) for i in range(4)])
+    f = aggregate_from_level(binary4, psi)
+    shallow = LevelFunction(1, psi.dim, psi.node)  # claims level 1, splits down to level 2
+    library_cycles()
+    with pytest.raises(InvariantError, match="deeper than the approximation level"):
+        _run_blocks(f, [(2, 3, shallow)])
+    assert library_cycles() == []
+
+
+def test_command_past_the_recursion_limit_leaves_no_library_function_in_a_cycle(tmp_path, capsys, library_cycles):
+    # the walks recurse about once per level, so depth 1100 raises RecursionError in one of them
+    assert main(["witness-ufm", "--depth", "1100", "--block-length", "10", "--out", str(tmp_path / "o")]) == 3
+    assert "recursion limit exceeded" in capsys.readouterr().err
+    assert library_cycles() == []
+
+
+def test_no_nested_library_function_names_itself():
+    """A nested function that loads its own name holds itself in a cycle
+    through its closure cell."""
+    found = []
+    for path in sorted(Path(treeharmonics.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                loads = {n.id for n in ast.walk(inner) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                if inner.name in loads:
+                    found.append(f"{path.stem}.{outer.name}.{inner.name}")
+    assert found == []
 
 
 def _raise(cfg, out_dir):

@@ -31,7 +31,7 @@ from treeharmonics import (
     tuple_p_metric_by_components,
     zero_function,
 )
-from treeharmonics.values import weighted_sum
+from treeharmonics.values import MAX_GRID_POINTS, weighted_sum
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -165,6 +165,13 @@ def test_dense_grid_validation():
         dense_grid(1, -1, 1)
     with pytest.raises(ValidationError):
         dense_grid(1, 0, 0)
+
+
+@pytest.mark.parametrize("dim, resolution, bound", [(2, 9, 1), (1, 19, 1), (21, 0, 1), (1, 10**12, 1), (10**12, 0, 1)])
+def test_dense_grid_over_the_point_cap(dim, resolution, bound):
+    # 1025^2, 2^20 + 1 and 3^21 points; the last two are refused without forming 2^(10^12) or 3^(10^12)
+    with pytest.raises(ValidationError, match=f"more than {MAX_GRID_POINTS} points"):
+        dense_grid(dim, resolution, bound)
 
 
 def test_centered_grid_zero_first():
