@@ -28,7 +28,6 @@ from .serialize import (
     config_hash,
     density_csv,
     hit_report_to_doc,
-    tree_to_doc,
     witness_from_doc,
     witness_to_doc,
 )
@@ -238,7 +237,7 @@ def _x_witness(cfg: dict) -> Witness:
 
 def cmd_build(cfg: dict, out_dir: Path) -> None:
     tree = _tree_from_cfg(cfg)
-    _write(out_dir, "tree.json", canonical_json(tree_to_doc(tree)))
+    _write(out_dir, "tree.json", canonical_json(tree))
     _write_report(out_dir, "build", cfg, tree)
 
 

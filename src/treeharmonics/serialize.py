@@ -5,12 +5,18 @@ writes with sorted keys and an indent of 2, from a writer of its own (json
 encodes with an indent in pure Python), exact scalars print as 'p/q'
 strings, and structure DAGs are emitted in postorder with shared nodes
 written once.  Identical inputs therefore produce byte-identical files.
+
+A witness document holds its Tree itself, and canonical_json writes it as its
+tree/1 document: an explicit tree's q and w tables are written straight from
+the integer rows, each distinct row's text built once per document.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Sequence
 
@@ -19,7 +25,7 @@ from .density import DensityProfile, csv_rows
 from .errors import InfeasibleScheduleError, ValidationError
 from .harmonic import HarmonicFunction, HarmonicTuple, func_split
 from .scalars import canonical, format_scalar, parse_scalar, read_int
-from .trees import Tree, tree_from_doc, tree_to_doc
+from .trees import RowTable, Tree, _format_entry, tree_from_doc, tree_layout
 from .universality import (
     BlockLog,
     HitReport,
@@ -38,17 +44,23 @@ def canonical_json(doc) -> str:
     plus a newline, byte for byte, but not by that call: json runs its
     pure-Python encoder whenever an indent is set.  This keeps json's type
     dispatch, its C string escaper and the C-encoded json.dumps for other
-    scalars.  An all-str list's text is memoized on (id, indent) for the call
-    (the document keeps each list alive), so a shared row is formatted once."""
+    scalars.  A Tree found in `doc`, `doc` itself included, is written as its
+    tree/1 document (tree_layout); an explicit tree's q and w tables are
+    written straight from their integer rows (_write_table)."""
     out: list[str] = []
     _write(doc, "", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, ind: str, emit: Callable[[str], None], memo: dict[tuple[int, str], str]) -> None:
-    """Emit canonical_json's text of o at indent ind, without the newline."""
+def _write(o, ind: str, emit: Callable[[str], None], texts: dict[str, dict]) -> None:
+    """Emit canonical_json's text of o at indent ind, without the newline;
+    texts holds _write_table's texts, by indent."""
     if not (isinstance(o, (dict, list, tuple)) and o):
+        if isinstance(o, Tree):
+            return _write(tree_layout(o), ind, emit, texts)
+        if type(o) is RowTable:
+            return _write_table(o, ind, emit, texts.setdefault(ind, {}))
         return emit(json.dumps(o))
     inner = ind + "  "
     lead, sep = "\n" + inner, ",\n" + inner
@@ -57,26 +69,46 @@ def _write(o, ind: str, emit: Callable[[str], None], memo: dict[tuple[int, str],
         for k, v in sorted(o.items()):
             # _escape raises json's TypeError on a key that is no str or scalar
             emit(f"{lead}{_escape(json.dumps(k) if k is None or isinstance(k, (int, float)) else k)}: ")
-            _write(v, inner, emit, memo)
+            _write(v, inner, emit, texts)
             lead = sep
         return emit(f"\n{ind}}}")
     types = set(map(type, o))  # bool is not int here, as in json
     if types == {str}:
-        text = memo.get((id(o), ind))
-        if text is None:
-            text = memo[id(o), ind] = f"[{lead}{sep.join(map(_escape, o))}\n{ind}]"
-        return emit(text)
+        return emit(f"[{lead}{sep.join(map(_escape, o))}\n{ind}]")
     if types == {int}:
         return emit(f"[{lead}{sep.join(map(int.__repr__, o))}\n{ind}]")
     emit("[")
     for x in o:
         emit(lead)
-        text = memo.get((id(x), inner))
-        if text is None:
-            _write(x, inner, emit, memo)
-        else:
-            emit(text)
+        _write(x, inner, emit, texts)
         lead = sep
+    emit(f"\n{ind}]")
+
+
+def _write_table(table: RowTable, ind: str, emit: Callable[[str], None], known: dict) -> None:
+    """Emit the text of an explicit tree's q or w table at indent ind, each
+    level as one chunk.  known maps the bytes of each row met at this indent
+    to its text and each (numerator, denominator) to its entry's text, so
+    rows repeated within a level, across levels or between the q and w
+    tables are formatted once per document."""
+    level_ind = ind + "  "
+    row_ind = level_ind + "  "
+    entry_ind = row_ind + "  "
+    lead = "[\n" + level_ind
+    for n in range(table.tree.depth):
+        rows = list(table.level_rows(n))
+        for row in filterfalse(known.__contains__, dict.fromkeys(rows)):
+            nums = array("q", row)
+            den = sum(nums)
+            entries = []
+            for num in nums:
+                text = known.get((num, den))
+                if text is None:
+                    text = known[num, den] = _escape(_format_entry(num, den))
+                entries.append(text)
+            known[row] = f"[\n{entry_ind}" + f",\n{entry_ind}".join(entries) + f"\n{row_ind}]"
+        emit(f"{lead}[\n{row_ind}" + f",\n{row_ind}".join(map(known.__getitem__, rows)) + f"\n{level_ind}]")
+        lead = ",\n" + level_ind
     emit(f"\n{ind}]")
 
 
@@ -238,6 +270,8 @@ def block_log_from_doc(doc: dict) -> BlockLog:
 
 
 def witness_to_doc(w: Witness) -> dict:
+    """The witness/1 document, with the Tree itself under "tree", which
+    canonical_json writes as its tree/1 document."""
     tree = w.tree
     is_tuple = isinstance(w.function, HarmonicTuple)
     components = w.function.components if is_tuple else (w.function,)
@@ -247,7 +281,7 @@ def witness_to_doc(w: Witness) -> dict:
         "tuple": is_tuple,
         "dim": w.function.dim,
         "depth": w.function.depth,
-        "tree": tree_to_doc(tree),
+        "tree": tree,
         "targets": [target_to_doc(tree, t) for t in w.targets],
         "target_components": list(w.target_components),
         "schedule": schedule_to_doc(w.schedule),

@@ -10,7 +10,10 @@ every kernel reads it so; ``q_row``/``w_row`` rebuild a row as fractions.
 and both backings store the integer rows it returns as they are.  An
 explicit table is read a level at a time in C-level passes: each row is keyed
 by its entry texts joined into one string, and only a row text not met before
-runs bytecode.
+runs bytecode.  ``tree_layout`` owns the tree/1 document's keys; it leaves an
+explicit tree's tables as ``RowTable``s, which canonical_json writes from the
+integer rows, keyed by their bytes, and ``tree_to_doc`` turns into lists of
+entry texts, the plain data form.
 
 Two backings share one interface:
 
@@ -28,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, chain, filterfalse, pairwise, repeat, starmap
 from math import gcd, lcm
 from random import Random
 from struct import unpack
@@ -573,8 +576,39 @@ def _format_entry(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def tree_to_doc(tree: Tree) -> dict:
-    """The tree/1 document; its "mode" is always "exact", the only arithmetic."""
+class RowTable:
+    """The q or w table of an explicit tree, left unformatted in tree_layout's
+    document: per level, each vertex's row of integer numerators over their
+    sum.  canonical_json writes it straight from those integers."""
+
+    __slots__ = ("tree", "what")
+
+    def __init__(self, tree: ExplicitTree, what: str):
+        self.tree, self.what = tree, what
+
+    def level_rows(self, n: int) -> Iterator[bytes]:
+        """The rows of level n (0 <= n < depth) in offset order, each as the
+        bytes of its int64 numerators: equal rows give equal bytes, and
+        array("q", row) holds the row again."""
+        tree = self.tree
+        edges = (tree._q_edge if self.what == "q" else tree._w_edge)[n + 1]
+        data = edges.tobytes()
+        bounds = accumulate(map(edges.itemsize.__mul__, tree._counts[n]), initial=0)
+        return map(data.__getitem__, starmap(slice, pairwise(bounds)))
+
+    def to_lists(self) -> list[list[list[str]]]:
+        """The table as plain data: per level, each vertex's row as the list
+        of its entry texts, read vertex by vertex through q_ints or w_ints."""
+        ints = self.tree.q_ints if self.what == "q" else self.tree.w_ints
+        rows = (map(ints, self.tree.vertices(n)) for n in range(self.tree.depth))
+        return [[[_format_entry(m, den) for m in nums] for nums, den in level] for level in rows]
+
+
+def tree_layout(tree: Tree) -> dict:
+    """The tree/1 document, an explicit tree's q and w tables left as
+    RowTables; its "mode" is always "exact", the only arithmetic."""
+    if not isinstance(tree, (UniformTree, ExplicitTree)):
+        raise TypeError(f"no tree/1 document for a {type(tree).__name__}")
     header = {"schema": "tree/1", "mode": "exact", "depth": tree.depth}
     if isinstance(tree, UniformTree):
         return {
@@ -584,34 +618,19 @@ def tree_to_doc(tree: Tree) -> dict:
             "q_rows": [[_format_entry(n, den) for n in nums] for nums, den in tree._q_ints],
             "w_rows": [[_format_entry(n, den) for n in nums] for nums, den in tree._w_ints],
         }
-    assert isinstance(tree, ExplicitTree)
-
-    # each distinct row of numerators is formatted once; rows that repeat it
-    # share its tuple, whose JSON text canonical_json also writes only once
-    written: dict[tuple, tuple[str, ...]] = {}
-
-    def rows(edges: list) -> list:
-        out = []
-        for lvl in range(tree.depth):
-            e = edges[lvl + 1]
-            level = []
-            for st, k in zip(tree._starts[lvl], tree._counts[lvl]):
-                key = tuple(e[st : st + k])
-                row = written.get(key)
-                if row is None:
-                    den = sum(key)
-                    row = written[key] = tuple(_format_entry(num, den) for num in key)
-                level.append(row)
-            out.append(level)
-        return out
-
     return {
         **header,
         "kind": "explicit",
         "child_counts": [list(c) for c in tree._counts],
-        "q_rows": rows(tree._q_edge),
-        "w_rows": rows(tree._w_edge),
+        "q_rows": RowTable(tree, "q"),
+        "w_rows": RowTable(tree, "w"),
     }
+
+
+def tree_to_doc(tree: Tree) -> dict:
+    """The tree/1 document as plain data: tree_layout with each explicit
+    table as lists of entry texts."""
+    return {key: v.to_lists() if isinstance(v, RowTable) else v for key, v in tree_layout(tree).items()}
 
 
 def tree_from_doc(doc: dict) -> Tree:

@@ -288,6 +288,27 @@ def test_radius_at_an_exact_distance_falls_back_to_no_hit(binary6, monkeypatch):
         read.clear()
 
 
+def test_radius_just_above_a_non_dyadic_distance_falls_back_to_a_hit(monkeypatch):
+    """A leaf 13/14 from a target value of 1/3 and one at it: the level-1
+    distance is 13/54, and the radius is the next multiple of 2^-P above it.
+    The lower bound of a coordinate difference |U - V| (in 2^-P units) is the
+    gap between the intervals [floor U, ceil U] and [floor V, ceil V]; the
+    gap of the floors, |floor U - floor V|, exceeds |U - V| here by nearly a
+    unit and lifts the level's lower bound onto the radius, a miss.  The
+    level must go to the exact fallback, which finds the hit."""
+    tree = build_tree(TreeSpec(depth=1, branching={"kind": "uniform", "arity": 2}))
+    v = Fraction(1, 3)
+    f = aggregate_upward(tree, [Value.of(v + Fraction(13, 14)), Value.of(v)])
+    target = LevelFunction.constant(0, Value.of(v))
+    [[d]] = level_profile(f, [(target, bounded_metric, [1])])
+    one = 1 << harmonic.P
+    radius = Fraction(d * one // 1 + 1, one)
+    assert d == Fraction(13, 54) and radius - d < Fraction(1, one)
+    read = record_fallback(monkeypatch)
+    assert hit_levels((f,), [(target, (1,), radius, 1)]) == [[1]]
+    assert read == [1]
+
+
 def test_coarse_bounds_fall_back_to_the_same_hits(monkeypatch):
     """With 2 fractional bits most levels are undecided; the hits stay."""
     tree = build_tree(

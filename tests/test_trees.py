@@ -23,8 +23,8 @@ from treeharmonics import (
     tree_to_doc,
 )
 from treeharmonics.cli import main
+from treeharmonics import serialize, trees
 from treeharmonics.serialize import canonical_json
-from treeharmonics import trees
 from treeharmonics.trees import INT64_MAX, ROW_SEP, _draws_below, _parse_entry, _row_to_ints
 
 
@@ -111,16 +111,14 @@ def test_explicit_row_table_errors(rows, message):
     assert exc.value.issues == [message]
 
 
-def _explicit_3x3(q_rows, w_rows):
+def _explicit_3x3_spec(q_rows, w_rows):
     """A depth-2 tree of arity 3 throughout with explicit q and w tables."""
-    return build_tree(
-        TreeSpec(
-            depth=2,
-            branching={"kind": "explicit", "counts": [[3], [3, 3, 3]]},
-            q_rule={"kind": "explicit", "rows": q_rows},
-            w_rule={"kind": "explicit", "rows": w_rows},
-        )
-    )
+    q_rule, w_rule = ({"kind": "explicit", "rows": rows} for rows in (q_rows, w_rows))
+    return TreeSpec(depth=2, branching={"kind": "explicit", "counts": [[3], [3, 3, 3]]}, q_rule=q_rule, w_rule=w_rule)
+
+
+def _explicit_3x3(q_rows, w_rows):
+    return build_tree(_explicit_3x3_spec(q_rows, w_rows))
 
 
 def _arrays(tree):
@@ -409,7 +407,9 @@ def test_serialization_roundtrip(lopsided3, binary4):
         assert tree_to_doc(again) == doc
 
 
-def test_tree_doc_shares_repeated_rows():
+def test_tree_doc_shares_repeated_rows(monkeypatch):
+    # canonical_json writes an explicit tree's rows from their integers and
+    # formats each distinct (numerator, denominator) entry once per document
     tree = build_tree(
         TreeSpec(
             depth=5,
@@ -419,16 +419,77 @@ def test_tree_doc_shares_repeated_rows():
             seed=4,
         )
     )
+    formatted = []
+    format_entry = serialize._format_entry
+    monkeypatch.setattr(serialize, "_format_entry", lambda num, den: formatted.append((num, den)) or format_entry(num, den))
+    text = canonical_json(tree)
+    doc = json.loads(text)
+    rows, entries = [], set()
+    for key, ints, row_of in (("q_rows", tree.q_ints, tree.q_row), ("w_rows", tree.w_ints, tree.w_row)):
+        expected = [[[str(v) for v in row_of(x)] for x in tree.vertices(lvl)] for lvl in range(tree.depth)]
+        assert doc[key] == expected
+        for x in tree.bfs():
+            if not tree.is_leaf(x):
+                nums, den = ints(x)
+                rows.append(tuple(nums))
+                entries.update((n, den) for n in nums)
+    assert len(set(rows)) < len(rows)  # rows repeat, within and between the tables
+    assert sorted(formatted) == sorted(entries)
+    assert canonical_json(doc) == text
+
+
+Q1, Q2 = ["1/4", "1/4", "1/2"], ["1/3", "1/3", "1/3"]
+# trees whose text canonical_json writes from their integer rows, each held
+# against the plain document tree_to_doc builds vertex by vertex
+REFERENCE_TREES = {
+    **{
+        f"random-arity{arity}-seed{seed}": TreeSpec(
+            depth=5,
+            branching={"kind": "random", "max_arity": arity},
+            q_rule={"kind": "random", "max_weight": 10**12},
+            w_rule={"kind": "random", "max_weight": 10**12},
+            seed=seed,
+        )
+        for arity in (2, 3, 4)
+        for seed in (0, 1, 2)
+    },
+    # Q1 repeats within level 1 and across levels, and Q2 and Q1 are w rows too
+    "repeated-rows": _explicit_3x3_spec([[Q1], [Q1, Q2, Q1]], [[Q2], [Q1, Q2, Q2]]),
+    # integral entries, written "2" and "-1", and negative w entries
+    "integral-negative": _explicit_3x3_spec([[Q1], [Q2, Q1, Q2]], [[["2", "-1/2", "-1/2"]], [["-1", "1", "1"], ["3", "-1", "-1"], Q1]]),
+    "per-level-on-random": TreeSpec(
+        depth=4,
+        branching={"kind": "random", "min_arity": 3, "max_arity": 3},
+        q_rule={"kind": "per_level", "rows": [Q1, Q2, Q1, ["1/5", "3/5", "1/5"]]},
+        w_rule={"kind": "per_level", "rows": [["2", "-1/2", "-1/2"], Q1, Q2, ["-1", "1", "1"]]},
+        seed=7,
+    ),
+    "uniform": TreeSpec(depth=4, branching={"kind": "uniform", "arity": 2}),
+    "per-level-uniform": TreeSpec(
+        depth=3,
+        branching={"kind": "per_level", "arities": [2, 3, 2]},
+        q_rule={"kind": "per_level", "rows": [["1/3", "2/3"], Q1, ["1/100", "99/100"]]},
+        w_rule={"kind": "per_level", "rows": [["2", "-1"], ["-1", "1", "1"], ["1/2", "1/2"]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TREES))
+def test_tree_text_is_its_plain_documents_text(name):
+    tree = build_tree(REFERENCE_TREES[name])
     doc = tree_to_doc(tree)
     text = canonical_json(doc)
-    unshared = json.loads(text)
-    for key, row_of in (("q_rows", tree.q_row), ("w_rows", tree.w_row)):
-        rows = [row for level in doc[key] for row in level]
-        assert all(isinstance(row, tuple) for row in rows)
-        assert len({id(row) for row in rows}) < len(rows)  # repeated rows share a tuple
-        expected = [[[str(v) for v in row_of(x)] for x in tree.vertices(lvl)] for lvl in range(tree.depth)]
-        assert unshared[key] == expected
-    assert canonical_json(unshared) == text
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(tree) == text
+    # at three indents, twice at one of them
+    assert canonical_json({"a": [tree, tree], "b": tree}) == canonical_json({"a": [doc, doc], "b": doc})
+
+
+def test_tree_of_neither_backing_has_no_document():
+    # a check that raises, not an assert, which python -O strips
+    for write in (tree_to_doc, canonical_json):
+        with pytest.raises(TypeError, match="no tree/1 document for a Tree"):
+            write(trees.Tree())
 
 
 def test_deep_uniform_tree_is_implicit(deep_binary):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ from treeharmonics.universality import (
     span_sweep,
     x_schedule,
 )
-from treeharmonics.serialize import witness_from_doc, witness_to_doc
+from treeharmonics.serialize import canonical_json, witness_from_doc, witness_to_doc
 from treeharmonics.values import bounded_metric, centered_grid
 
 from conftest import random_value
@@ -554,12 +555,13 @@ def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
 
 @pytest.mark.parametrize("kind", ["x", "ufm"])
 def test_synthesized_hits_equal_read_back_and_exact_hits(oracle_case, kind):
-    # a synthesized witness and its read-back document certify alike, and
-    # each hit is the exact decision d < epsilon on its component's distances
+    # a synthesized witness and the witness read back from its written text
+    # certify alike, and each hit is the exact decision d < epsilon on its
+    # component's distances
     tree = oracle_case[0]
     horizon = tree.depth - 2
     witness = _oracle_witness(oracle_case, kind, horizon)
-    read_back = witness_from_doc(witness_to_doc(witness))
+    read_back = witness_from_doc(json.loads(canonical_json(witness_to_doc(witness))))
     for h in (horizon, horizon // 2, tree.depth):
         report = certify_hits(witness, horizon=h)
         assert report == certify_hits(read_back, horizon=h), h
