@@ -16,8 +16,8 @@ level functions that integral is an exact finite weighted sum evaluated by
 one memoized joint recursion over the structures (_integral).  These metrics
 serve single-level comparisons and the tests' exact oracles.  The levels of
 a harmonic function that a caller lists come from one forward walk in the
-harmonic module instead, folded into exact distances (level_profile) or into
-hit decisions from outward-rounded integer bounds (hit_levels).
+harmonic module instead, folded into exact distances or into hit decisions
+from outward-rounded integer bounds, or both at once (profile_and_hits).
 """
 
 from __future__ import annotations

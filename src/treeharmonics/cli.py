@@ -42,6 +42,7 @@ from .universality import (
     dense_family,
     double_genericity_check,
     enumerate_targets,
+    log_and_certify,
     span_inclusion_check,
 )
 
@@ -216,10 +217,11 @@ def _write_hits(out_dir: Path, command: str, cfg: dict, tree: Tree, hits: HitRep
 
 def _emit_witness_outputs(out_dir: Path, command: str, cfg: dict, witness: Witness) -> None:
     """Write witness.json, then report.json, which repeats its schedule, targets and logs."""
-    doc = witness_to_doc(witness)
+    logs, hits = log_and_certify(witness)
+    doc = witness_to_doc(witness, logs)
     _write(out_dir, "witness.json", canonical_json(doc))
     sections = {key: doc[key] for key in ("schedule", "targets", "logs")}
-    _write_hits(out_dir, command, cfg, witness.tree, certify_hits(witness), **sections)
+    _write_hits(out_dir, command, cfg, witness.tree, hits, **sections)
 
 
 def _x_witness(cfg: dict) -> Witness:

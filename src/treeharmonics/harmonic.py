@@ -12,22 +12,25 @@ residual only where the law fails, and certifies a constant node in one step,
 since the tree invariant that each w row sums to one makes a constant harmonic
 at every vertex below it.
 
-One forward sweep, _sweep, serves the levels a caller lists: it pushes
-q-mass down the DAGs of one or more functions and of any number of targets
-together, one level at a time, sets aside the entries that can no longer
-change, and keeps one running total per sweep, so H levels cost O(H x
-frontier width) rather than the O(H x DAG) of restricting and integrating
-each level from the root.  Masses are ints over one denominator per level,
-so pushing them costs no gcd; callers supply only a fold, given that den,
-which sees the frontier only at a listed level.  level_profile folds exact
-distances, whose digits grow quadratically with depth, as one int numerator
-over the lcm of their denominators, reduced once per fold; synthesis asks it
-only for the levels a witness file logs.  hit_levels folds integer bounds
-scaled by 2^P, decides d_n < radius from them as each level comes and sums
-exactly only a level whose bounds straddle the radius; walking functions
-jointly, it bounds their linear combinations from the component values.
-Every hit set comes from it: the witness commands', certify's, span-check's
-and double-genericity's burst dips (its steady span folds support measures).
+One forward sweep, _sweep, serves the levels a caller lists: it pushes q-mass
+down the DAGs of one or more functions and of any number of targets together,
+one level at a time, sets aside the entries that can no longer change, and
+keeps one running total per sweep, so H levels cost O(H x frontier width)
+rather than the O(H x DAG) of restricting and integrating each level from the
+root.  Masses are ints over one denominator per level, so pushing them costs
+no gcd; callers supply a fold per sweep, given that den, which sees the
+frontier only at a listed level.  profile_and_hits folds two kinds of sweep in
+one walk.  Its exact fold sums one function's distances, whose digits grow
+quadratically with depth, as one int numerator over the lcm of their
+denominators, reduced once per fold; witnesses ask it only for the levels
+their files log.  Its bounds fold sums integer bounds scaled by 2^P, decides
+d_n < radius from them as each level comes and sums exactly only a level whose
+bounds straddle the radius; walking functions jointly, it bounds their linear
+combinations from the component values.  level_profile and hit_levels are its
+exact-only and bounds-only restrictions.  Every hit set comes from the bounds
+fold: the witness commands' (in one walk with their block logs), certify's,
+span-check's and double-genericity's burst dips (its steady span folds support
+measures).
 """
 
 from __future__ import annotations
@@ -277,7 +280,7 @@ def _against(tree: Tree, value: Value, tnode: Node, x: VertexId, integrand) -> S
     return Fraction(r.numerator, r.denominator * den) if r else 0  # r / den, never a float
 
 
-def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callable, start) -> Iterator[tuple]:
+def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], folds: Sequence[Callable], starts: Sequence) -> Iterator[tuple]:
     """Walk the functions fs and the distinct sweep targets (each sweep's
     first item) together, and yield (sweep index, level n, total) for each
     level n its last item lists (ascending, in 1..depth).
@@ -286,8 +289,8 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
     (function node per function, target node per distinct target, vertex,
     mass) freezes once every function node is constant below it; its mass is
     an int over den, which each level multiplies by the lcm of the frontier's
-    q denominators (tree.q_ints).  Each sweep keeps a running total, from
-    start, of fold(frozen entries, its target's slot, sweep index, total, den)
+    q denominators (tree.q_ints).  Each sweep j keeps a running total, from
+    starts[j], of folds[j](frozen entries, its target's slot, j, total, den)
     at each level up to its last listed one; at a listed level n it yields
     that total with the level-n frontier folded in.  Nothing is kept of a
     level once it is passed.
@@ -318,7 +321,7 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
 
     frozen, frontier, den = [], {}, 1
     push(frozen, frontier, tuple(g.node for g in fs), roots, tree.root, 1)
-    totals = [fold(frozen, slot, j, start, den) for j, slot in enumerate(slots)]
+    totals = [fold(frozen, slot, j, start, den) for j, (slot, fold, start) in enumerate(zip(slots, folds, starts))]
     for n in range(1, max(lasts, default=0) + 1):
         rows = [tree.q_ints(x) for _, _, x, _ in frontier.values()]
         step = lcm(*(qden for _, qden in rows))
@@ -332,7 +335,7 @@ def _sweep(fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple], fold: Callab
             for i, (fchild, tchild) in enumerate(zip(zip(*fkids), zip(*tkids))):
                 push(frozen, below, fchild, tchild, tree.child(x, i), mass * qnums[i])
         frontier = below
-        for j, (slot, levels, last) in enumerate(zip(slots, listed, lasts)):
+        for j, (slot, fold, levels, last) in enumerate(zip(slots, folds, listed, lasts)):
             if n <= last:
                 totals[j] = fold(frozen, slot, j, totals[j], den)
                 if n in levels:
@@ -343,54 +346,43 @@ def level_profile(
     f: HarmonicFunction,
     sweeps: Sequence[tuple[LevelFunction, Callable[[Value, Value], Scalar], Iterable[int]]],
 ) -> list[list[Scalar]]:
-    """Distances I_n of the level restrictions of f to target at each listed
-    level n, one list per (target, integrand, ascending levels) of sweeps.
-
-    I_n integrates integrand(value of f at level n, target value) against the
-    boundary measure, exactly as the boundary metrics do on
-    restrict_to_level(f, n) (zero terms are skipped, so an all-zero distance
-    stays the int 0): _sweep's running sums of exact terms.  A fold call sums
-    its parts times their masses as one int over their lcm and reduces once.
-    """
-    tree = f.tree
-
-    def fold(entries, slot: int, j: int, total: Scalar, den: int) -> Scalar:
-        integrand = sweeps[j][1]
-        num, dd = 0, 1  # the fold's sum so far: num / dd
-        for (fnode,), tnodes, x, mass in entries:
-            part = _against(tree, fnode.value, tnodes[slot], x, integrand)
-            if part:
-                pd = part.denominator
-                if pd == dd:
-                    num += part.numerator * mass
-                else:
-                    g = gcd(dd, pd)
-                    num = num * (pd // g) + part.numerator * mass * (dd // g)
-                    dd = dd // g * pd
-        return total + Fraction(num, dd * den) if num else total
-
-    out: list[list[Scalar]] = [[] for _ in sweeps]
-    for j, _, total in _sweep((f,), sweeps, fold, 0):
-        out[j].append(total)
-    return out
+    """profile_and_hits' distances, one list per (target, integrand, levels) logged on f."""
+    return profile_and_hits((f,), [(target, 0, integrand, levels) for target, integrand, levels in sweeps], [])[0]
 
 
 def hit_levels(
     fs: Sequence[HarmonicFunction], sweeps: Sequence[tuple[LevelFunction, Sequence[Scalar], Scalar, int]]
 ) -> list[list[int]]:
-    """The levels n in 1..horizon with bounded_metric(a_1 f_1 + a_2 f_2 + ...
-    at level n, target) < radius, one list per (target, coefficients a,
-    radius, horizon) sweep, all decided in one joint walk of the functions fs
-    (missing trailing coefficients are zero).
+    """profile_and_hits' hit sets of the sweeps over fs, with nothing logged."""
+    return profile_and_hits(fs, [], sweeps)[1]
 
-    The bounds, in units of 2^-P, round outward each term a_i u_i of a
-    coordinate, d/(1+d) (which increases in d) and each term of mass times
-    integrand; the combined value is formed only against a split target node.
-    Each level is decided as _sweep yields its bounds.  The levels of a
-    sweep whose bounds straddle the radius are decided by one exact
-    level_profile walk of that sweep up to the last of them, so every
-    decision is the exact one; only there is a combination of two or more
-    functions built.
+
+def profile_and_hits(
+    fs: Sequence[HarmonicFunction],
+    logged: Sequence[tuple[LevelFunction, int, Callable[[Value, Value], Scalar], Iterable[int]]],
+    sweeps: Sequence[tuple[LevelFunction, Sequence[Scalar], Scalar, int]],
+) -> tuple[list[list[Scalar]], list[list[int]]]:
+    """One joint walk of the functions fs serves both kinds of sweep.
+
+    Per logged (target, function index i, integrand, ascending levels): the
+    distance I_n of the level restriction of fs[i] to target at each listed
+    level n, integrand(value of fs[i] at level n, target value) integrated
+    against the boundary measure, exactly as the boundary metrics do on
+    restrict_to_level(fs[i], n) (zero terms are skipped, so an all-zero
+    distance stays the int 0).  Its fold reads fs[i]'s node out of each joint
+    entry and sums the parts times their masses as one int over their lcm,
+    reduced once.
+
+    Per hit (target, coefficients a, radius, horizon): the levels n in
+    1..horizon with bounded_metric(a_1 f_1 + a_2 f_2 + ... at level n,
+    target) < radius (missing trailing coefficients are zero).  The bounds,
+    in units of 2^-P, round outward each term a_i u_i of a coordinate, d/(1+d)
+    (which increases in d) and each term of mass times integrand; the combined
+    value is formed only against a split target node.  Each level is decided
+    as _sweep yields its bounds.  The levels of a sweep whose bounds straddle
+    the radius are decided by one exact level_profile walk of that sweep up
+    to the last of them, so every decision is the exact one; only there is a
+    combination of two or more functions built.
     """
     tree = fs[0].tree
     if any(len(s[1]) > len(fs) for s in sweeps):
@@ -406,6 +398,21 @@ def hit_levels(
     def outward(s: Scalar, a: Scalar = 1) -> tuple[int, int]:
         num, den = a.numerator * s.numerator << P, a.denominator * s.denominator
         return num // den, -(-num // den)
+
+    def exact(entries, slot: int, j: int, total: Scalar, den: int) -> Scalar:
+        _, i, integrand, _ = logged[j - len(sweeps)]
+        num, dd = 0, 1  # the fold's sum so far: num / dd
+        for fnodes, tnodes, x, mass in entries:
+            part = _against(tree, fnodes[i].value, tnodes[slot], x, integrand)
+            if part:
+                pd = part.denominator
+                if pd == dd:
+                    num += part.numerator * mass
+                else:
+                    g = gcd(dd, pd)
+                    num = num * (pd // g) + part.numerator * mass * (dd // g)
+                    dd = dd // g * pd
+        return total + Fraction(num, dd * den) if num else total
 
     # the coordinates of each distinct term rounded once per entry for all sweeps, by the id of
     # its function node tuple (a level's entries live while den stays); and of each leaf target
@@ -441,8 +448,15 @@ def hit_levels(
             hi -= -mass * th // den
         return lo, hi
 
-    hits, undecided = [[] for _ in sweeps], [[] for _ in sweeps]
-    for j, n, (lo, hi) in _sweep(fs, [(*s[:-1], range(1, s[-1] + 1)) for s in sweeps], bounds, (0, 0)):
+    # the hit sweeps walk first, then the logged ones
+    walked = [*((*s[:-1], range(1, s[-1] + 1)) for s in sweeps), *logged]
+    folds, starts = [bounds] * len(sweeps) + [exact] * len(logged), [(0, 0)] * len(sweeps) + [0] * len(logged)
+    hits, undecided, distances = [[] for _ in sweeps], [[] for _ in sweeps], [[] for _ in logged]
+    for j, n, total in _sweep(fs, walked, folds, starts):
+        if j >= len(sweeps):
+            distances[j - len(sweeps)].append(total)
+            continue
+        lo, hi = total
         radius = sweeps[j][2]
         edge = radius.numerator << P
         if hi * radius.denominator < edge:
@@ -453,10 +467,10 @@ def hit_levels(
         if levels:
             (i, a), *more = nonzero[j]
             g, a = (linear_combination(sweeps[j][1], fs[: len(sweeps[j][1])]), 1) if more else (fs[i], a)
-            exact = (sweeps[j][0], lambda u, v: bounded_metric(u.scale(a), v), range(1, levels[-1] + 1))
-            d = level_profile(g, [exact])[0]
+            exact_sweep = (sweeps[j][0], lambda u, v: bounded_metric(u.scale(a), v), range(1, levels[-1] + 1))
+            d = level_profile(g, [exact_sweep])[0]
             hits[j] = sorted(hits[j] + [n for n in levels if d[n - 1] < sweeps[j][2]])
-    return hits
+    return distances, hits
 
 
 def restrict_tuple(ft: HarmonicTuple, n: int) -> TupleLevelFunction:

@@ -269,9 +269,9 @@ def block_log_from_doc(doc: dict) -> BlockLog:
 # Witnesses
 
 
-def witness_to_doc(w: Witness) -> dict:
-    """The witness/1 document, with the Tree itself under "tree", which
-    canonical_json writes as its tree/1 document."""
+def witness_to_doc(w: Witness, logs: Sequence[BlockLog]) -> dict:
+    """The witness/1 document of w and its logs (log_and_certify), the Tree itself
+    under "tree", which canonical_json writes as its tree/1 document."""
     tree = w.tree
     is_tuple = isinstance(w.function, HarmonicTuple)
     components = w.function.components if is_tuple else (w.function,)
@@ -285,7 +285,7 @@ def witness_to_doc(w: Witness) -> dict:
         "targets": [target_to_doc(tree, t) for t in w.targets],
         "target_components": list(w.target_components),
         "schedule": schedule_to_doc(w.schedule),
-        "logs": [block_log_to_doc(log) for log in w.logs],
+        "logs": [block_log_to_doc(log) for log in logs],
         "components": [dag_to_doc(c.node) for c in components],
     }
 
@@ -334,7 +334,7 @@ def witness_from_doc(doc: dict) -> Witness:
         except InfeasibleScheduleError as exc:  # a malformed file, not an infeasible request
             raise ValidationError(f"witness schedule: {exc}") from exc
         logs = tuple(block_log_from_doc(log) for log in doc["logs"])
-        # synthesis logs each component's blocks in turn, one mismatch per level
+        # checked, not kept: log_and_certify logs each component's blocks in turn, one mismatch per level
         if [log[:4] for log in logs] != [b for c in range(1, width + 1) for b in schedule.component_blocks(c)]:
             raise ValidationError("witness 'logs' must list the schedule's blocks, component by component")
         for log in logs:
@@ -345,7 +345,6 @@ def witness_from_doc(doc: dict) -> Witness:
             schedule=schedule,
             targets=targets,
             target_components=target_components,
-            logs=logs,
         )
     except KeyError as exc:
         raise ValidationError(f"witness document lacks the key {exc}") from exc

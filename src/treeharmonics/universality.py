@@ -8,11 +8,12 @@ shrinks by at least half per level, so a block of consecutive levels ends with
 the orbit inside any prescribed metric ball.
 
 A witness component runs all its blocks in one memoized top-down walk over the
-function and target DAGs (the apply construction of decision diagrams).  A
-block writes only its own levels, so the finished function agrees with the
-function at block time on every level that block logs.  One level sweep per
-component serves every block's mismatch log and terminal distance at only
-the levels a witness file logs; every hit set comes from certify_hits.
+function and target DAGs (the apply construction of decision diagrams);
+synthesis only builds.  A block writes only its own levels, so the finished
+function agrees with the function at block time on every level that block
+logs.  log_and_certify derives a witness's evidence in one joint level sweep
+of its components: every block's mismatch log and terminal distance, at only
+the levels a witness file logs, and certify_hits' hit sets beside them.
 
 Two block plans realize the two density behaviors at a finite horizon:
 
@@ -73,6 +74,7 @@ from .harmonic import (
     level_profile,
     linear_combination,
     pointwise_metric,
+    profile_and_hits,
     restrict_to_level,
     truncate_and_extend,
     zero_function,
@@ -421,7 +423,6 @@ class Witness(NamedTuple):
     schedule: Schedule
     targets: tuple[Target, ...]
     target_components: tuple[int, ...]  # component certifying each target
-    logs: tuple[BlockLog, ...]
 
     @property
     def kind(self) -> str:
@@ -447,57 +448,25 @@ def _checked_targets(targets: Sequence[Target]) -> tuple[Target, ...]:
     return targets
 
 
-def _synthesize(
-    tree: Tree,
-    schedule: Schedule,
-    targets: Sequence[Target],
-    target_components: tuple[int, ...],
-    as_tuple: bool,
-) -> Witness:
-    """Run the schedule's blocks on zero components, log each block's
-    mismatches and terminal distance, re-check harmonicity and wrap the
-    result: a HarmonicTuple when as_tuple, else the single component."""
+def _synthesize(tree: Tree, schedule: Schedule, targets: Sequence[Target]) -> Witness:
+    """Run the schedule's blocks on zero components, re-check harmonicity and
+    wrap the result: a HarmonicTuple on the x kind or a width above 1, else
+    the single component.  On the x kind component i certifies target i,
+    otherwise component 1 certifies every target."""
     zero = zero_function(tree, targets[0].level_function.dim)
-    components: list[HarmonicFunction] = []
-    logs: list[BlockLog] = []
-    for comp in range(1, schedule.width + 1):
-        blocks = schedule.component_blocks(comp)
-        f = _run_blocks(zero, [(b.start, b.end, targets[b.target_index - 1].level_function) for b in blocks])
-        # a block writes levels start..end only, so f agrees with the function
-        # at block time on every level the block logs: one sweep of f serves
-        # them all, each target's blocks in level order
-        own = {i: [b for b in blocks if b.target_index == i] for i in dict.fromkeys(b.target_index for b in blocks)}
-        logged = [(targets[i - 1].level_function, bs) for i, bs in own.items()]
-        wanted = [(lf, mismatch_integrand, [n for b in bs for n in range(b.start, b.end + 1)]) for lf, bs in logged]
-        wanted += [(lf, bounded_metric, [b.end for b in bs]) for lf, bs in logged]
-        profiles = [iter(p) for p in level_profile(f, wanted)]
-        sweeps = dict(zip(own, zip(profiles, profiles[len(own) :])))
-        for block in blocks:
-            target = targets[block.target_index - 1]
-            measures, distances = sweeps[block.target_index]
-            mismatches = [(n, next(measures)) for n in range(block.start, block.end + 1)]
-            for (_, prev), (lvl, m) in zip(mismatches, mismatches[1:]):
-                if m > prev:
-                    raise InvariantError(
-                        f"mismatch grew from {prev} to {m} at level {lvl} inside a block"
-                    )
-            terminal = next(distances)
-            if not terminal < target.epsilon:
-                raise InvariantError(
-                    f"block ending at {block.end} left distance {terminal}, "
-                    f"not below epsilon {target.epsilon}"
-                )
-            logs.append(BlockLog(comp, block.target_index, block.start, block.end, tuple(mismatches), terminal))
-        components.append(f)
-    function = HarmonicTuple(tuple(components)) if as_tuple else components[0]
+    components = [
+        _run_blocks(zero, [(b.start, b.end, targets[b.target_index - 1].level_function) for b in schedule.component_blocks(comp)])
+        for comp in range(1, schedule.width + 1)
+    ]
+    x = schedule.kind == "x"
+    function = HarmonicTuple(tuple(components)) if x or schedule.width > 1 else components[0]
     if not check_harmonic(function).passed:
         raise InvariantError(f"synthesized {schedule.kind}-kind witness failed the harmonicity check")
     return Witness(
         function=function,
         schedule=schedule,
         targets=tuple(targets),
-        target_components=target_components,
-        logs=tuple(logs),
+        target_components=tuple(range(1, len(targets) + 1)) if x else (1,) * len(targets),
     )
 
 
@@ -515,7 +484,7 @@ def build_x_witness(
     horizon = tree.depth if horizon is None else horizon
     width = len(targets) if width is None else width
     schedule = x_schedule(tree, targets, growth, width, horizon, warmup)
-    return _synthesize(tree, schedule, targets, tuple(range(1, len(targets) + 1)), as_tuple=True)
+    return _synthesize(tree, schedule, targets)
 
 
 def build_ufm_witness(
@@ -529,7 +498,7 @@ def build_ufm_witness(
     targets = _checked_targets(targets)
     horizon = tree.depth if horizon is None else horizon
     schedule = ufm_schedule(tree, targets, block_length, horizon, warmup)
-    return _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=False)
+    return _synthesize(tree, schedule, targets)
 
 
 # ----------------------------------------------------------------------
@@ -570,19 +539,27 @@ def certify_hits(
     """Exact per-target hit sets and density profiles with empirical verdicts.
 
     Geometric-kind witnesses are judged on the upper-density surrogate,
-    cyclic-kind ones on the lower-density floor.  hit_levels decides every
-    target in one joint walk of the components, for a synthesized witness as
-    for one read from a file.
+    cyclic-kind ones on the lower-density floor.  One joint walk of the
+    components decides every target (profile_and_hits, nothing logged), for
+    a synthesized witness as for one read from a file.
     """
+    return _certify(witness, max(witness.target_components), [], horizon, warmup)[1]
+
+
+def _certify(
+    witness: Witness, width: int, logged: list, horizon: int | None = None, warmup: int | None = None
+) -> tuple[list[list[Scalar]], HitReport]:
+    """profile_and_hits' distances for the logged sweeps of components 1..width,
+    and the hit report on each target's sweep of its component up to horizon."""
     tree = witness.tree
     horizon = witness.schedule.horizon if horizon is None else horizon
     warmup = witness.schedule.warmup if warmup is None else warmup
     if horizon > tree.depth:
         raise ValidationError(f"horizon {horizon} exceeds tree depth {tree.depth}")
+    fs = [witness.component_function(c) for c in range(1, width + 1)]
     pairs = list(zip(witness.targets, witness.target_components))
-    fs = [witness.component_function(c) for c in range(1, max(witness.target_components, default=0) + 1)]
     sweeps = [(t.level_function, (0,) * (c - 1) + (1,), t.epsilon, horizon) for t, c in pairs]
-    hit_sets = hit_levels(fs, sweeps) if sweeps else []
+    distances, hit_sets = profile_and_hits(fs, logged, sweeps)
     entries = []
     for (t, comp), hits in zip(pairs, hit_sets):
         prof = profile(hits, horizon, min(warmup, horizon - 1))
@@ -605,7 +582,45 @@ def certify_hits(
                 verdict=verdict,
             )
         )
-    return HitReport(kind=witness.kind, horizon=horizon, warmup=warmup, entries=tuple(entries))
+    return distances, HitReport(kind=witness.kind, horizon=horizon, warmup=warmup, entries=tuple(entries))
+
+
+def log_and_certify(witness: Witness) -> tuple[tuple[BlockLog, ...], HitReport]:
+    """The witness's block logs and certify_hits' report, from one joint walk
+    of its components: beside the hit sweeps it sums, per (component, target)
+    pair, the exact mismatches at the levels of the pair's blocks and the
+    distance at each block end.  A block writes levels start..end only, so
+    the finished component agrees with the function at block time on every
+    level the block logs.  A block whose mismatch grows or whose terminal
+    distance misses epsilon raises InvariantError."""
+    schedule, targets = witness.schedule, witness.targets
+    blocks = [b for c in range(1, schedule.width + 1) for b in schedule.component_blocks(c)]  # in log order
+    # each (component, target index) pair's blocks, in level order
+    own = {pair: [b for b in blocks if b[:2] == pair] for pair in dict.fromkeys(b[:2] for b in blocks)}
+    logged = [(targets[i - 1].level_function, c - 1, bs) for (c, i), bs in own.items()]
+    wanted = [(lf, i, mismatch_integrand, [n for b in bs for n in range(b.start, b.end + 1)]) for lf, i, bs in logged]
+    wanted += [(lf, i, bounded_metric, [b.end for b in bs]) for lf, i, bs in logged]
+    profiles, report = _certify(witness, schedule.width, wanted)
+    profiles = [iter(p) for p in profiles]
+    sweeps = dict(zip(own, zip(profiles, profiles[len(own) :])))
+    logs = []
+    for block in blocks:
+        target = targets[block.target_index - 1]
+        measures, distances = sweeps[block[:2]]
+        mismatches = [(n, next(measures)) for n in range(block.start, block.end + 1)]
+        for (_, prev), (lvl, m) in zip(mismatches, mismatches[1:]):
+            if m > prev:
+                raise InvariantError(
+                    f"mismatch grew from {prev} to {m} at level {lvl} inside a block"
+                )
+        terminal = next(distances)
+        if not terminal < target.epsilon:
+            raise InvariantError(
+                f"block ending at {block.end} left distance {terminal}, "
+                f"not below epsilon {target.epsilon}"
+            )
+        logs.append(BlockLog(*block, tuple(mismatches), terminal))
+    return tuple(logs), report
 
 
 # ----------------------------------------------------------------------
@@ -862,7 +877,7 @@ def span_sweep(
         return total + Fraction(acc, den) if acc else total
 
     zero = LevelFunction.constant(0, Value.zero(steady[0].dim))
-    measures = [total for *_, total in _sweep((*steady, *bursts), [(zero, range(1, horizon + 1))], support, 0)]
+    measures = [total for *_, total in _sweep((*steady, *bursts), [(zero, range(1, horizon + 1))], [support], [0])]
     return measures, SpanRanks(_rank(c[:width] for c in columns), _rank(c[width:] for c in columns), _rank(columns))
 
 
@@ -903,7 +918,7 @@ def double_genericity_check(
 
     steady_targets = enumerate_targets(tree, count=4, dim=dim, resolution=1, bound=1, epsilon=Fraction(1, 8))
     steady_schedule = _family_ufm_schedule(tree, steady_targets, block_length, width=3, horizon=horizon)
-    steady_witness = _synthesize(tree, steady_schedule, steady_targets, (1,) * len(steady_targets), as_tuple=True)
+    steady_witness = _synthesize(tree, steady_schedule, steady_targets)
 
     burst_targets = enumerate_targets(tree, count=3, dim=dim, resolution=0, bound=1, epsilon=Fraction(1, 8))
     burst_witness = build_x_witness(tree, burst_targets, growth=growth, width=len(burst_targets), horizon=horizon)

@@ -45,7 +45,7 @@ from treeharmonics import (
     tuple_p_metric,
     zero_function,
 )
-from treeharmonics import universality
+from treeharmonics import harmonic, universality
 from treeharmonics.boundary import _expand, leaf, mismatch_integrand
 from treeharmonics.errors import DimensionMismatchError
 from treeharmonics.harmonic import (
@@ -62,11 +62,13 @@ from treeharmonics.universality import (
     _family_ufm_schedule,
     _synthesize,
     _validate_schedule,
+    log_and_certify,
     min_block_length,
     refinement_levels,
     span_sweep,
     x_schedule,
 )
+from treeharmonics.cli import main
 from treeharmonics.serialize import canonical_json, witness_from_doc, witness_to_doc
 from treeharmonics.values import bounded_metric, centered_grid
 
@@ -327,7 +329,8 @@ def test_x_witness_densities(deep60, x_witness):
     for e in rep.entries:
         assert e.upper >= Fraction(3, 4)
     # construction log: non-increasing mismatch, terminal distance below epsilon
-    for log in x_witness.logs:
+    logs, _ = log_and_certify(x_witness)
+    for log in logs:
         values = [m for _, m in log.mismatch]
         assert all(b <= a for a, b in zip(values, values[1:]))
         target = x_witness.targets[log.target_index - 1]
@@ -339,7 +342,7 @@ def test_x_witness_densities(deep60, x_witness):
 def test_hit_guarantee_from_mismatch_log(deep60, x_witness):
     # wherever the logged mismatch is below epsilon, the orbit is inside the
     # ball: the metric never exceeds the mismatched mass
-    for log in x_witness.logs:
+    for log in log_and_certify(x_witness)[0]:
         target = x_witness.targets[log.target_index - 1]
         comp = x_witness.function.components[log.component - 1]
         for lvl, m in log.mismatch:
@@ -415,7 +418,7 @@ def test_x_witness_on_random_explicit_tree():
     for entry, block in zip(rep.entries, (w.schedule.component_blocks(1)[-1], w.schedule.component_blocks(2)[-1])):
         first_guaranteed = block.start + refinement_levels(Fraction(1, 8)) - 1
         assert set(range(first_guaranteed, 13)) <= set(entry.hits)
-    for log in w.logs:
+    for log in log_and_certify(w)[0]:
         values = [m for _, m in log.mismatch]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -480,10 +483,11 @@ def _ref_rebuild(f, target, stop_level, end):
     return HarmonicFunction(tree, f.depth, f.dim, desc(f.node, target.node, tree.root))
 
 
-def _assert_matches_block_by_block(witness):
+def _assert_matches_block_by_block(witness, logs):
     """Each component's root is the node that rebuilding block by block
-    yields, and each block log equals the sweeps over the function as it
-    stood when that block ended (repr also pins int 0 against Fraction 0)."""
+    yields, and each of the witness's block logs equals the sweeps over the
+    function as it stood when that block ended (repr also pins int 0 against
+    Fraction 0)."""
     want = []
     for comp in range(1, witness.schedule.width + 1):
         f = zero_function(witness.tree, witness.component_function(1).dim)
@@ -494,7 +498,7 @@ def _assert_matches_block_by_block(witness):
             terminal = level_profile(f, [(lf, bounded_metric, range(1, b.end + 1))])[0][-1]
             want.append((comp, b.target_index, b.start, b.end, tuple(zip(range(b.start, b.end + 1), measures)), terminal))
         assert witness.component_function(comp).node is f.node
-    got = [(g.component, g.target_index, g.start, g.end, g.mismatch, g.terminal_p) for g in witness.logs]
+    got = [(g.component, g.target_index, g.start, g.end, g.mismatch, g.terminal_p) for g in logs]
     assert repr(got) == repr(want)
 
 
@@ -543,14 +547,28 @@ def _oracle_witness(oracle_case, kind, horizon=None):
         return build_ufm_witness(tree, targets, block_length=block_length, horizon=horizon)
     targets = enumerate_targets(tree, count=nonzero + 1, resolution=1, epsilon=eps)
     schedule = _family_ufm_schedule(tree, targets, block_length, width=nonzero, horizon=horizon or tree.depth)
-    return _synthesize(tree, schedule, targets, (1,) * len(targets), as_tuple=True)
+    return _synthesize(tree, schedule, targets)
 
 
 @pytest.mark.parametrize("kind", ["x", "ufm", "family"])
 def test_one_pass_walk_matches_block_by_block(oracle_case, kind):
     witness = _oracle_witness(oracle_case, kind)
-    assert len(witness.logs) >= 2
-    _assert_matches_block_by_block(witness)
+    logs, _ = log_and_certify(witness)
+    assert len(logs) >= 2
+    _assert_matches_block_by_block(witness, logs)
+
+
+@pytest.mark.parametrize("kind", ["x", "ufm", "family"])
+def test_log_and_certify_reports_as_certify_hits(oracle_case, kind):
+    # the one walk that derives the logs decides the hits as certify_hits'
+    # own walk does, on the witness and on the witness read back from its
+    # text; each log, on an x-kind tuple its own component's, read out of
+    # the joint entries, is the block-by-block oracle's
+    witness = _oracle_witness(oracle_case, kind)
+    logs, report = log_and_certify(witness)
+    read_back = witness_from_doc(json.loads(canonical_json(witness_to_doc(witness, logs))))
+    assert report == certify_hits(witness) == certify_hits(read_back)
+    _assert_matches_block_by_block(witness, logs)
 
 
 @pytest.mark.parametrize("kind", ["x", "ufm"])
@@ -561,7 +579,7 @@ def test_synthesized_hits_equal_read_back_and_exact_hits(oracle_case, kind):
     tree = oracle_case[0]
     horizon = tree.depth - 2
     witness = _oracle_witness(oracle_case, kind, horizon)
-    read_back = witness_from_doc(json.loads(canonical_json(witness_to_doc(witness))))
+    read_back = witness_from_doc(json.loads(canonical_json(witness_to_doc(witness, log_and_certify(witness)[0]))))
     for h in (horizon, horizon // 2, tree.depth):
         report = certify_hits(witness, horizon=h)
         assert report == certify_hits(read_back, horizon=h), h
@@ -575,18 +593,58 @@ def test_synthesized_hits_equal_read_back_and_exact_hits(oracle_case, kind):
 @pytest.mark.parametrize("kind", ["x", "ufm", "family"])
 def test_synthesis_sweeps_distances_at_block_ends_only(oracle_case, kind, monkeypatch):
     # the witness file logs each block's mismatches and its block-end
-    # distance; synthesis sweeps nothing else, the horizon included
+    # distance; synthesis sweeps nothing, and log_and_certify's one call
+    # logs nothing else, the horizon included
     requested = []
-    exact = universality.level_profile
-    monkeypatch.setattr(universality, "level_profile", lambda f, sweeps: requested.append(sweeps) or exact(f, sweeps))
+    walk = universality.profile_and_hits
+    monkeypatch.setattr(
+        universality, "profile_and_hits", lambda fs, logged, sweeps: requested.append(logged) or walk(fs, logged, sweeps)
+    )
     witness = _oracle_witness(oracle_case, kind, oracle_case[0].depth - 1)
-    assert len(requested) == witness.schedule.width
-    for comp, sweeps in enumerate(requested, 1):
+    assert requested == []
+    log_and_certify(witness)
+    [logged_sweeps] = requested
+    for comp in range(1, witness.schedule.width + 1):
         blocks = witness.schedule.component_blocks(comp)
-        swept = {(integrand, n) for _, integrand, levels in sweeps for n in levels}
+        swept = {(integrand, n) for _, i, integrand, levels in logged_sweeps if i == comp - 1 for n in levels}
         ends = {(bounded_metric, b.end) for b in blocks}
         logged = {(mismatch_integrand, n) for b in blocks for n in range(b.start, b.end + 1)}
         assert swept == ends | logged, comp
+
+
+# the _sweep walks each command makes on the binary and skewed oracle trees,
+# where no level's bounds straddle a radius, so no exact fallback walks: a
+# witness command derives its logs and hits in one walk, and the checks that
+# write no log sum no exact distance
+COMMAND_WALKS = {
+    "witness-ufm": [{"exact", "bounds"}],
+    "witness-x": [{"exact", "bounds"}],
+    "dense-family": [],
+    "span-check": [{"bounds"}],
+    "double-genericity": [{"support"}, {"bounds"}],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_WALKS))
+@pytest.mark.parametrize("tree_name", ["binary", "skewed-per-level"])
+def test_each_command_walks_once_for_logs_and_hits(tree_name, command, tmp_path, monkeypatch):
+    spec, eps, block_length, _ = ORACLE_TREES[tree_name]
+    walks = []
+
+    def spy(walk):
+        def counted(fs, sweeps, folds, starts):
+            walks.append({fold.__name__ for fold in folds})
+            return walk(fs, sweeps, folds, starts)
+
+        return counted
+
+    monkeypatch.setattr(harmonic, "_sweep", spy(harmonic._sweep))
+    monkeypatch.setattr(universality, "_sweep", spy(universality._sweep))  # span_sweep's name for it
+    config = tmp_path / "config.json"
+    tree = {"depth": spec.depth, "branching": spec.branching, "q_rule": spec.q_rule, "w_rule": spec.w_rule}
+    config.write_text(json.dumps({"tree": tree, "block_length": block_length, "targets": {"epsilon": str(eps)}}))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert walks == COMMAND_WALKS[command]
 
 
 @pytest.mark.parametrize("kind", ["x", "ufm"])
@@ -617,8 +675,8 @@ def test_one_pass_walk_gap_and_level_two_target(spec):
     )
     schedule = Schedule(kind="ufm", width=2, horizon=30, warmup=0, blocks=blocks)
     _validate_schedule(schedule, tree, targets)
-    witness = _synthesize(tree, schedule, targets, (1, 2), as_tuple=True)
-    _assert_matches_block_by_block(witness)
+    witness = _synthesize(tree, schedule, targets)
+    _assert_matches_block_by_block(witness, log_and_certify(witness)[0])
 
 
 def _split_levels(node):
@@ -682,14 +740,16 @@ def test_mismatch_growth_inside_a_block_is_an_invariant_error(binary6, monkeypat
     assert restrict_to_level(grown, 2).node.is_leaf
     monkeypatch.setattr(universality, "_run_blocks", lambda f, blocks: grown)
     targets = enumerate_targets(binary6, count=1, epsilon=Fraction(1, 2))
+    witness = build_ufm_witness(binary6, targets, block_length=3)
     with pytest.raises(InvariantError, match="mismatch grew from 0 to 1 at level 3"):
-        build_ufm_witness(binary6, targets, block_length=3)
+        log_and_certify(witness)
 
 
 def test_missed_epsilon_is_an_invariant_error(deep60, three_targets, monkeypatch):
     monkeypatch.setattr(universality, "_run_blocks", lambda f, blocks: f)
+    witness = build_ufm_witness(deep60, three_targets, block_length=10)
     with pytest.raises(InvariantError, match="block ending at 20 left distance 1/2, not below epsilon 1/8"):
-        build_ufm_witness(deep60, three_targets, block_length=10)
+        log_and_certify(witness)
 
 
 # ----------------------------------------------------------------------
